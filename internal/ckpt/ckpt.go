@@ -120,12 +120,23 @@ func Decode(data []byte) (*sim.SystemState, error) {
 		return nil, err
 	}
 	st := new(sim.SystemState)
-	dec := json.NewDecoder(bytes.NewReader(payload))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(st); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	if err := DecodeStrict(payload, st); err != nil {
+		return nil, err
 	}
 	return st, nil
+}
+
+// DecodeStrict decodes a JSON payload into v, refusing fields v does not
+// have: a snapshot written by a build with a different state shape fails
+// loudly instead of resuming with part of its state silently dropped.
+// Failures wrap ErrCorrupt.
+func DecodeStrict(payload []byte, v interface{}) error {
+	dec := json.NewDecoder(bytes.NewReader(payload))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	return nil
 }
 
 // SaveFrame atomically persists an arbitrary payload under the snapshot

@@ -53,7 +53,7 @@ type MultiChannelConfig struct {
 	// otherwise it must be empty or match the channel count.
 	ChannelDefenses []rdag.Template
 	// Geometry is the per-channel DRAM organisation; Geometry.Channels
-	// must be 1 (each channelUnit owns a single-channel mapper — the
+	// must be 1 (each channel unit owns a single-channel mapper — the
 	// cross-channel spread is the router's job, not the address mapper's).
 	Geometry mem.Geometry
 	// Timing is the DRAM timing shared by all channels.

@@ -5,10 +5,10 @@
 // SIGKILL'd fleet resumes to the byte.
 //
 // The unit of work is the shard: one (scheme, seed, channel-slice) cell of
-// the sweep, executed as a twin pair of sim.Cluster runs whose protected
-// tenants encode two different secrets. A shard's result is a pure
-// function of its descriptor — worker count, completion order, retries and
-// crash/resume cycles can change nothing in the merged report.
+// the sweep, executed as a twin pair of sim.NewCluster machines whose
+// protected tenants encode two different secrets. A shard's result is a
+// pure function of its descriptor — worker count, completion order,
+// retries and crash/resume cycles can change nothing in the merged report.
 package fleet
 
 import (

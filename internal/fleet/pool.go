@@ -591,9 +591,10 @@ func (p *pool) fenced(worker, idx int, sh Shard, held *Held, e *telem.Emitter, c
 	logf(p.opts.Log, "fleet: worker %d shard %s fenced (%v); abandoning to new owner\n", worker, sh.Name, cause)
 }
 
-// runShard executes one attempt with panic isolation: a panicking shard
-// (a seeded fault-injection campaign gone wrong, a model bug) takes down
-// its attempt, not the fleet.
+// runShard executes one attempt with panic isolation. Simulation invariant
+// violations come back from RunShard as errors; the recover is the
+// backstop for a model bug that panics, which then takes down its
+// attempt, not the fleet.
 func (p *pool) runShard(ctx context.Context, idx int, sh Shard, e *telem.Emitter) (res *ShardResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {

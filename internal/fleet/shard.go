@@ -72,8 +72,8 @@ type ShardOptions struct {
 
 // pairState is the checkpoint payload: both twins, cut at the same cycle.
 type pairState struct {
-	A *sim.ClusterState `json:"a"`
-	B *sim.ClusterState `json:"b"`
+	A *sim.SystemState `json:"a"`
+	B *sim.SystemState `json:"b"`
 }
 
 // CheckpointName returns the checkpoint file for a shard inside dir.
@@ -85,7 +85,9 @@ func CheckpointName(dir, shard string) string {
 // slice, advanced in checkpointed chunks, digested into a ShardResult.
 // A context cancellation between chunks returns ctx.Err() with the last
 // checkpoint already durable; rerunning the same shard resumes from it and
-// produces the identical result.
+// produces the identical result. A simulation invariant violation returns
+// the twin's *sim.SimError; a checkpoint this build cannot fully read
+// returns an error wrapping ckpt.ErrCorrupt.
 func RunShard(ctx context.Context, base config.MultiChannelConfig, sh Shard, opt ShardOptions) (*ShardResult, error) {
 	scheme, err := config.ParseScheme(sh.Scheme)
 	if err != nil {
@@ -118,7 +120,7 @@ func RunShard(ctx context.Context, base config.MultiChannelConfig, sh Shard, opt
 		ckptPath = CheckpointName(opt.Dir, sh.Name)
 		if blob, err := loadFrame(ckptPath); err == nil {
 			var pair pairState
-			if err := json.Unmarshal(blob, &pair); err != nil {
+			if err := ckpt.DecodeStrict(blob, &pair); err != nil {
 				return nil, fmt.Errorf("fleet: shard %s checkpoint: %w", sh.Name, err)
 			}
 			if err := a.RestoreState(pair.A); err != nil {
@@ -147,8 +149,11 @@ func RunShard(ctx context.Context, base config.MultiChannelConfig, sh Shard, opt
 			chunk = rem
 		}
 		lo := a.Now()
-		a.Run(chunk)
-		b.Run(chunk)
+		for _, twin := range []*sim.System{a, b} {
+			if err := advance(twin, chunk); err != nil {
+				return nil, fmt.Errorf("fleet: shard %s: %w", sh.Name, err)
+			}
+		}
 		if opt.OnChunk != nil {
 			opt.OnChunk(lo, a.Now(), a.Counters())
 		}
@@ -176,8 +181,20 @@ func RunShard(ctx context.Context, base config.MultiChannelConfig, sh Shard, opt
 	}, nil
 }
 
+// advance runs a twin for the given cycles without the watchdog (a fault
+// campaign may legitimately stall a channel for longer than its budget),
+// stopping at the first invariant violation.
+func advance(twin *sim.System, cycles uint64) error {
+	for end := twin.Now() + cycles; twin.Now() < end; {
+		if err := twin.TickChecked(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // saveCheckpoint cuts a durable paired snapshot of both twins.
-func saveCheckpoint(path string, a, b *sim.Cluster, save func(string, []byte) error) error {
+func saveCheckpoint(path string, a, b *sim.System, save func(string, []byte) error) error {
 	sa, err := a.SaveState()
 	if err != nil {
 		return err

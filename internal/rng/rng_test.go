@@ -127,7 +127,7 @@ func TestDeriveStable(t *testing.T) {
 // TestDeriveNoCollisionsAtShardScale is the fleet fabric's substream
 // independence smoke test: the label vocabulary a big campaign generates —
 // 10k shard seeds crossed with the per-tenant and per-shaper label shapes
-// sim.Cluster uses — must produce no colliding substream seeds under one
+// sim.NewCluster uses — must produce no colliding substream seeds under one
 // base seed.
 func TestDeriveNoCollisionsAtShardScale(t *testing.T) {
 	const base = int64(1)

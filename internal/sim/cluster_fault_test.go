@@ -65,7 +65,7 @@ func TestClusterNonInterferenceUnderFaults(t *testing.T) {
 func TestClusterFaultCheckpointRoundTrip(t *testing.T) {
 	const cycles = 20_000
 	sched := clusterFaultSched(cycles)
-	build := func() *Cluster {
+	build := func() *System {
 		cfg := clusterCfg(t, 2, 10, config.DAGguise)
 		c, err := NewCluster(cfg, 0, 2, 99, 11)
 		if err != nil {
@@ -95,7 +95,7 @@ func TestClusterFaultCheckpointRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var decoded ClusterState
+		var decoded SystemState
 		if err := json.Unmarshal(blob, &decoded); err != nil {
 			t.Fatal(err)
 		}

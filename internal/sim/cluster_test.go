@@ -79,10 +79,10 @@ func TestClusterVictimStreamSecretIndependent(t *testing.T) {
 	// The i-th generated request of a tenant must consume exactly 2 draws
 	// (gap jitter + address) regardless of the secret's bit pattern, so a
 	// victim's address stream is a pure function of (seed, request index).
-	for _, tn := range c.tenants {
-		if tn.generated > 0 && tn.rng.State().Draws != 2*tn.generated {
+	for _, tn := range c.gens {
+		if tn.Generated > 0 && tn.rng.State().Draws != 2*tn.Generated {
 			t.Fatalf("tenant %d: %d draws for %d requests; rng cost must be exactly 2 draws/request",
-				tn.index, tn.rng.State().Draws, tn.generated)
+				tn.Index, tn.rng.State().Draws, tn.Generated)
 		}
 	}
 }
@@ -109,7 +109,7 @@ func TestClusterCheckpointRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var decoded ClusterState
+		var decoded SystemState
 		if err := json.Unmarshal(blob, &decoded); err != nil {
 			t.Fatal(err)
 		}

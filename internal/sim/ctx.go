@@ -17,19 +17,12 @@ const ctxCheckInterval = 4096
 func (s *System) RunCheckedCtx(ctx context.Context, cycles uint64) error {
 	restore := s.armWatchdog()
 	defer restore()
-	end := s.now + cycles
-	for s.now < end {
+	for end := s.now + cycles; s.now < end; {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		stop := s.now + ctxCheckInterval
-		if stop > end {
-			stop = end
-		}
-		for s.now < stop {
-			if err := s.tick(); err != nil {
-				return err
-			}
+		if err := s.run(min(ctxCheckInterval, end-s.now)); err != nil {
+			return err
 		}
 	}
 	return nil

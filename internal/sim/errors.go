@@ -109,15 +109,21 @@ func DefaultWatchdog() Watchdog {
 	return Watchdog{StallBudget: 50_000, EgressHighWater: 4096}
 }
 
-// errf builds a SimError with the current queue snapshots attached, and
-// marks the violation in the event trace so a postmortem trace shows where
-// the run died.
+// errf builds a SimError with the current queue snapshots (summed per
+// domain over the channels) attached, and marks the violation in the event
+// trace so a postmortem trace shows where the run died.
 func (s *System) errf(inv Invariant, dom mem.Domain, cause error, format string, args ...interface{}) *SimError {
 	s.tr.Emit(obs.Event{Cycle: s.now, Comp: obs.CompSystem, Kind: obs.EvViolation, Domain: int32(dom)})
-	egress := make(map[mem.Domain]int, len(s.egress))
-	for d, q := range s.egress {
-		if len(q) > 0 {
-			egress[d] = len(q)
+	queue := make(map[mem.Domain]int)
+	egress := make(map[mem.Domain]int)
+	for _, ch := range s.chans {
+		for d, n := range ch.ctrl.QueueSnapshot() {
+			queue[d] += n
+		}
+		for _, p := range ch.shaped {
+			if len(p.egress) > 0 {
+				egress[p.dom] += len(p.egress)
+			}
 		}
 	}
 	return &SimError{
@@ -125,7 +131,7 @@ func (s *System) errf(inv Invariant, dom mem.Domain, cause error, format string,
 		Domain:    dom,
 		Invariant: inv,
 		Detail:    fmt.Sprintf(format, args...),
-		Queue:     s.ctrl.QueueSnapshot(),
+		Queue:     queue,
 		Egress:    egress,
 		Err:       cause,
 	}

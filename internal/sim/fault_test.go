@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"dagguise/internal/config"
@@ -176,33 +177,61 @@ func TestEgressStallTriggersLivelock(t *testing.T) {
 	}
 }
 
-// TestCorruptedResponseIsProtocolError checks the protocol invariant: a
-// response whose ID matches no outstanding request (a corrupted or
-// duplicated completion) surfaces as a protocol SimError wrapping the
-// shaper's typed error, instead of a panic.
+// TestCorruptedResponseIsProtocolError checks the protocol invariant on
+// both constructors: a response whose ID matches no outstanding request (a
+// corrupted or duplicated completion) surfaces as a protocol SimError
+// wrapping the shaper's typed error, and a response for a domain the
+// machine does not have as a protocol SimError — never a panic or a silent
+// drop.
 func TestCorruptedResponseIsProtocolError(t *testing.T) {
-	cfg := config.Default(2, config.DAGguise)
-	sys, err := New(cfg, []CoreSpec{docdistSpec(t, true), specFor(t, "lbm", 5, false)})
-	if err != nil {
-		t.Fatal(err)
+	build := map[string]func(t *testing.T) *System{
+		"new": func(t *testing.T) *System {
+			sys, err := New(config.Default(2, config.DAGguise), []CoreSpec{docdistSpec(t, true), specFor(t, "lbm", 5, false)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sys
+		},
+		"cluster": func(t *testing.T) *System {
+			sys, err := NewCluster(clusterCfg(t, 2, 10, config.DAGguise), 0, 2, 99, 11)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sys
+		},
 	}
-	if err := sys.RunChecked(5_000); err != nil {
-		t.Fatal(err)
-	}
-	// Inject a bogus completion on the controller→core boundary, as a
-	// dropped-and-corrupted redelivery would.
-	sys.deferred = append(sys.deferred, deferredResp{at: sys.Now(), resp: mem.Response{ID: 1 << 62, Domain: 1}})
-	err = sys.TickChecked()
-	var serr *SimError
-	if !errors.As(err, &serr) {
-		t.Fatalf("error = %T (%v), want *SimError", err, err)
-	}
-	if serr.Invariant != InvariantProtocol {
-		t.Fatalf("invariant = %s, want %s (%v)", serr.Invariant, InvariantProtocol, serr)
-	}
-	var uerr *shaper.UnknownResponseError
-	if !errors.As(err, &uerr) {
-		t.Fatalf("underlying error = %v, want *shaper.UnknownResponseError", serr.Err)
+	for _, tc := range []struct {
+		engine      string
+		dom         mem.Domain
+		wantUnknown bool // want a wrapped *shaper.UnknownResponseError
+	}{
+		{"new", 1, true},
+		{"new", 77, false},
+		{"cluster", 1, true},
+		{"cluster", 77, false},
+	} {
+		t.Run(fmt.Sprintf("%s/domain%d", tc.engine, tc.dom), func(t *testing.T) {
+			sys := build[tc.engine](t)
+			if err := sys.RunChecked(5_000); err != nil {
+				t.Fatal(err)
+			}
+			// Inject a bogus completion on the controller→tenant boundary,
+			// as a dropped-and-corrupted redelivery would.
+			ch := sys.chans[0]
+			ch.deferred = append(ch.deferred, DeferredResponse{Until: sys.Now(), Resp: mem.Response{ID: 1 << 62, Domain: tc.dom}})
+			err := sys.TickChecked()
+			var serr *SimError
+			if !errors.As(err, &serr) {
+				t.Fatalf("error = %T (%v), want *SimError", err, err)
+			}
+			if serr.Invariant != InvariantProtocol {
+				t.Fatalf("invariant = %s, want %s (%v)", serr.Invariant, InvariantProtocol, serr)
+			}
+			var uerr *shaper.UnknownResponseError
+			if got := errors.As(err, &uerr); got != tc.wantUnknown {
+				t.Fatalf("wraps *shaper.UnknownResponseError = %v, want %v (%v)", got, tc.wantUnknown, serr.Err)
+			}
+		})
 	}
 }
 

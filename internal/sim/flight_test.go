@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"dagguise/internal/config"
 	"dagguise/internal/obs"
 )
 
@@ -12,37 +13,74 @@ import (
 // whole flight recorder: with metrics, ring tracing, spans AND the
 // cycle-attribution profiler all enabled at once, the shaped egress
 // stream must stay bit-identical to a fully disabled run, and must not
-// depend on the victim secret.
+// depend on the victim secret. The cluster case holds NewCluster-built
+// twins to the same bar on their attacker-observable digest and counters.
 func TestFullObservabilityNonInterference(t *testing.T) {
 	const cycles = 60_000
-	run := func(secret int64, everything bool) []EgressEvent {
-		sys := obsSystem(t, secret)
-		if everything {
-			tr := obs.NewTracer(1 << 16)
-			sys.Observe(obs.NewRegistry(sys.NumDomains()), tr)
-			sys.TraceSpans(obs.NewSpans(tr))
-			sys.Profile(obs.NewCycleProfile())
-			root := sys.Spans().Begin("run", obs.CompSystem, 0, 0, 0, sys.Now())
-			defer sys.Spans().End(root, sys.Now())
+	attach := func(sys *System) {
+		tr := obs.NewTracer(1 << 16)
+		sys.Observe(obs.NewRegistry(sys.NumDomains()), tr)
+		sys.TraceSpans(obs.NewSpans(tr))
+		sys.Profile(obs.NewCycleProfile())
+	}
+	t.Run("new", func(t *testing.T) {
+		run := func(secret int64, everything bool) []EgressEvent {
+			sys := obsSystem(t, secret)
+			if everything {
+				attach(sys)
+				root := sys.Spans().Begin("run", obs.CompSystem, 0, 0, 0, sys.Now())
+				defer sys.Spans().End(root, sys.Now())
+			}
+			sys.EnableEgressTrace()
+			if err := sys.RunChecked(cycles); err != nil {
+				t.Fatal(err)
+			}
+			return sys.EgressTrace(1)
 		}
-		sys.EnableEgressTrace()
-		if err := sys.RunChecked(cycles); err != nil {
-			t.Fatal(err)
+		plain := run(11, false)
+		full := run(11, true)
+		if len(plain) == 0 {
+			t.Fatal("empty egress trace")
 		}
-		return sys.EgressTrace(1)
-	}
-	plain := run(11, false)
-	full := run(11, true)
-	if len(plain) == 0 {
-		t.Fatal("empty egress trace")
-	}
-	if !reflect.DeepEqual(plain, full) {
-		t.Fatal("full flight recorder perturbed the shaped egress stream")
-	}
-	other := run(12, true)
-	if !reflect.DeepEqual(full, other) {
-		t.Fatal("secret leaked into egress with the full flight recorder on")
-	}
+		if !reflect.DeepEqual(plain, full) {
+			t.Fatal("full flight recorder perturbed the shaped egress stream")
+		}
+		other := run(12, true)
+		if !reflect.DeepEqual(full, other) {
+			t.Fatal("secret leaked into egress with the full flight recorder on")
+		}
+	})
+	t.Run("cluster", func(t *testing.T) {
+		run := func(secret int, everything bool) (string, ClusterCounters) {
+			sys, err := NewCluster(clusterCfg(t, 2, 12, config.DAGguise), 0, 2, 1234, secret)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if everything {
+				attach(sys)
+			}
+			if err := sys.RunChecked(cycles / 3); err != nil {
+				t.Fatal(err)
+			}
+			return sys.AuditDigest(), sys.Counters()
+		}
+		var digests []string
+		for _, secret := range []int{11, 12} {
+			bareDigest, bare := run(secret, false)
+			fullDigest, full := run(secret, true)
+			if bare.TapSamples == 0 {
+				t.Fatalf("secret %d: cluster recorded no attacker-observable samples", secret)
+			}
+			if bareDigest != fullDigest || !reflect.DeepEqual(bare, full) {
+				t.Fatalf("secret %d: full flight recorder perturbed the cluster:\nbare %s %+v\nfull %s %+v",
+					secret, bareDigest, bare, fullDigest, full)
+			}
+			digests = append(digests, fullDigest)
+		}
+		if digests[0] != digests[1] {
+			t.Fatal("secret leaked into the cluster audit digest with the full flight recorder on")
+		}
+	})
 }
 
 // TestCycleAttributionCoverage is the acceptance bar for the ROADMAP's

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 
 	"dagguise/internal/audit"
 	"dagguise/internal/camouflage"
@@ -12,84 +11,86 @@ import (
 	"dagguise/internal/mem"
 	"dagguise/internal/memctrl"
 	"dagguise/internal/obs"
+	"dagguise/internal/rng"
 	"dagguise/internal/sched"
 	"dagguise/internal/shaper"
 )
 
-// DomainRequests is one shaped domain's staged egress queue.
-type DomainRequests struct {
-	Domain mem.Domain    `json:"domain"`
-	Reqs   []mem.Request `json:"reqs"`
+// PortState is one shaper port's state: its DAGguise or Camouflage
+// shaper, the staged egress and the egress high-water mark.
+type PortState struct {
+	Domain   mem.Domain        `json:"domain"`
+	Shaper   *shaper.State     `json:"shaper,omitempty"`
+	Camo     *camouflage.State `json:"camo,omitempty"`
+	Egress   []mem.Request     `json:"egress,omitempty"`
+	EgressHW int               `json:"egress_hw"`
 }
 
-// DomainInt is one (domain, int) pair, used for high-water marks.
-type DomainInt struct {
-	Domain mem.Domain `json:"domain"`
-	V      int        `json:"v"`
+// ChannelState is one channel unit's mutable state: the DRAM device, the
+// controller and its arbiter, the shaper ports in service order and the
+// fault-deferred responses.
+type ChannelState struct {
+	Index    int                     `json:"index"`
+	Device   dram.DeviceState        `json:"device"`
+	Ctrl     memctrl.ControllerState `json:"ctrl"`
+	Sched    *sched.State            `json:"sched,omitempty"`
+	Ports    []PortState             `json:"ports,omitempty"`
+	Deferred []DeferredResponse      `json:"deferred,omitempty"`
 }
 
-// DomainU64 is one (domain, uint64) pair.
-type DomainU64 struct {
-	Domain mem.Domain `json:"domain"`
-	V      uint64     `json:"v"`
+// GeneratorState is one open-loop tenant's mutable state. Rand is filled
+// in on save; the live draw position is the tenant's rng.
+type GeneratorState struct {
+	Index       int          `json:"index"`
+	Rand        rng.State    `json:"rand"`
+	NextAt      uint64       `json:"next_at"`
+	Generated   uint64       `json:"generated"`
+	Outstanding int          `json:"outstanding"`
+	Pending     *mem.Request `json:"pending,omitempty"`
+	Issued      uint64       `json:"issued"`
+	Completed   uint64       `json:"completed"`
+	Remote      uint64       `json:"remote"`
+	Stalls      uint64       `json:"stalls"`
 }
 
-// DeferredSave mirrors one fault-withheld response awaiting redelivery.
-type DeferredSave struct {
-	At   uint64       `json:"at"`
-	Resp mem.Response `json:"resp"`
-}
-
-// DomainShaperState is one DAGguise shaper's state.
-type DomainShaperState struct {
-	Domain mem.Domain   `json:"domain"`
-	State  shaper.State `json:"state"`
-}
-
-// DomainCamoState is one Camouflage shaper's state.
-type DomainCamoState struct {
-	Domain mem.Domain       `json:"domain"`
-	State  camouflage.State `json:"state"`
-}
-
-// DomainTapState is one audit tap's recorded samples.
+// DomainTapState is one audit tap's recorded samples and the cycle of its
+// domain's previous completion.
 type DomainTapState struct {
 	Domain  mem.Domain     `json:"domain"`
 	Samples []audit.Sample `json:"samples"`
+	Last    uint64         `json:"last"`
 }
 
 // SystemState is the complete mutable state of a System, sufficient to
-// resume a run bit-identically on a machine rebuilt from the same
-// configuration and core specs. Scheme and core count are recorded for
-// shape validation; everything structural (mapper, policy, wiring) is
-// configuration and is rebuilt by New. Deliberately excluded: the egress
-// trace ring (an observation log, not machine state — a resumed run's trace
-// continues from empty and concatenates with the pre-save trace), the
-// watchdog configuration (runtime policy, set by the caller) and the fault
-// injector (pure function of its schedule; reattach before restoring).
+// resume a run bit-identically on a machine rebuilt by the same
+// constructor from the same arguments. The scheme, seed, secret, tenant
+// and channel lists are validated against the machine on restore;
+// everything structural (mappers, policies, wiring) is configuration and
+// is rebuilt by the constructor. Every map is serialized as an ordered list, so the
+// JSON form is byte-deterministic. Deliberately excluded: the egress trace
+// (an observation log, not machine state — a resumed run's trace continues
+// from empty and concatenates with the pre-save trace), the watchdog
+// configuration (runtime policy, set by the caller) and the fault injector
+// (pure function of its schedule; reattach before restoring).
 type SystemState struct {
 	Scheme config.Scheme `json:"scheme"`
-	Cores  int           `json:"cores"`
+	Seed   int64         `json:"seed"`
+	Secret int           `json:"secret"`
 
 	Now    uint64 `json:"now"`
 	NextID uint64 `json:"next_id"`
 
-	CoreStates []cpu.CoreState         `json:"core_states"`
-	Device     dram.DeviceState        `json:"device"`
-	Ctrl       memctrl.ControllerState `json:"ctrl"`
-	Sched      *sched.State            `json:"sched,omitempty"`
-	Shapers    []DomainShaperState     `json:"shapers,omitempty"`
-	Camos      []DomainCamoState       `json:"camos,omitempty"`
-
-	Egress   []DomainRequests `json:"egress,omitempty"`
-	Deferred []DeferredSave   `json:"deferred,omitempty"`
-	EgressHW []DomainInt      `json:"egress_hw,omitempty"`
+	CoreStates []cpu.CoreState  `json:"core_states,omitempty"`
+	Generators []GeneratorState `json:"generators,omitempty"`
+	Chans      []ChannelState   `json:"chans"`
 
 	LastProgress uint64 `json:"last_progress"`
 	LastRetired  uint64 `json:"last_retired"`
+	// FaultDeferred counts responses withheld by injected faults (absent
+	// on clean runs).
+	FaultDeferred uint64 `json:"fault_deferred,omitempty"`
 
 	AuditTaps []DomainTapState `json:"audit_taps,omitempty"`
-	AuditLast []DomainU64      `json:"audit_last,omitempty"`
 
 	// Obs is the observability registry snapshot when one is attached,
 	// so metrics after a resume match an uninterrupted run.
@@ -98,8 +99,7 @@ type SystemState struct {
 	// Spans is the flight-recorder span state when a recorder is
 	// attached: spans open at Save reopen identically after a restore
 	// (same IDs, parents, names and start cycles) and ID allocation
-	// resumes without collision. Absent in checkpoints written before
-	// the flight recorder existed, which restores as "no spans".
+	// resumes without collision.
 	Spans *obs.SpansState `json:"spans,omitempty"`
 }
 
@@ -108,16 +108,16 @@ type SystemState struct {
 // driver must be checkpointable (both rdag drivers are).
 func (s *System) SaveState() (*SystemState, error) {
 	st := &SystemState{
-		Scheme:       s.cfg.Scheme,
-		Cores:        len(s.cores),
-		Now:          s.now,
-		NextID:       s.nextID,
-		Device:       s.dev.SaveState(),
-		Ctrl:         s.ctrl.SaveState(),
-		LastProgress: s.lastProgress,
-		LastRetired:  s.lastRetired,
-		Obs:          s.mx.Snapshot(),
-		Spans:        s.spans.SaveState(),
+		Scheme:        s.scheme,
+		Seed:          s.seed,
+		Secret:        s.secret,
+		Now:           s.now,
+		NextID:        s.nextID,
+		LastProgress:  s.lastProgress,
+		LastRetired:   s.lastRetired,
+		FaultDeferred: s.faultDeferred,
+		Obs:           s.mx.Snapshot(),
+		Spans:         s.spans.SaveState(),
 	}
 	for _, c := range s.cores {
 		cs, err := c.SaveState()
@@ -126,128 +126,98 @@ func (s *System) SaveState() (*SystemState, error) {
 		}
 		st.CoreStates = append(st.CoreStates, cs)
 	}
-	if ss, ok := s.policy.(sched.StatefulScheduler); ok {
-		sst := ss.SaveState()
-		st.Sched = &sst
+	for _, g := range s.gens {
+		gs := g.GeneratorState
+		gs.Rand = g.rng.State()
+		st.Generators = append(st.Generators, gs)
 	}
-	for _, dom := range s.order {
-		if sh, ok := s.shapers[dom]; ok {
-			shs, err := sh.SaveState()
-			if err != nil {
-				return nil, err
-			}
-			st.Shapers = append(st.Shapers, DomainShaperState{Domain: dom, State: shs})
+	for _, ch := range s.chans {
+		cs, err := ch.saveState()
+		if err != nil {
+			return nil, err
 		}
-		if sh, ok := s.camos[dom]; ok {
-			st.Camos = append(st.Camos, DomainCamoState{Domain: dom, State: sh.SaveState()})
-		}
-		if q := s.egress[dom]; len(q) > 0 {
-			st.Egress = append(st.Egress, DomainRequests{Domain: dom, Reqs: append([]mem.Request(nil), q...)})
+		st.Chans = append(st.Chans, cs)
+	}
+	for d, slot := range s.taps {
+		if slot.tap != nil {
+			st.AuditTaps = append(st.AuditTaps, DomainTapState{Domain: mem.Domain(d), Samples: slot.tap.SaveState(), Last: slot.last})
 		}
 	}
-	for _, d := range s.deferred {
-		st.Deferred = append(st.Deferred, DeferredSave{At: d.at, Resp: d.resp})
-	}
-	for dom, hw := range s.egressHW {
-		st.EgressHW = append(st.EgressHW, DomainInt{Domain: dom, V: hw})
-	}
-	sort.Slice(st.EgressHW, func(i, j int) bool { return st.EgressHW[i].Domain < st.EgressHW[j].Domain })
-	for dom, tap := range s.auditTaps {
-		st.AuditTaps = append(st.AuditTaps, DomainTapState{Domain: dom, Samples: tap.SaveState()})
-	}
-	sort.Slice(st.AuditTaps, func(i, j int) bool { return st.AuditTaps[i].Domain < st.AuditTaps[j].Domain })
-	for dom, last := range s.auditLast {
-		st.AuditLast = append(st.AuditLast, DomainU64{Domain: dom, V: last})
-	}
-	sort.Slice(st.AuditLast, func(i, j int) bool { return st.AuditLast[i].Domain < st.AuditLast[j].Domain })
 	return st, nil
 }
 
+func (ch *channel) saveState() (ChannelState, error) {
+	cs := ChannelState{
+		Index:    ch.index,
+		Device:   ch.dev.SaveState(),
+		Ctrl:     ch.ctrl.SaveState(),
+		Deferred: append([]DeferredResponse(nil), ch.deferred...),
+	}
+	if ss, ok := ch.ctrl.Scheduler().(sched.StatefulScheduler); ok {
+		sst := ss.SaveState()
+		cs.Sched = &sst
+	}
+	for _, p := range ch.shaped {
+		ps := PortState{Domain: p.dom, Egress: append([]mem.Request(nil), p.egress...), EgressHW: p.hw}
+		if p.dag != nil {
+			shs, err := p.dag.SaveState()
+			if err != nil {
+				return ChannelState{}, err
+			}
+			ps.Shaper = &shs
+		} else {
+			camo := p.camo.SaveState()
+			ps.Camo = &camo
+		}
+		cs.Ports = append(cs.Ports, ps)
+	}
+	return cs, nil
+}
+
 // RestoreState overwrites the system's mutable state with a previously
-// saved one. The system must have been built by New from the same
-// configuration and equivalent core specs; attach any fault schedule
-// before restoring (the device's saved stall-window set replaces whatever
-// AttachFaults registered). Audit taps present in the state are restored
-// only into taps already attached with AuditResponses.
+// saved one. The system must have been built by the same constructor from
+// the same arguments (for New, equivalent core specs); attach any fault
+// schedule before restoring (the devices' saved stall-window sets replace
+// whatever AttachFaults registered). Audit taps present in the state are
+// restored only into taps already attached.
 func (s *System) RestoreState(st *SystemState) error {
-	if st.Scheme != s.cfg.Scheme {
-		return fmt.Errorf("sim: state was saved under scheme %v, system runs %v", st.Scheme, s.cfg.Scheme)
+	if st == nil {
+		return fmt.Errorf("sim: nil state")
 	}
-	if st.Cores != len(s.cores) || len(st.CoreStates) != len(s.cores) {
-		return fmt.Errorf("sim: state holds %d cores, system has %d", st.Cores, len(s.cores))
+	if st.Scheme != s.scheme {
+		return fmt.Errorf("sim: state was saved under scheme %v, system runs %v", st.Scheme, s.scheme)
 	}
-	if len(st.Shapers) != len(s.shapers) || len(st.Camos) != len(s.camos) {
-		return fmt.Errorf("sim: state holds %d shapers and %d camouflage shapers, system has %d and %d",
-			len(st.Shapers), len(st.Camos), len(s.shapers), len(s.camos))
+	if len(st.CoreStates) != len(s.cores) || len(st.Generators) != len(s.gens) || len(st.Chans) != len(s.chans) {
+		return fmt.Errorf("sim: state holds %d cores, %d generators and %d channels, system has %d, %d and %d",
+			len(st.CoreStates), len(st.Generators), len(st.Chans), len(s.cores), len(s.gens), len(s.chans))
+	}
+	if st.Seed != s.seed || st.Secret != s.secret {
+		return fmt.Errorf("sim: state (seed %d, secret %d) does not match system (seed %d, secret %d)",
+			st.Seed, st.Secret, s.seed, s.secret)
 	}
 	for i, c := range s.cores {
 		if err := c.RestoreState(st.CoreStates[i]); err != nil {
 			return err
 		}
 	}
-	if err := s.dev.RestoreState(st.Device); err != nil {
-		return err
-	}
-	if err := s.ctrl.RestoreState(st.Ctrl); err != nil {
-		return err
-	}
-	if ss, ok := s.policy.(sched.StatefulScheduler); ok {
-		if st.Sched == nil {
-			return fmt.Errorf("sim: state missing %s arbiter state", s.policy.Name())
+	for i, gs := range st.Generators {
+		g := s.gens[i]
+		if gs.Index != g.Index {
+			return fmt.Errorf("sim: generator state %d labelled %d", i, gs.Index)
 		}
-		if err := ss.RestoreState(*st.Sched); err != nil {
-			return err
-		}
-	} else if st.Sched != nil {
-		return fmt.Errorf("sim: state carries %q arbiter state, system policy %s is stateless", st.Sched.Kind, s.policy.Name())
+		g.GeneratorState = gs
+		g.rng.Restore(gs.Rand)
 	}
-	for _, ds := range st.Shapers {
-		sh, ok := s.shapers[ds.Domain]
-		if !ok {
-			return fmt.Errorf("sim: state holds shaper state for domain %d, system has none", ds.Domain)
-		}
-		if err := sh.RestoreState(ds.State); err != nil {
+	for i, cs := range st.Chans {
+		if err := s.chans[i].restoreState(cs); err != nil {
 			return err
 		}
 	}
-	for _, ds := range st.Camos {
-		sh, ok := s.camos[ds.Domain]
-		if !ok {
-			return fmt.Errorf("sim: state holds camouflage state for domain %d, system has none", ds.Domain)
+	for _, ts := range st.AuditTaps {
+		if int(ts.Domain) < len(s.taps) && s.taps[ts.Domain].tap != nil {
+			s.taps[ts.Domain].tap.RestoreState(ts.Samples)
+			s.taps[ts.Domain].last = ts.Last
 		}
-		if err := sh.RestoreState(ds.State); err != nil {
-			return err
-		}
-	}
-	for dom := range s.egress {
-		delete(s.egress, dom)
-	}
-	for _, dq := range st.Egress {
-		s.egress[dq.Domain] = append([]mem.Request(nil), dq.Reqs...)
-	}
-	s.deferred = s.deferred[:0]
-	for _, d := range st.Deferred {
-		s.deferred = append(s.deferred, deferredResp{at: d.At, resp: d.Resp})
-	}
-	s.egressHW = make(map[mem.Domain]int, len(st.EgressHW))
-	for _, di := range st.EgressHW {
-		s.egressHW[di.Domain] = di.V
-	}
-	for _, dom := range s.order {
-		if _, ok := s.egressHW[dom]; !ok {
-			s.egressHW[dom] = 0
-		}
-	}
-	for _, dt := range st.AuditTaps {
-		if tap, ok := s.auditTaps[dt.Domain]; ok {
-			tap.RestoreState(dt.Samples)
-		}
-	}
-	if len(st.AuditLast) > 0 && s.auditLast == nil {
-		s.auditLast = make(map[mem.Domain]uint64)
-	}
-	for _, du := range st.AuditLast {
-		s.auditLast[du.Domain] = du.V
 	}
 	if s.mx != nil && st.Obs != nil {
 		if err := s.mx.Restore(st.Obs); err != nil {
@@ -263,6 +233,52 @@ func (s *System) RestoreState(st *SystemState) error {
 	s.nextID = st.NextID
 	s.lastProgress = st.LastProgress
 	s.lastRetired = st.LastRetired
+	s.faultDeferred = st.FaultDeferred
 	s.portErr = nil
+	return nil
+}
+
+func (ch *channel) restoreState(cs ChannelState) error {
+	if cs.Index != ch.index {
+		return fmt.Errorf("sim: channel state labelled %d, system channel is %d", cs.Index, ch.index)
+	}
+	if len(cs.Ports) != len(ch.shaped) {
+		return fmt.Errorf("sim: channel %d state holds %d shaper ports, channel has %d", ch.index, len(cs.Ports), len(ch.shaped))
+	}
+	if err := ch.dev.RestoreState(cs.Device); err != nil {
+		return err
+	}
+	if err := ch.ctrl.RestoreState(cs.Ctrl); err != nil {
+		return err
+	}
+	policy := ch.ctrl.Scheduler()
+	if ss, ok := policy.(sched.StatefulScheduler); ok {
+		if cs.Sched == nil {
+			return fmt.Errorf("sim: state missing %s arbiter state", policy.Name())
+		}
+		if err := ss.RestoreState(*cs.Sched); err != nil {
+			return err
+		}
+	} else if cs.Sched != nil {
+		return fmt.Errorf("sim: state carries %q arbiter state, system policy %s is stateless", cs.Sched.Kind, policy.Name())
+	}
+	for i, ps := range cs.Ports {
+		p := ch.shaped[i]
+		if ps.Domain != p.dom || (ps.Shaper != nil) != (p.dag != nil) || (ps.Camo != nil) != (p.camo != nil) {
+			return fmt.Errorf("sim: channel %d port state %d does not match the shaper of domain %d", ch.index, i, p.dom)
+		}
+		var err error
+		if p.dag != nil {
+			err = p.dag.RestoreState(*ps.Shaper)
+		} else {
+			err = p.camo.RestoreState(*ps.Camo)
+		}
+		if err != nil {
+			return err
+		}
+		p.egress = append(p.egress[:0], ps.Egress...)
+		p.hw = ps.EgressHW
+	}
+	ch.deferred = append(ch.deferred[:0], cs.Deferred...)
 	return nil
 }
