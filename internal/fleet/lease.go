@@ -46,10 +46,11 @@ type Lease struct {
 // coordination fabric that lets K independent fleet processes share one
 // work queue with no channel between them but the filesystem:
 //
-//   - Claim: the lease file is created with O_CREATE|O_EXCL — exactly one
-//     racer's create succeeds. The new lease's epoch is the tomb's
-//     epoch + 1 (0 when no tomb exists), so epochs grow monotonically
-//     across ownership generations.
+//   - Claim: the lease file is published write-once (temp file, then a
+//     hard link that never replaces) — exactly one racer's link
+//     succeeds. The new lease's epoch is the tomb's epoch + 1 (0 when no
+//     tomb exists), so epochs grow monotonically across ownership
+//     generations.
 //   - Renew: the holder's heartbeat rewrites the lease (atomic rename)
 //     with a fresh expiry. A renewal that finds another owner in the file
 //     returns ErrFenced — the holder was stolen from while asleep.
@@ -219,10 +220,12 @@ func (lm *LeaseManager) Acquire(name, owner string) (*Held, error) {
 	}
 }
 
-// createExcl writes a fresh lease with O_CREATE|O_EXCL semantics: the
-// atomicity of the claim comes from the exclusive create, so this path
-// cannot use the rename protocol. Injected faults may leave a torn lease
-// at the path; the claim loop's read quarantines it and retries.
+// createExcl publishes a fresh lease write-once: linkFile's hard link
+// fails fs.ErrExist rather than replacing, so exactly one racer's claim
+// succeeds, and the lease appears with its full content — a concurrent
+// claimer never reads a half-written lease and quarantines it as corrupt.
+// Injected faults may leave a torn lease at the path; the claim loop's
+// read quarantines it and retries.
 func (lm *LeaseManager) createExcl(path string, l Lease) error {
 	blob, err := json.Marshal(l)
 	if err != nil {
@@ -231,23 +234,7 @@ func (lm *LeaseManager) createExcl(path string, l Lease) error {
 	if err := lm.io.fault(path, blob); err != nil {
 		return err
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(blob); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	lm.syncDir()
-	return nil
+	return linkFile(filepath.Dir(path), path, blob)
 }
 
 // Renew extends the holder's expiry. It re-reads the lease first: a file
