@@ -21,13 +21,14 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
+	"syscall"
 
 	"dagguise/internal/attack"
 	"dagguise/internal/audit"
 	"dagguise/internal/config"
 	"dagguise/internal/eval"
 	"dagguise/internal/obs"
-	"dagguise/internal/runner"
 )
 
 func main() {
@@ -52,7 +53,7 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "abort the audit after this long (0 = no deadline)")
 	flag.Parse()
 
-	ctx, cancel := runner.WithSignals(context.Background())
+	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 	if *timeout > 0 {
 		var tcancel context.CancelFunc

@@ -2,8 +2,6 @@ package main
 
 import (
 	"bytes"
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -11,16 +9,14 @@ import (
 	"time"
 
 	"dagguise/internal/ckpt"
-	"dagguise/internal/fault"
 	"dagguise/internal/fleet"
 	"dagguise/internal/obs"
-	"dagguise/internal/runner"
 	"dagguise/internal/telem"
 )
 
-// fleetFlags selects and shapes fleet mode: instead of per-campaign fault
-// injection on a two-core machine, dagchaos fans a multi-channel,
-// many-tenant non-interference sweep over a worker pool (internal/fleet).
+// fleetFlags shape the fleet pool every sweep runs on, and with -shards
+// select the multi-channel, many-tenant machine instead of the two-core
+// campaign machine.
 type fleetFlags struct {
 	shards        int
 	workers       int
@@ -38,132 +34,45 @@ type fleetFlags struct {
 
 func registerFleetFlags() *fleetFlags {
 	f := &fleetFlags{}
-	flag.IntVar(&f.shards, "shards", 0, "fleet mode: split each (scheme, seed) cell into this many channel-slice shards (0 = fleet mode off)")
-	flag.IntVar(&f.workers, "workers", 0, "fleet mode: worker pool size (0 = GOMAXPROCS)")
-	flag.IntVar(&f.channels, "channels", 4, "fleet mode: memory channels in the multi-channel machine")
-	flag.IntVar(&f.domains, "domains", 100, "fleet mode: tenant security domains")
-	flag.StringVar(&f.telemDir, "telem-dir", "", "fleet mode: write per-worker telemetry streams here and a deterministic telem-report.json after the run (watch live with dagtop -dir)")
-	flag.StringVar(&f.promOut, "prom-out", "", "fleet mode: write fleet_* and per-shard counters in Prometheus text format to this path after the run")
-	flag.BoolVar(&f.join, "join", false, "fleet mode: join an existing fleet directory as one of several cooperating processes (requires -checkpoint-dir; shard ownership is arbitrated by lease files)")
-	flag.StringVar(&f.proc, "proc", "", "fleet mode: process name for -join (namespaces telemetry streams and lease owners; default p<pid>)")
-	flag.DurationVar(&f.leaseTTL, "lease-ttl", 0, "fleet mode: shard lease TTL — an unrenewed lease is presumed dead and stealable after this long (0 = 10s)")
-	flag.IntVar(&f.faultEvents, "fault-events", 0, "fleet mode: derive a seeded per-shard fault campaign of this many events (DRAM stalls, shaper rejects, egress stalls, deferred responses) from the sweep fingerprint (0 = clean sweep)")
-	flag.Int64Var(&f.fsChaos, "fs-chaos", 0, "fleet mode: seed for injected storage faults (torn writes, EIO, rename stalls, fsync delays) under every manifest/lease/checkpoint/result write (0 = off)")
-	flag.IntVar(&f.fsChaosEvents, "fs-chaos-events", 16, "fleet mode: number of storage faults injected per process when -fs-chaos is set")
+	flag.IntVar(&f.shards, "shards", 0, "sweep the multi-channel machine, splitting each (scheme, seed) cell into this many channel-slice shards (0 = two-core campaigns)")
+	flag.IntVar(&f.workers, "workers", 0, "worker pool size (0 = GOMAXPROCS)")
+	flag.IntVar(&f.channels, "channels", 4, "with -shards: memory channels in the multi-channel machine")
+	flag.IntVar(&f.domains, "domains", 100, "with -shards: tenant security domains")
+	flag.StringVar(&f.telemDir, "telem-dir", "", "write per-worker telemetry streams here and a deterministic telem-report.json after the run (watch live with dagtop -dir)")
+	flag.StringVar(&f.promOut, "prom-out", "", "write fleet_* and per-shard counters in Prometheus text format to this path after the run")
+	flag.BoolVar(&f.join, "join", false, "join an existing fleet directory as one of several cooperating processes (requires -checkpoint-dir; shard ownership is arbitrated by lease files)")
+	flag.StringVar(&f.proc, "proc", "", "process name for -join (namespaces telemetry streams and lease owners; default p<pid>)")
+	flag.DurationVar(&f.leaseTTL, "lease-ttl", 0, "shard lease TTL — an unrenewed lease is presumed dead and stealable after this long (0 = 10s)")
+	flag.IntVar(&f.faultEvents, "fault-events", 0, "with -shards: derive a seeded per-shard fault campaign of this many events (DRAM stalls, shaper rejects, egress stalls, deferred responses) from the sweep fingerprint (0 = clean sweep)")
+	flag.Int64Var(&f.fsChaos, "fs-chaos", 0, "seed for injected storage faults (torn writes, EIO, rename stalls, fsync delays) under every manifest/lease/checkpoint/result write (0 = off)")
+	flag.IntVar(&f.fsChaosEvents, "fs-chaos-events", 16, "number of storage faults injected per process when -fs-chaos is set")
 	return f
 }
 
-// runFleet is the fleet-mode main: build the sweep, run it under signal
-// supervision, print per-scheme verdicts, enforce the audit gate. Exit
-// codes match campaign mode: 0 clean, 1 failure, 2 usage, 3 interrupted
-// (resumable by re-running with the same flags and -checkpoint-dir).
-func runFleet(f *fleetFlags, schemeFlag string, campaigns int, baseSeed int64, cycles uint64,
-	dir string, every uint64, retries int, timeout time.Duration,
-	out, traceOut string, wantSpans, metrics bool) int {
-	if campaigns <= 0 {
-		fmt.Fprintln(os.Stderr, "dagchaos: fleet mode needs -campaigns >= 1")
-		return 2
-	}
-	seeds := make([]int64, campaigns)
-	for i := range seeds {
-		seeds[i] = baseSeed + int64(i)
-	}
-	sweep := fleet.DefaultSweep(f.channels, f.domains, seeds, cycles)
+// clusterSweep builds the -shards sweep over the multi-channel machine;
+// ok is false (after printing why) on a usage error.
+func clusterSweep(f *fleetFlags, schemeFlag string, seeds []int64, cycles uint64) (sweep fleet.Sweep, ok bool) {
+	sweep = fleet.DefaultSweep(f.channels, f.domains, seeds, cycles)
 	sweep.FaultEvents = f.faultEvents
 	switch schemeFlag {
 	case "all":
 	case "insecure", "dagguise":
 		sweep.Schemes = []string{schemeFlag}
 	default:
-		fmt.Fprintf(os.Stderr, "dagchaos: fleet mode simulates only -scheme all, insecure or dagguise (got %q)\n", schemeFlag)
-		return 2
+		fmt.Fprintf(os.Stderr, "dagchaos: -shards simulates only -scheme all, insecure or dagguise (got %q)\n", schemeFlag)
+		return sweep, false
 	}
 	// -shards is the slice count per cell; the sweep wants the slice width.
 	if f.shards > f.channels {
 		f.shards = f.channels
 	}
 	sweep.SliceChannels = (f.channels + f.shards - 1) / f.shards
+	return sweep, true
+}
 
-	if f.join && dir == "" {
-		fmt.Fprintln(os.Stderr, "dagchaos: -join needs -checkpoint-dir (the shared fleet directory)")
-		return 2
-	}
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "dagchaos-fleet-*")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dagchaos:", err)
-			return 1
-		}
-		defer os.RemoveAll(tmp)
-		fmt.Fprintf(os.Stderr, "dagchaos: no -checkpoint-dir; using throwaway manifest dir %s (not resumable)\n", tmp)
-		dir = tmp
-	}
-	proc := ""
-	if f.join {
-		proc = f.proc
-		if proc == "" {
-			proc = fmt.Sprintf("p%d", os.Getpid())
-		}
-	}
-	var fsInj *fault.FSInjector
-	if f.fsChaos != 0 {
-		ops := 8 * f.fsChaosEvents
-		if ops < 64 {
-			ops = 64
-		}
-		inj, err := fault.NewFSInjector(fault.FSCampaign(f.fsChaos, ops, f.fsChaosEvents))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dagchaos:", err)
-			return 1
-		}
-		fsInj = inj
-	}
-
-	var mx *obs.Registry
-	if metrics || f.promOut != "" {
-		mx = obs.NewRegistry(1)
-	}
-	var tr *obs.Tracer
-	if traceOut != "" {
-		tr = obs.NewTracer(0)
-	}
-	var sp *obs.Spans
-	if wantSpans {
-		sp = obs.NewSpans(tr)
-	}
-
-	ctx, stop := runner.WithSignals(context.Background())
-	defer stop()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-
-	rep, err := fleet.Run(ctx, sweep, fleet.Options{
-		Workers:         f.workers,
-		Dir:             dir,
-		CheckpointEvery: every,
-		Retries:         retries,
-		Backoff:         100 * time.Millisecond,
-		MaxBackoff:      5 * time.Second,
-		Log:             os.Stderr,
-		Spans:           sp,
-		Mx:              mx,
-		TelemDir:        f.telemDir,
-		Proc:            proc,
-		LeaseTTL:        f.leaseTTL,
-		FS:              fsInj,
-	})
-	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			fmt.Fprintf(os.Stderr, "dagchaos: fleet interrupted (%v); manifest saved, rerun with the same flags and -checkpoint-dir %s to resume\n", err, dir)
-			return 3
-		}
-		fmt.Fprintln(os.Stderr, "dagchaos:", err)
-		return 1
-	}
-
+// printVerdicts prints the per-scheme non-interference verdicts and the
+// totals of a multi-channel sweep.
+func printVerdicts(sweep fleet.Sweep, rep *fleet.Report) {
 	for _, v := range rep.Verdicts {
 		status := "ok  "
 		if v.Secure == v.Interference {
@@ -176,46 +85,7 @@ func runFleet(f *fleetFlags, schemeFlag string, campaigns int, baseSeed int64, c
 		fmt.Printf("%s  %-10s shards=%-3d %s\n", status, v.Scheme, v.Shards, verdict)
 	}
 	fmt.Printf("fleet: %d shards, %d tenants x %d channels, %d cycles each, %d requests completed\n",
-		rep.Totals.Shards, f.domains, f.channels, cycles, rep.Totals.Completed)
-
-	if out != "" {
-		blob, err := rep.Encode()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dagchaos:", err)
-			return 1
-		}
-		if err := ckpt.WriteFileAtomic(out, blob); err != nil {
-			fmt.Fprintln(os.Stderr, "dagchaos:", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "dagchaos: wrote fleet report to %s\n", out)
-	}
-	if metrics {
-		fmt.Println()
-		fmt.Print(obs.FormatSummary(mx.Snapshot(), 0))
-	}
-	if tr != nil {
-		if err := obs.WriteChromeTraceFile(traceOut, tr); err != nil {
-			fmt.Fprintln(os.Stderr, "dagchaos:", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "dagchaos: wrote %d trace events to %s\n", tr.Len(), traceOut)
-	}
-	if f.telemDir != "" {
-		if code := writeTelemReport(f.telemDir); code != 0 {
-			return code
-		}
-	}
-	if f.promOut != "" {
-		if code := writeFleetProm(f.promOut, dir, mx); code != 0 {
-			return code
-		}
-	}
-	if err := rep.Gate(); err != nil {
-		fmt.Fprintln(os.Stderr, "dagchaos:", err)
-		return 1
-	}
-	return 0
+		rep.Totals.Shards, sweep.Config.Domains, sweep.Config.Channels, sweep.Cycles, rep.Totals.Completed)
 }
 
 // writeTelemReport folds the run's telemetry streams into the

@@ -123,16 +123,9 @@ func buildStreams(o *trafficOpts, baseSeed int64) ([]tenantStream, error) {
 	if o.serveSchemes != "" {
 		for _, name := range strings.Split(o.serveSchemes, ",") {
 			name = strings.TrimSpace(name)
-			var scheme config.Scheme
-			found := false
-			for _, sc := range schemes {
-				if sc.name == name {
-					scheme, found = sc.scheme, true
-					break
-				}
-			}
-			if !found {
-				return nil, fmt.Errorf("unknown scheme %q in -serve-schemes", name)
+			scheme, err := config.ParseScheme(name)
+			if err != nil {
+				return nil, fmt.Errorf("-serve-schemes: %w", err)
 			}
 			fmt.Fprintf(os.Stderr, "dagchaos: collecting %s tap streams (%d probes)\n", name, o.probes)
 			s0, s1, err := eval.AuditStreams(scheme, o.probes, baseSeed)

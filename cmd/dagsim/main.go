@@ -20,16 +20,17 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"dagguise/internal/eval"
 	"dagguise/internal/fleet"
 	"dagguise/internal/obs"
-	"dagguise/internal/runner"
 	"dagguise/internal/sim"
 	"dagguise/internal/telem"
 )
@@ -64,7 +65,7 @@ func main() {
 		*workers = 1
 	}
 
-	ctx, cancel := runner.WithSignals(context.Background())
+	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 	if *timeout > 0 {
 		var tcancel context.CancelFunc

@@ -31,7 +31,6 @@ import (
 	"syscall"
 	"time"
 
-	"dagguise/internal/obs"
 	"dagguise/internal/telem"
 )
 
@@ -56,7 +55,7 @@ func main() {
 				fmt.Print("\x1b[2J\x1b[H") // clear + home
 			}
 			fmt.Print(frame)
-		case errors.Is(err, fs.ErrNotExist) || strings.Contains(err.Error(), "no telem-worker-"):
+		case errors.Is(err, fs.ErrNotExist) || errors.Is(err, telem.ErrNoStreams):
 			fmt.Fprintf(os.Stderr, "dagtop: waiting for streams in %s (%v)\n", *dir, err)
 		default:
 			fmt.Fprintln(os.Stderr, "dagtop:", err)
@@ -162,7 +161,7 @@ func render(c *telem.Collection, nowMs int64) string {
 	// Alerts: deterministic fleet rules over the merged series, plus the
 	// ops-plane rules at the current wall time.
 	opsAlerts, stragglers := c.EvalOps(nowMs, nil)
-	detAlerts := detFiring(c)
+	detAlerts := c.DetAlerts(nil)
 	if len(detAlerts)+len(opsAlerts) > 0 {
 		b.WriteString("\nalerts\n")
 		for _, a := range detAlerts {
@@ -222,18 +221,4 @@ func countPendingKnown(c *telem.Collection) int {
 		}
 	}
 	return n
-}
-
-// detFiring evaluates the deterministic fleet rules against the merged
-// series and returns the resulting edges.
-func detFiring(c *telem.Collection) []obs.Alert {
-	var maxT uint64
-	for _, name := range c.DB.Names() {
-		if p, ok := c.DB.Last(name); ok && p.T > maxT {
-			maxT = p.T
-		}
-	}
-	eng := obs.NewEngine(c.DB, telem.DetRules())
-	eng.Eval(maxT)
-	return eng.History()
 }

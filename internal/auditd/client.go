@@ -12,13 +12,13 @@ import (
 
 	"dagguise/internal/fault"
 	"dagguise/internal/obs"
-	"dagguise/internal/runner"
+	"dagguise/internal/rng"
 )
 
 // Client streams observations into a dagauditd instance with the retry
 // discipline the server's protocol assumes: timeouts and transport errors
 // back off exponentially (capped, deterministic jitter via
-// runner.BackoffDelay), 429 respects Retry-After, 409 rewinds the cursor
+// rng.BackoffDelay), 429 respects Retry-After, 409 rewinds the cursor
 // to the server's expected sequence, and 4xx terminal states stop the
 // stream. Because every observation carries its sequence number, any
 // amount of retrying — including replaying the whole stream after a
@@ -261,7 +261,7 @@ func (c *Client) Stream(ctx context.Context, observations []Observation) (Stream
 			if attempts > c.retries() {
 				return fmt.Errorf("auditd client: batch at seq %d failed %d times: %s", observations[i].Seq, attempts, why)
 			}
-			d := runner.BackoffDelay(c.Backoff, c.MaxBackoff, c.Seed, attempts)
+			d := rng.BackoffDelay(c.Backoff, c.MaxBackoff, c.Seed, attempts)
 			c.logf("retry %d after %v: %s", attempts, d, why)
 			return sleepCtx(ctx, d)
 		}
@@ -285,7 +285,7 @@ func (c *Client) Stream(ctx context.Context, observations []Observation) (Stream
 			if d <= 0 {
 				attempts++
 				out.Retries++
-				d = runner.BackoffDelay(c.Backoff, c.MaxBackoff, c.Seed, attempts)
+				d = rng.BackoffDelay(c.Backoff, c.MaxBackoff, c.Seed, attempts)
 			}
 			c.logf("shed (429), waiting %v", d)
 			if err := sleepCtx(ctx, d); err != nil {

@@ -20,7 +20,7 @@ import (
 )
 
 // ErrInjectedIO is the error an injected write fault surfaces. Callers
-// retry it with runner.BackoffDelay; it never reaches a report.
+// retry it with rng.BackoffDelay; it never reaches a report.
 var ErrInjectedIO = errors.New("fault: injected storage error")
 
 // FSKind enumerates the storage fault classes.

@@ -9,7 +9,7 @@ import (
 
 	"dagguise/internal/ckpt"
 	"dagguise/internal/fault"
-	"dagguise/internal/runner"
+	"dagguise/internal/rng"
 )
 
 // CorruptSuffix is appended to quarantined artifacts: a torn or
@@ -20,7 +20,7 @@ const CorruptSuffix = ".corrupt"
 // fsio is the fleet's durable-IO layer: every manifest, lease,
 // checkpoint and result write funnels through it so a fault.FSSchedule
 // can perturb the storage underneath the coordination protocol. Writes
-// that draw an injected fault retry with runner.BackoffDelay; reads that
+// that draw an injected fault retry with rng.BackoffDelay; reads that
 // hit a corrupt artifact quarantine it to *.corrupt and report
 // fs.ErrNotExist, which every caller already treats as "start fresh".
 // A zero-value fsio (nil injector) is the production path: plain
@@ -85,7 +85,7 @@ func (f *fsio) writeAtomic(path string, data []byte) error {
 		if attempt >= f.retries || !errors.Is(err, fault.ErrInjectedIO) {
 			return err
 		}
-		time.Sleep(runner.BackoffDelay(f.backoff, f.maxWait, f.seed, attempt))
+		time.Sleep(rng.BackoffDelay(f.backoff, f.maxWait, f.seed, attempt))
 	}
 }
 

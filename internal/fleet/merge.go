@@ -15,6 +15,8 @@ var ErrShardsIncomplete = errors.New("fleet: manifest has unfinished shards")
 
 // SchemeVerdict is the per-scheme fold of the non-interference audit:
 // whether any shard of the scheme observed a twin-run digest difference.
+// Only shards that ran both twins count, so a scheme whose shards run one
+// machine (a non-DAGguise two-core shard) has no verdict.
 type SchemeVerdict struct {
 	Scheme       string `json:"scheme"`
 	Secure       bool   `json:"secure"`
@@ -72,6 +74,9 @@ func Merge(m *Manifest) (*Report, error) {
 		rep.Totals.ShaperForwarded += r.Counters.ShaperForwarded
 		rep.Totals.ShaperFakes += r.Counters.ShaperFakes
 		rep.Totals.TapSamples += r.Counters.TapSamples
+		if r.DigestB == "" {
+			continue
+		}
 		v := byScheme[r.Scheme]
 		if v == nil {
 			scheme, err := config.ParseScheme(r.Scheme)
@@ -102,10 +107,16 @@ func (r *Report) Encode() ([]byte, error) {
 }
 
 // Gate enforces the non-interference contract over the merged report:
-// every secure scheme must be clean on every shard, and every insecure
-// scheme must have tripped somewhere (a baseline that cannot leak means
-// the observable is too weak to certify anything).
+// every twin shard must have recorded attacker-observable samples, every
+// secure scheme must be clean on every shard, and every insecure scheme
+// must have tripped somewhere (an empty tap, or a baseline that cannot
+// leak, means the observable is too weak to certify anything).
 func (r *Report) Gate() error {
+	for _, sh := range r.Shards {
+		if sh.DigestB != "" && sh.Counters.TapSamples == 0 {
+			return fmt.Errorf("fleet: shard %s recorded no response samples; observable too weak", sh.Name)
+		}
+	}
 	for _, v := range r.Verdicts {
 		if v.Secure && v.Interference {
 			return fmt.Errorf("fleet: secure scheme %s showed interference", v.Scheme)

@@ -12,7 +12,7 @@ import (
 
 	"dagguise/internal/ckpt"
 	"dagguise/internal/fault"
-	"dagguise/internal/runner"
+	"dagguise/internal/rng"
 )
 
 // Per-shard artifact naming inside a fleet directory. The result file is
@@ -95,7 +95,7 @@ func commitResult(io *fsio, lm *LeaseManager, h *Held, dir string, res *ShardRes
 				continue
 			}
 		case errors.Is(err, fault.ErrInjectedIO):
-			time.Sleep(runner.BackoffDelay(io.backoff, io.maxWait, io.seed, attempt))
+			time.Sleep(rng.BackoffDelay(io.backoff, io.maxWait, io.seed, attempt))
 		default:
 			return err
 		}

@@ -14,9 +14,7 @@ import (
 // dedicated goroutine, so alert evaluation on the hot ingest path never
 // blocks on the network. Delivery is at-most-once per edge with bounded
 // retries and capped exponential backoff; a full queue drops the edge
-// and counts it rather than stalling the producer. (The backoff lives
-// here rather than reusing internal/runner's: obs sits below runner in
-// the import graph.)
+// and counts it rather than stalling the producer.
 type Notifier struct {
 	url     string
 	client  *http.Client

@@ -226,9 +226,9 @@ func (s *System) AuditDigest() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// ClusterCounters aggregates the cluster's deterministic counters; every
-// field is a pure function of the (config, slice, seed, secret, cycles)
-// tuple, so they are safe to fold into byte-stable fleet reports.
+// ClusterCounters aggregates the machine's deterministic counters; every
+// field is a pure function of the constructor arguments and the cycle
+// count, so they are safe to fold into byte-stable fleet reports.
 type ClusterCounters struct {
 	Cycles          uint64   `json:"cycles"`
 	Tenants         int      `json:"tenants"`
@@ -244,12 +244,19 @@ type ClusterCounters struct {
 	// clean runs, so clean reports are byte-identical to older ones).
 	FaultDeferred  uint64 `json:"fault_deferred,omitempty"`
 	FaultStallHits uint64 `json:"fault_stall_hits,omitempty"`
+	// Instructions is each core's retired instruction count (absent on a
+	// NewCluster-built machine, which has no cores).
+	Instructions []uint64 `json:"instructions,omitempty"`
 }
 
 // Counters returns the machine's aggregate counters. Issued, Completed,
-// Remote and Stalls count open-loop generator traffic only.
+// Remote and Stalls count open-loop generator traffic only; Instructions
+// counts core retirement only.
 func (s *System) Counters() ClusterCounters {
 	out := ClusterCounters{Cycles: s.now, Tenants: len(s.cores) + len(s.gens), FaultDeferred: s.faultDeferred}
+	for _, c := range s.cores {
+		out.Instructions = append(out.Instructions, c.Stats().Instructions)
+	}
 	for _, g := range s.gens {
 		out.Issued += g.Issued
 		out.Completed += g.Completed

@@ -27,14 +27,10 @@ type Report struct {
 	TraceDigest string              `json:"trace_digest"`
 }
 
-// Report folds the collection's deterministic plane into a Report,
-// evaluating rules (DetRules when nil) once at the newest logical
-// timestamp so the alert sequence is reproducible.
+// Report folds the collection's deterministic plane into a Report, with
+// the alert edges of DetAlerts(rules).
 func (c *Collection) Report(rules []obs.Rule) (*Report, error) {
-	if rules == nil {
-		rules = DetRules()
-	}
-	r := &Report{Version: Version, Fingerprint: c.Fingerprint, Spans: c.Spans}
+	r := &Report{Version: Version, Fingerprint: c.Fingerprint, Spans: c.Spans, Alerts: c.DetAlerts(rules)}
 	if r.Spans == nil {
 		r.Spans = []Span{}
 	}
@@ -47,24 +43,9 @@ func (c *Collection) Report(rules []obs.Rule) (*Report, error) {
 		r.Series = []obs.TSSeriesState{}
 	}
 
-	// One evaluation at the global newest timestamp: the engine sees the
-	// fully merged store, so the edge sequence cannot depend on worker
-	// count or interleaving.
-	var maxT uint64
-	for _, s := range r.Series {
-		for _, p := range s.Points {
-			if p.T > maxT {
-				maxT = p.T
-			}
-		}
-	}
-	eng := obs.NewEngine(c.DB, rules)
-	eng.Eval(maxT)
-	r.Alerts = eng.History()
 	if r.Alerts == nil {
 		r.Alerts = []obs.Alert{}
 	}
-	sort.SliceStable(r.Alerts, func(i, j int) bool { return r.Alerts[i].Seq < r.Alerts[j].Seq })
 
 	var buf bytes.Buffer
 	if err := c.WriteTrace(&buf); err != nil {
@@ -73,6 +54,29 @@ func (c *Collection) Report(rules []obs.Rule) (*Report, error) {
 	sum := sha256.Sum256(buf.Bytes())
 	r.TraceDigest = hex.EncodeToString(sum[:])
 	return r, nil
+}
+
+// DetAlerts evaluates rules (DetRules when nil) over the merged
+// deterministic series and returns the alert edges in sequence order.
+// There is one evaluation, at the newest logical timestamp in the store:
+// the engine sees the fully merged store, so the edge sequence cannot
+// depend on worker count or interleaving. Report and the dagtop console
+// both use it.
+func (c *Collection) DetAlerts(rules []obs.Rule) []obs.Alert {
+	if rules == nil {
+		rules = DetRules()
+	}
+	var maxT uint64
+	for _, name := range c.DB.Names() {
+		for _, p := range c.DB.Series(name) {
+			maxT = max(maxT, p.T)
+		}
+	}
+	eng := obs.NewEngine(c.DB, rules)
+	eng.Eval(maxT)
+	alerts := eng.History()
+	sort.SliceStable(alerts, func(i, j int) bool { return alerts[i].Seq < alerts[j].Seq })
+	return alerts
 }
 
 // Encode renders the report as stable indented JSON with a trailing

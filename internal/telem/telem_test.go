@@ -5,7 +5,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"dagguise/internal/obs"
@@ -451,7 +450,7 @@ func TestMetricsDelta(t *testing.T) {
 }
 
 func TestCollectEmptyDir(t *testing.T) {
-	if _, err := Collect(t.TempDir()); err == nil || !strings.Contains(err.Error(), "no telem-worker-") {
+	if _, err := Collect(t.TempDir()); !errors.Is(err, ErrNoStreams) {
 		t.Fatalf("got %v, want a no-streams error", err)
 	}
 }
