@@ -186,7 +186,7 @@ func Load(path string) (*sim.SystemState, error) {
 
 // WriteFileAtomic durably writes data to path via a same-directory temp
 // file, fsync, rename, and directory fsync. It is also used for the
-// runner's resume manifests.
+// fleet manifest and the CLIs' deterministic reports.
 func WriteFileAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {

@@ -26,7 +26,7 @@ var shardMetrics = []shardMetric{
 		"Deterministic backoff delay scheduled for the shard's retries.",
 		func(r *Record) float64 { return float64(r.BackoffNs) / 1e9 }},
 	{"dagfleet_shard_checkpoint_writes_total", "counter",
-		"Mid-shard twin-cluster checkpoints persisted for the shard.",
+		"Mid-shard twin checkpoints persisted for the shard.",
 		func(r *Record) float64 { return float64(r.Checkpoints) }},
 	{"dagfleet_shard_resumes_total", "counter",
 		"Restores of the shard from a persisted checkpoint or a crashed fleet.",
@@ -48,11 +48,10 @@ var shardMetrics = []shardMetric{
 var shardStates = []Status{StatusPending, StatusRunning, StatusDone, StatusFailed}
 
 // WriteShardPrometheus renders per-shard fleet progress from manifest
-// records in Prometheus text exposition format, the fleet counterpart
-// of runner.WriteJobMetrics. Records are emitted in manifest order, so
-// identical fleet states produce byte-identical expositions; the
-// manifest is persisted atomically, so records read off disk mid-run
-// are always a consistent snapshot.
+// records in Prometheus text exposition format. Records are emitted in
+// manifest order, so identical fleet states produce byte-identical
+// expositions; the manifest is persisted atomically, so records read off
+// disk mid-run are always a consistent snapshot.
 func WriteShardPrometheus(w io.Writer, records []Record) error {
 	for _, m := range shardMetrics {
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", m.name, m.help, m.name, m.typ); err != nil {

@@ -20,7 +20,7 @@ const (
 	CompCore
 	// CompSystem events are system-level markers (watchdog violations).
 	CompSystem
-	// CompRunner events live on per-job campaign-runner lanes.
+	// CompRunner events live on the campaign supervisor's per-shard lanes.
 	CompRunner
 	// CompClient events live on auditd-client stream lanes.
 	CompClient

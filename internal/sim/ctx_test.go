@@ -79,8 +79,8 @@ func TestMeasureCheckedCtxCancel(t *testing.T) {
 	}
 }
 
-// TestWatchdogTripLeavesSystemRestartable pins the recovery contract the
-// campaign runner depends on: a watchdog deadlock report mid-run must leave
+// TestWatchdogTripLeavesSystemRestartable pins the recovery contract
+// supervised campaigns depend on: a watchdog deadlock report mid-run must leave
 // the machine in a consistent state, so that widening the budget (or
 // clearing the stall) lets the same System resume and finish.
 func TestWatchdogTripLeavesSystemRestartable(t *testing.T) {

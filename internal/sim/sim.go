@@ -500,9 +500,9 @@ func (s *System) Profile(p *obs.CycleProfile) {
 
 // TraceSpans attaches a span recorder (nil = off). The simulator itself
 // opens spans only at measurement granularity (Measure's warmup/window
-// phases); callers like the campaign runner layer job/chunk spans on
-// the same recorder, and SaveState captures spans open at checkpoint
-// time so they reopen identically after RestoreState.
+// phases); callers may layer their own spans on the same recorder, and
+// SaveState captures spans open at checkpoint time so they reopen
+// identically after RestoreState.
 func (s *System) TraceSpans(sp *obs.Spans) { s.spans = sp }
 
 // Spans returns the attached span recorder (nil when disabled).
