@@ -14,14 +14,17 @@
 // fed the same stream produces byte-identical verdicts to one that never
 // died; the CI soak job enforces exactly that with a mid-stream kill.
 //
-// With -alert-webhook the daemon also runs the SLO alerting pipeline:
-// every audited window, shard queue sample and retry indicator feeds the
-// in-process time-series store, the rule engine (the stock catalog, or a
-// -alert-rules JSON file) evaluates after each batch, and deduplicated
-// alert edges are POSTed to the webhook (e.g. a `dagmon -listen`
-// endpoint) with bounded retries. Alert history, the firing set and the
+// With -alert-webhook, -alert-rules or -telem-dir the daemon also runs
+// the SLO alerting pipeline: every audited window, shard queue sample
+// and retry indicator feeds the in-process time-series store, and the
+// rule engine (the stock catalog, or a -alert-rules JSON file)
+// evaluates after each batch. Alert history, the firing set and the
 // active rules are readable at /v1/alerts, and both ride the service
 // checkpoint so a restart neither loses nor re-fires past edges.
+// -alert-webhook POSTs each deduplicated alert edge as one JSON body to
+// any HTTP receiver, with bounded retries. -telem-dir mirrors the
+// series onto a telemetry stream, so `dagtop -dir` shows the daemon's
+// firing alerts live.
 //
 // Usage:
 //
@@ -29,6 +32,7 @@
 //	dagauditd -checkpoint state/auditd.ckpt -checkpoint-every 500
 //	dagauditd -window 50 -perms 100 -boot 100 -budget 0.05
 //	dagauditd -alert-webhook http://127.0.0.1:9801/ -alert-rules rules.json
+//	dagauditd -telem-dir auditd-telem    # then: dagtop -dir auditd-telem
 //
 // Endpoints:
 //
@@ -84,9 +88,9 @@ func main() {
 	readTimeout := flag.Duration("read-timeout", 10*time.Second, "per-request body read timeout (bounds slow/stalled clients)")
 	maxBatch := flag.Int64("max-batch-bytes", 1<<20, "ingest request body limit")
 
-	alertWebhook := flag.String("alert-webhook", "", "POST deduplicated alert edges as JSON to this URL (e.g. a dagmon -listen endpoint)")
+	alertWebhook := flag.String("alert-webhook", "", "POST deduplicated alert edges as JSON to this URL (any HTTP receiver)")
 	alertRules := flag.String("alert-rules", "", "JSON file with the SLO rule list (default: the stock catalog when alerting is on)")
-	telemDir := flag.String("telem-dir", "", "mirror the SLO feed series onto a fleet telemetry stream (telem-worker-auditd.ndjson) in this directory")
+	telemDir := flag.String("telem-dir", "", "turn alerting on and mirror the SLO feed series onto a telemetry stream (telem-worker-auditd.ndjson) in this directory, for dagtop -dir")
 	flag.Parse()
 
 	cfg := auditd.Config{
@@ -103,7 +107,7 @@ func main() {
 		CheckpointPath: *ckptPath, CheckpointEvery: *ckptEvery,
 	}
 	var notifier *obs.Notifier
-	if *alertWebhook != "" || *alertRules != "" {
+	if *alertWebhook != "" || *alertRules != "" || *telemDir != "" {
 		cfg.Rules = obs.DefaultRules()
 		if *alertRules != "" {
 			data, err := os.ReadFile(*alertRules)

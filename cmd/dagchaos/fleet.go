@@ -97,7 +97,7 @@ func writeTelemReport(telemDir string) int {
 		fmt.Fprintln(os.Stderr, "dagchaos: telem:", err)
 		return 1
 	}
-	trep, err := col.Report(nil)
+	trep, err := col.Report()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dagchaos: telem:", err)
 		return 1

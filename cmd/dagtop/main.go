@@ -1,10 +1,14 @@
-// Command dagtop is the live terminal console over a fleet campaign's
-// telemetry directory (internal/telem): it re-collects the per-worker
-// streams on every refresh and draws a per-worker shard heatmap,
+// Command dagtop is the alert console and live view over a telemetry
+// directory (internal/telem), written by a dagchaos/dagsim fleet run,
+// by dagauditd -telem-dir, or by both: it re-collects the streams on
+// every refresh and draws a per-worker shard heatmap,
 // pending/running/done/failed counts, an ETA from shard-duration
-// history, the firing alerts (deterministic fleet rules plus the
-// ops-plane straggler/worker-stall/requeue-rate rules) and the
-// straggler ranking.
+// history, the firing alerts and the straggler ranking. Alerts come
+// from the stock catalog (obs.DefaultRules) evaluated twice: over the
+// merged deterministic series (the fleet leak rollup and a mirrored
+// daemon's leak_burn, queue_sat and retry_rate series) and over the
+// ops-plane straggler, worker-stall and requeue-rate series at the
+// current wall time.
 //
 // Usage:
 //
@@ -35,7 +39,7 @@ import (
 )
 
 func main() {
-	dir := flag.String("dir", "", "fleet telemetry directory (the -telem-dir of a dagchaos/dagsim fleet run)")
+	dir := flag.String("dir", "", "telemetry directory (the -telem-dir of a dagchaos/dagsim fleet run or of dagauditd)")
 	refresh := flag.Duration("refresh", 2*time.Second, "redraw interval")
 	once := flag.Bool("once", false, "render one frame and exit (no ANSI clear)")
 	flag.Parse()
@@ -158,16 +162,12 @@ func render(c *telem.Collection, nowMs int64) string {
 		}
 	}
 
-	// Alerts: deterministic fleet rules over the merged series, plus the
-	// ops-plane rules at the current wall time.
-	opsAlerts, stragglers := c.EvalOps(nowMs, nil)
-	detAlerts := c.DetAlerts(nil)
-	if len(detAlerts)+len(opsAlerts) > 0 {
+	// Alerts: the stock catalog over the merged deterministic series,
+	// then over the ops-plane series at the current wall time.
+	opsAlerts, stragglers := c.EvalOps(nowMs)
+	if alerts := append(c.DetAlerts(), opsAlerts...); len(alerts) > 0 {
 		b.WriteString("\nalerts\n")
-		for _, a := range detAlerts {
-			fmt.Fprintf(&b, "  %-8s %-22s %-28s %s (%.2f %s %.2f)\n", a.Severity, a.Rule, a.Series, a.State, a.Value, a.Op, a.Threshold)
-		}
-		for _, a := range opsAlerts {
+		for _, a := range alerts {
 			fmt.Fprintf(&b, "  %-8s %-22s %-28s %s (%.2f %s %.2f)\n", a.Severity, a.Rule, a.Series, a.State, a.Value, a.Op, a.Threshold)
 		}
 	}

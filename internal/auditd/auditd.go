@@ -126,9 +126,11 @@ type Config struct {
 	// on the client's X-Dag-Span context so cross-process traces nest.
 	Spans *obs.Spans
 	// Telem, when non-nil, mirrors the SLO feed series (leak_burn,
-	// queue_sat, retry_rate) onto a fleet telemetry stream, so a fleet
-	// collector folds a targeted audit daemon into the same campaign
-	// view as the simulation workers. Nil is a no-op.
+	// queue_sat, retry_rate) onto a fleet telemetry stream, flushed after
+	// each batch, so a fleet collector folds a targeted audit daemon into
+	// the same campaign view as the simulation workers. The series exist
+	// only while Rules is non-empty (dagauditd -telem-dir turns the stock
+	// catalog on). Nil is a no-op.
 	Telem *telem.Emitter
 }
 
@@ -391,6 +393,7 @@ func (s *Service) runShard(sh *shard) {
 			s.cfg.Telem.Point(fmt.Sprintf("queue_sat/shard%d", sh.idx), sh.processed, sat)
 			s.cfg.Telem.Point(fmt.Sprintf("retry_rate/shard%d", sh.idx), sh.processed, dup)
 			s.evalAlerts(s.ctr.accepted.Load())
+			_ = s.cfg.Telem.Flush() // best-effort: the mirror is measurement-only
 		}
 		if s.cfg.CheckpointPath != "" && s.cfg.CheckpointEvery > 0 &&
 			s.sinceCkpt.Add(uint64(resp.accepted)) >= uint64(s.cfg.CheckpointEvery) {

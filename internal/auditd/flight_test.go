@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"dagguise/internal/obs"
+	"dagguise/internal/telem"
 )
 
 // alertSink is a test webhook: it records every alert edge dagauditd
@@ -140,6 +141,43 @@ func TestAlertingLeakyFiresCleanSilent(t *testing.T) {
 	}
 }
 
+// TestTelemMirrorFeedsCollector pins the dagauditd -telem-dir path: the
+// daemon's series reach its telemetry stream while the stream is still
+// open, and the collector fires the daemon's own rule, from the same
+// stock catalog, on the leaky tenant only.
+func TestTelemMirrorFeedsCollector(t *testing.T) {
+	dir := t.TempDir()
+	em, err := telem.OpenEmitter(dir, "auditd", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer em.Close()
+	cfg := testCfg()
+	cfg.Rules = obs.DefaultRules()
+	cfg.Telem = em
+	svc, _, c := startServer(t, cfg)
+
+	mustStream(t, c, append(genObs("leaky", 60, 7, 100, 400), genObs("clean", 60, 8, 100, 100)...))
+	// Drain the shard queues; the emitter stays open, as in a live daemon.
+	if err := svc.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	col, err := telem.Collect(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var burn []obs.Alert
+	for _, a := range col.DetAlerts() {
+		if a.Rule == "leak-budget-burn" {
+			burn = append(burn, a)
+		}
+	}
+	if len(burn) != 1 || burn[0].Series != "leak_burn/leaky" || burn[0].State != "firing" {
+		t.Fatalf("collector leak-budget-burn edges = %+v, want one firing edge on leak_burn/leaky", burn)
+	}
+}
+
 // TestAlertStateSurvivesCheckpoint pins the durable-alerting contract:
 // TSDB points and engine dedup state ride the service checkpoint, so a
 // SIGKILL + restore + blind full replay does not re-fire an alert that
@@ -223,9 +261,13 @@ func TestIngestSpanPropagation(t *testing.T) {
 	mustStream(t, c, stream)
 
 	var begins []obs.Event
+	ends := 0
 	for _, ev := range tr.Events() {
-		if ev.Kind == obs.EvSpanBegin && ev.Name == "ingest" {
+		switch {
+		case ev.Kind == obs.EvSpanBegin && ev.Name == "ingest":
 			begins = append(begins, ev)
+		case ev.Kind == obs.EvSpanEnd && ev.Name == "ingest":
+			ends++
 		}
 	}
 	if len(begins) != 3 {
@@ -240,8 +282,8 @@ func TestIngestSpanPropagation(t *testing.T) {
 			t.Fatalf("ingest span on component %v, want CompService", ev.Comp)
 		}
 	}
-	if open := cfg.Spans.Open(); len(open) != 0 {
-		t.Fatalf("server left ingest spans open: %+v", open)
+	if ends != len(begins) {
+		t.Fatalf("server left ingest spans open: %d begins, %d ends", len(begins), ends)
 	}
 
 	// A garbage span header must not fail ingest; the span lands with no

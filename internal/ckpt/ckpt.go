@@ -12,7 +12,7 @@
 //
 // The payload is canonical: every map in the state layer is serialized as a
 // sorted pair list, so encoding the same state twice yields identical bytes.
-// Load never panics on hostile input; every rejection is one of the typed
+// Decode never panics on hostile input; every rejection is one of the typed
 // sentinel errors below, distinguishable with errors.Is.
 package ckpt
 
@@ -140,7 +140,8 @@ func DecodeStrict(payload []byte, v interface{}) error {
 }
 
 // SaveFrame atomically persists an arbitrary payload under the snapshot
-// framing — the durable-write path for non-simulator state.
+// framing — the durable-write path for fleet shard checkpoints and the
+// dagauditd service state.
 func SaveFrame(path string, payload []byte) error {
 	return WriteFileAtomic(path, Frame(payload))
 }
@@ -157,31 +158,6 @@ func LoadFrame(path string) ([]byte, error) {
 		return nil, fmt.Errorf("%w (file %s)", err, path)
 	}
 	return payload, nil
-}
-
-// Save atomically writes a snapshot to path: the bytes go to a temporary
-// file in the same directory, are fsynced, renamed over path, and the
-// directory entry is fsynced. A crash at any point leaves either the old
-// snapshot or the new one, never a torn file.
-func Save(path string, st *sim.SystemState) error {
-	data, err := Encode(st)
-	if err != nil {
-		return err
-	}
-	return WriteFileAtomic(path, data)
-}
-
-// Load reads and validates the snapshot at path.
-func Load(path string) (*sim.SystemState, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: read %s: %w", path, err)
-	}
-	st, err := Decode(data)
-	if err != nil {
-		return nil, fmt.Errorf("%w (file %s)", err, path)
-	}
-	return st, nil
 }
 
 // WriteFileAtomic durably writes data to path via a same-directory temp

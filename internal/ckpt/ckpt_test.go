@@ -3,8 +3,6 @@ package ckpt
 import (
 	"bytes"
 	"errors"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"dagguise/internal/config"
@@ -195,45 +193,6 @@ func TestDecodeRejectsDamage(t *testing.T) {
 				t.Fatalf("got %v, want %v", err, tc.want)
 			}
 		})
-	}
-}
-
-func TestSaveLoadFile(t *testing.T) {
-	sys := buildSystem(t, config.DAGguise)
-	sys.Run(15_000)
-	st, err := sys.SaveState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "nested", "snap.ckpt")
-	if err := Save(path, st); err != nil {
-		t.Fatal(err)
-	}
-	// Save over an existing file must replace it atomically.
-	if err := Save(path, st); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := Encode(st)
-	b, _ := Encode(got)
-	if !bytes.Equal(a, b) {
-		t.Fatal("state loaded from disk differs from the saved state")
-	}
-	if entries, err := os.ReadDir(filepath.Dir(path)); err == nil {
-		for _, e := range entries {
-			if e.Name() != "snap.ckpt" {
-				t.Fatalf("leftover temp file %q after Save", e.Name())
-			}
-		}
-	}
-}
-
-func TestLoadMissingFile(t *testing.T) {
-	if _, err := Load(filepath.Join(t.TempDir(), "absent.ckpt")); err == nil {
-		t.Fatal("loading a missing file succeeded")
 	}
 }
 

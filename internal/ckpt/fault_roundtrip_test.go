@@ -3,6 +3,7 @@ package ckpt
 import (
 	"encoding/json"
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -123,5 +124,34 @@ func TestLoadFrameRejectsCorruption(t *testing.T) {
 	}
 	if _, err := Unframe(framed[:10]); err == nil {
 		t.Fatal("truncated frame accepted")
+	}
+	if _, err := LoadFrame(filepath.Join(t.TempDir(), "absent.ckpt")); err == nil {
+		t.Fatal("loading a missing file succeeded")
+	}
+}
+
+// TestWriteFileAtomicReplaces pins the durable-write contract every
+// checkpoint, manifest and report relies on: writing over an existing
+// file replaces it whole, creates missing parent directories, and leaves
+// no temporary file behind.
+func TestWriteFileAtomicReplaces(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "nested", "snap.ckpt")
+	for _, data := range []string{"first version", "second"} {
+		if err := WriteFileAtomic(path, []byte(data)); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil || string(got) != data {
+			t.Fatalf("read back (%q, %v), want %q", got, err, data)
+		}
+	}
+	entries, err := os.ReadDir(filepath.Dir(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Name() != "snap.ckpt" {
+			t.Fatalf("leftover temp file %q after WriteFileAtomic", e.Name())
+		}
 	}
 }

@@ -57,7 +57,7 @@ type Options struct {
 	Mx *obs.Registry
 	// TelemDir, when set, enables the fleet telemetry plane: every
 	// worker appends a durable telem stream there (plus a campaign-level
-	// "fleet" stream), for telem.Collect / dagtop / dagmon to fold.
+	// "fleet" stream), for telem.Collect / dagtop to fold.
 	// Telemetry is measurement-only: manifest, checkpoints, report and
 	// log bytes are identical with it on or off.
 	TelemDir string

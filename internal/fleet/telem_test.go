@@ -17,7 +17,7 @@ func telemReport(t *testing.T, dir string) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := c.Report(nil)
+	rep, err := c.Report()
 	if err != nil {
 		t.Fatal(err)
 	}

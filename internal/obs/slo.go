@@ -42,7 +42,7 @@ type Rule struct {
 	// this many points (default 1), so cold series cannot flap.
 	MinPoints int `json:"min_points,omitempty"`
 	// Severity labels alerts from this rule: "info", "warning" (default)
-	// or "critical". Consumers (dagmon -min-severity) filter on it.
+	// or "critical". The webhook body, /v1/alerts and dagtop carry it.
 	Severity string `json:"severity,omitempty"`
 }
 
@@ -52,21 +52,6 @@ const (
 	SeverityWarning  = "warning"
 	SeverityCritical = "critical"
 )
-
-// SeverityRank orders severities for filtering: info < warning <
-// critical. Unknown strings rank below info.
-func SeverityRank(s string) int {
-	switch s {
-	case SeverityInfo:
-		return 1
-	case SeverityWarning:
-		return 2
-	case SeverityCritical:
-		return 3
-	default:
-		return 0
-	}
-}
 
 // Validate checks one rule, applying defaults in place.
 func (r *Rule) Validate() error {
@@ -106,19 +91,42 @@ func (r *Rule) Validate() error {
 	return nil
 }
 
-// DefaultRules is the stock SLO catalog, keyed to the series naming
-// conventions the feeders in this repo use: dagauditd feeds
-// leak_burn/<tenant> (one 0/1 point per audited window),
-// queue_sat/<shard> (fullness fraction per processed batch) and
-// retry_rate/<shard> (0/1 duplicate indicator per batch); campaign
-// tooling feeds stall/<job> from the simulator watchdog. Override with
-// a -alert-rules JSON file when the defaults don't fit.
+// DefaultRules is the stock SLO catalog, the one rule list behind every
+// alert surface: the dagauditd webhook and /v1/alerts, dagtop, and the
+// fleet telemetry report. Each rule is keyed to the series one feeder
+// writes, and no two rules' series patterns overlap, so evaluating the
+// whole catalog against any one store fires only that store's rules:
+//
+//   - dagauditd feeds leak_burn/<tenant> (one 0/1 point per audited
+//     window), queue_sat/<shard> (fullness fraction per processed
+//     batch) and retry_rate/<shard> (0/1 duplicate indicator per batch);
+//   - the fleet telemetry collector rolls leak_rate/<scheme> into the
+//     merged logical-cycle store (internal/telem Collection.DetAlerts);
+//   - the collector's ops plane builds straggler/<shard>,
+//     worker_stall/<worker> and requeue_rate from wall-clock records
+//     (internal/telem Collection.EvalOps), so those rules never reach
+//     the deterministic report.
+//
+// Override with a -alert-rules JSON file when the defaults don't fit.
 func DefaultRules() []Rule {
 	rules := []Rule{
 		{Name: "leak-budget-burn", Series: "leak_burn/*", Kind: RuleBurnRate, Threshold: 0.5, Window: 4, MinPoints: 2, Severity: SeverityCritical},
 		{Name: "shard-queue-saturation", Series: "queue_sat/*", Kind: RuleThreshold, Threshold: 0.75},
-		{Name: "watchdog-stall", Series: "stall/*", Kind: RuleThreshold, Threshold: 1, Severity: SeverityCritical},
 		{Name: "retry-rate", Series: "retry_rate/*", Kind: RuleBurnRate, Threshold: 0.5, Window: 8, MinPoints: 4},
+		// leak_rate/<scheme> is the fraction of the scheme's shards whose
+		// audit found cross-domain interference. Any scheme leaking in
+		// half its shards or more is burning the campaign's leakage
+		// budget.
+		{Name: "fleet-leak-budget-burn", Series: "leak_rate/*", Kind: RuleThreshold, Threshold: 0.5, Severity: SeverityCritical},
+		// straggler/<shard>: wall-clock elapsed of a running shard as a
+		// multiple of the median done-shard duration.
+		{Name: "straggler", Series: "straggler/*", Kind: RuleThreshold, Threshold: 3},
+		// worker_stall/<worker>: seconds since the worker's last
+		// heartbeat, appended only while it holds a running shard.
+		{Name: "worker-stall", Series: "worker_stall/*", Kind: RuleThreshold, Threshold: 30, Severity: SeverityCritical},
+		// requeue_rate: 0/1 indicator per lifecycle transition (claims
+		// score 0, requeues 1), a burn rate over recent transitions.
+		{Name: "requeue-rate", Series: "requeue_rate", Kind: RuleBurnRate, Threshold: 0.5, Window: 8, MinPoints: 4},
 	}
 	for i := range rules {
 		if err := rules[i].Validate(); err != nil {

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -164,13 +165,6 @@ func TestRuleSeverity(t *testing.T) {
 		t.Fatal("unknown severity accepted")
 	}
 
-	// Rank ordering for -min-severity filtering.
-	if !(SeverityRank("") < SeverityRank(SeverityInfo) &&
-		SeverityRank(SeverityInfo) < SeverityRank(SeverityWarning) &&
-		SeverityRank(SeverityWarning) < SeverityRank(SeverityCritical)) {
-		t.Fatal("severity ranks out of order")
-	}
-
 	// Alerts carry the rule's severity on both edge kinds.
 	db := NewTSDB(4)
 	eng := NewEngine(db, []Rule{{Name: "crit", Series: "x", Threshold: 1, Severity: SeverityCritical}})
@@ -183,5 +177,55 @@ func TestRuleSeverity(t *testing.T) {
 	}
 	if len(resolved) != 1 || resolved[0].Severity != SeverityCritical {
 		t.Fatalf("resolved edge severity: %+v", resolved)
+	}
+}
+
+// TestDefaultRulesCatalog pins the one stock catalog's shape: every rule
+// validates, names are unique, and no two series patterns can match the
+// same series name. The last property is what lets dagauditd, the
+// deterministic fleet report and the ops plane all evaluate the whole
+// catalog against their own stores without one feeder's series firing
+// another feeder's rule.
+func TestDefaultRulesCatalog(t *testing.T) {
+	rules := DefaultRules()
+	names := make(map[string]bool)
+	for _, r := range rules {
+		if err := r.Validate(); err != nil {
+			t.Fatalf("rule %q: %v", r.Name, err)
+		}
+		if names[r.Name] {
+			t.Fatalf("duplicate rule name %q", r.Name)
+		}
+		names[r.Name] = true
+	}
+	overlap := func(p, q string) bool {
+		pp, pw := strings.CutSuffix(p, "*")
+		qp, qw := strings.CutSuffix(q, "*")
+		switch {
+		case pw && qw:
+			return strings.HasPrefix(pp, qp) || strings.HasPrefix(qp, pp)
+		case pw:
+			return strings.HasPrefix(q, pp)
+		case qw:
+			return strings.HasPrefix(p, qp)
+		default:
+			return p == q
+		}
+	}
+	for i := range rules {
+		for j := i + 1; j < len(rules); j++ {
+			if overlap(rules[i].Series, rules[j].Series) {
+				t.Errorf("rules %q (%s) and %q (%s) can match the same series",
+					rules[i].Name, rules[i].Series, rules[j].Name, rules[j].Series)
+			}
+		}
+	}
+	// The overlap predicate itself must catch each shape of collision.
+	for _, pair := range [][2]string{
+		{"leak/*", "leak/x/*"}, {"leak/*", "leak/x"}, {"a", "a"}, {"a/*", "a/*"},
+	} {
+		if !overlap(pair[0], pair[1]) || !overlap(pair[1], pair[0]) {
+			t.Errorf("overlap(%q, %q) missed a collision", pair[0], pair[1])
+		}
 	}
 }

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -17,33 +15,19 @@ import (
 // shaped egress stays bit-identical with spans on or off.
 //
 // IDs are allocated from a monotonic counter, never from wall clock or
-// randomness, so a run produces the same span IDs every time and a
-// checkpoint/restore resumes the sequence exactly where it left off.
+// randomness, so a run produces the same span IDs every time.
 type Spans struct {
 	mu   sync.Mutex
 	tr   *Tracer
 	next uint64
-	open map[uint64]OpenSpan
-}
-
-// OpenSpan describes a span that has begun but not yet ended. It holds
-// everything needed to re-emit the begin event after a checkpoint
-// restore, so spans open at Save reopen identically after Load.
-type OpenSpan struct {
-	ID     uint64    `json:"id"`
-	Parent uint64    `json:"parent,omitempty"`
-	Name   string    `json:"name"`
-	Comp   Component `json:"comp"`
-	Index  int32     `json:"index,omitempty"`
-	Domain int32     `json:"domain,omitempty"`
-	Start  uint64    `json:"start"`
+	open map[uint64]Event // begin event of each span not yet ended
 }
 
 // NewSpans builds a span recorder emitting into tr (which may be nil:
 // spans still allocate IDs and track openness, useful for propagation
 // without local retention).
 func NewSpans(tr *Tracer) *Spans {
-	return &Spans{tr: tr, next: 1, open: make(map[uint64]OpenSpan)}
+	return &Spans{tr: tr, next: 1, open: make(map[uint64]Event)}
 }
 
 // Begin opens a span named name under parent (0 = root) at cycle now on
@@ -55,10 +39,10 @@ func (s *Spans) Begin(name string, comp Component, index, domain int32, parent, 
 	s.mu.Lock()
 	id := s.next
 	s.next++
-	os := OpenSpan{ID: id, Parent: parent, Name: name, Comp: comp, Index: index, Domain: domain, Start: now}
-	s.open[id] = os
+	ev := Event{Cycle: now, Span: id, Parent: parent, Name: name, Comp: comp, Kind: EvSpanBegin, Index: index, Domain: domain}
+	s.open[id] = ev
 	s.mu.Unlock()
-	s.tr.Emit(Event{Cycle: now, Span: id, Parent: parent, Name: name, Comp: comp, Kind: EvSpanBegin, Index: index, Domain: domain})
+	s.tr.Emit(ev)
 	return id
 }
 
@@ -69,7 +53,7 @@ func (s *Spans) End(id, now uint64) {
 		return
 	}
 	s.mu.Lock()
-	os, ok := s.open[id]
+	ev, ok := s.open[id]
 	if ok {
 		delete(s.open, id)
 	}
@@ -77,81 +61,8 @@ func (s *Spans) End(id, now uint64) {
 	if !ok {
 		return
 	}
-	s.tr.Emit(Event{Cycle: now, Span: id, Parent: os.Parent, Name: os.Name, Comp: os.Comp, Kind: EvSpanEnd, Index: os.Index, Domain: os.Domain})
-}
-
-// Open returns the currently open spans ordered by ID.
-func (s *Spans) Open() []OpenSpan {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]OpenSpan, 0, len(s.open))
-	for _, os := range s.open {
-		out = append(out, os)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// SpansState is the serializable state of a Spans recorder: the next ID
-// to allocate and the spans open at capture time, ordered by ID so the
-// encoding is deterministic.
-type SpansState struct {
-	Next uint64     `json:"next"`
-	Open []OpenSpan `json:"open,omitempty"`
-}
-
-// SaveState captures the recorder for a checkpoint. Nil receiver
-// returns nil.
-func (s *Spans) SaveState() *SpansState {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	next := s.next
-	s.mu.Unlock()
-	return &SpansState{Next: next, Open: s.Open()}
-}
-
-// RestoreState rebuilds the recorder from a checkpoint and re-emits the
-// begin event of every span that was open at Save, at its original
-// start cycle, so the restored trace nests identically to an
-// uninterrupted run. A nil state resets to a fresh recorder.
-func (s *Spans) RestoreState(st *SpansState) error {
-	if s == nil {
-		if st == nil {
-			return nil
-		}
-		return fmt.Errorf("obs: span state restore into a nil recorder")
-	}
-	s.mu.Lock()
-	if st == nil {
-		s.next = 1
-		s.open = make(map[uint64]OpenSpan)
-		s.mu.Unlock()
-		return nil
-	}
-	if st.Next == 0 {
-		s.mu.Unlock()
-		return fmt.Errorf("obs: span state has zero next ID")
-	}
-	open := make(map[uint64]OpenSpan, len(st.Open))
-	for _, os := range st.Open {
-		if os.ID == 0 || os.ID >= st.Next {
-			s.mu.Unlock()
-			return fmt.Errorf("obs: open span ID %d out of range (next %d)", os.ID, st.Next)
-		}
-		open[os.ID] = os
-	}
-	s.next = st.Next
-	s.open = open
-	s.mu.Unlock()
-	for _, os := range st.Open {
-		s.tr.Emit(Event{Cycle: os.Start, Span: os.ID, Parent: os.Parent, Name: os.Name, Comp: os.Comp, Kind: EvSpanBegin, Index: os.Index, Domain: os.Domain})
-	}
-	return nil
+	ev.Cycle, ev.Kind = now, EvSpanEnd
+	s.tr.Emit(ev)
 }
 
 // SpanHeader is the HTTP header carrying a span context across process

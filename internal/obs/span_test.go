@@ -33,8 +33,8 @@ func TestSpanBeginEndEmitsNestedEvents(t *testing.T) {
 		t.Fatalf("span events:\ngot  %+v\nwant %+v", evs, want)
 	}
 
-	if got := sp.Open(); len(got) != 0 {
-		t.Fatalf("spans still open after End: %+v", got)
+	if got := len(sp.open); got != 0 {
+		t.Fatalf("%d spans still open after End", got)
 	}
 }
 
@@ -50,64 +50,8 @@ func TestSpanEndUnknownAndNilAreNoOps(t *testing.T) {
 		t.Fatalf("want ID 1 with nil tracer, got %d", id)
 	}
 	live.End(99, 2) // unknown ID ignored
-	if got := len(live.Open()); got != 1 {
+	if got := len(live.open); got != 1 {
 		t.Fatalf("open count = %d, want 1", got)
-	}
-}
-
-// TestSpanStateRoundTrip pins the checkpoint contract: spans open at
-// Save reopen identically after Load — same IDs, parents, names and
-// start cycles — and ID allocation resumes without collision.
-func TestSpanStateRoundTrip(t *testing.T) {
-	tr := NewTracer(64)
-	sp := NewSpans(tr)
-	root := sp.Begin("job", CompRunner, 0, 1, 0, 100)
-	chunk := sp.Begin("chunk", CompRunner, 0, 1, root, 110)
-	done := sp.Begin("done", CompRunner, 1, 2, 0, 120)
-	sp.End(done, 130) // closed before Save: must not reopen
-
-	st := sp.SaveState()
-
-	tr2 := NewTracer(64)
-	sp2 := NewSpans(tr2)
-	if err := sp2.RestoreState(st); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sp2.Open(), sp.Open()) {
-		t.Fatalf("open spans diverge after restore:\ngot  %+v\nwant %+v", sp2.Open(), sp.Open())
-	}
-	// The restore re-emits begin events at the original start cycles.
-	evs := tr2.Events()
-	if len(evs) != 2 {
-		t.Fatalf("want 2 reopened begin events, got %d: %+v", len(evs), evs)
-	}
-	if evs[0].Span != root || evs[0].Cycle != 100 || evs[1].Span != chunk || evs[1].Cycle != 110 {
-		t.Fatalf("reopened events wrong: %+v", evs)
-	}
-	// ID allocation resumes past every previously issued ID.
-	if id := sp2.Begin("next", CompRunner, 0, 1, 0, 140); id != done+1 {
-		t.Fatalf("resumed ID = %d, want %d", id, done+1)
-	}
-	// Ending a reopened span works and closes it.
-	sp2.End(chunk, 150)
-	if got := len(sp2.Open()); got != 2 { // root + next
-		t.Fatalf("open count after end = %d, want 2", got)
-	}
-}
-
-func TestSpanStateRejectsCorrupt(t *testing.T) {
-	sp := NewSpans(nil)
-	if err := sp.RestoreState(&SpansState{Next: 0}); err == nil {
-		t.Fatal("zero next ID accepted")
-	}
-	if err := sp.RestoreState(&SpansState{Next: 2, Open: []OpenSpan{{ID: 5}}}); err == nil {
-		t.Fatal("out-of-range open span accepted")
-	}
-	if err := sp.RestoreState(nil); err != nil {
-		t.Fatalf("nil state reset failed: %v", err)
-	}
-	if id := sp.Begin("x", CompSystem, 0, 0, 0, 1); id != 1 {
-		t.Fatalf("reset recorder allocated %d, want 1", id)
 	}
 }
 

@@ -86,10 +86,9 @@ type System struct {
 
 	// Observability (nil = off); measurement only, never consulted by the
 	// simulated machine (see TestObservabilityNonInterference).
-	mx    *obs.Registry
-	tr    *obs.Tracer
-	prof  *obs.CycleProfile
-	spans *obs.Spans
+	mx   *obs.Registry
+	tr   *obs.Tracer
+	prof *obs.CycleProfile
 
 	// Leakage-audit taps indexed by domain (nil tap = off); like mx/tr
 	// they are write-only from the machine's perspective (see
@@ -498,16 +497,6 @@ func (s *System) Profile(p *obs.CycleProfile) {
 	}
 }
 
-// TraceSpans attaches a span recorder (nil = off). The simulator itself
-// opens spans only at measurement granularity (Measure's warmup/window
-// phases); callers may layer their own spans on the same recorder, and
-// SaveState captures spans open at checkpoint time so they reopen
-// identically after RestoreState.
-func (s *System) TraceSpans(sp *obs.Spans) { s.spans = sp }
-
-// Spans returns the attached span recorder (nil when disabled).
-func (s *System) Spans() *obs.Spans { return s.spans }
-
 // AuditResponses attaches a leakage-audit tap to domain d, one of the
 // system's domains: every controller response for the domain is recorded
 // as (completion cycle, gap since the domain's previous completion) — the
@@ -628,20 +617,14 @@ func (s *System) MeasureChecked(warmup, window uint64) (Result, error) {
 // measureWith is the measurement core, parameterised over the run loop so
 // the checked and context-aware forms share the exact accounting.
 func (s *System) measureWith(run func(uint64) error, warmup, window uint64) (Result, error) {
-	root := s.spans.Begin("measure", obs.CompSystem, 0, 0, 0, s.now)
-	warm := s.spans.Begin("warmup", obs.CompSystem, 0, 0, root, s.now)
 	if err := run(warmup); err != nil {
 		return Result{}, err
 	}
-	s.spans.End(warm, s.now)
 	before := s.snap()
 	mxBefore := s.mx.Snapshot()
-	win := s.spans.Begin("window", obs.CompSystem, 0, 0, root, s.now)
 	if err := run(window); err != nil {
 		return Result{}, err
 	}
-	s.spans.End(win, s.now)
-	s.spans.End(root, s.now)
 	after := s.snap()
 
 	cycles := after.cycle - before.cycle

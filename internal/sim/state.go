@@ -95,12 +95,6 @@ type SystemState struct {
 	// Obs is the observability registry snapshot when one is attached,
 	// so metrics after a resume match an uninterrupted run.
 	Obs *obs.Snapshot `json:"obs,omitempty"`
-
-	// Spans is the flight-recorder span state when a recorder is
-	// attached: spans open at Save reopen identically after a restore
-	// (same IDs, parents, names and start cycles) and ID allocation
-	// resumes without collision.
-	Spans *obs.SpansState `json:"spans,omitempty"`
 }
 
 // SaveState captures the system's complete mutable state. Every core's
@@ -117,7 +111,6 @@ func (s *System) SaveState() (*SystemState, error) {
 		LastRetired:   s.lastRetired,
 		FaultDeferred: s.faultDeferred,
 		Obs:           s.mx.Snapshot(),
-		Spans:         s.spans.SaveState(),
 	}
 	for _, c := range s.cores {
 		cs, err := c.SaveState()
@@ -221,11 +214,6 @@ func (s *System) RestoreState(st *SystemState) error {
 	}
 	if s.mx != nil && st.Obs != nil {
 		if err := s.mx.Restore(st.Obs); err != nil {
-			return err
-		}
-	}
-	if s.spans != nil && st.Spans != nil {
-		if err := s.spans.RestoreState(st.Spans); err != nil {
 			return err
 		}
 	}

@@ -81,7 +81,7 @@ type Worker struct {
 
 // Collection is the folded state of a telemetry directory: the
 // deterministic plane (DB, Spans) feeding Report, and the ops plane
-// (Shards, Workers, Ops, Counters) feeding dagtop and the fleet rules.
+// (Shards, Workers, Ops, Counters) feeding dagtop and the ops-plane rules.
 type Collection struct {
 	Fingerprint string
 	// TotalShards and PoolWorkers come from the campaign record (0 when
@@ -328,8 +328,8 @@ func applyLifecycle(st *ShardStatus, r Record) {
 
 // appendRollups computes fleet-level deterministic series from the
 // merged per-shard ones: leak_rate/<scheme> is the mean of the final
-// leak/<scheme>/<shard> indicators, the series the fleet-level
-// leak-budget-burn rule watches.
+// leak/<scheme>/<shard> indicators, the series the
+// fleet-leak-budget-burn rule watches.
 func (c *Collection) appendRollups() {
 	type agg struct {
 		sum  float64

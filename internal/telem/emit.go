@@ -37,7 +37,9 @@ type Emitter struct {
 }
 
 // OpenEmitter opens (creating or repairing) the stream for worker inside
-// dir and writes a hello record carrying the sweep fingerprint.
+// dir and writes a hello record carrying the sweep fingerprint. The hello
+// reaches the file at once, so a live reader never finds the stream
+// without it.
 func OpenEmitter(dir, worker, fingerprint string) (*Emitter, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("telem: %w", err)
@@ -57,7 +59,11 @@ func OpenEmitter(dir, worker, fingerprint string) (*Emitter, error) {
 		worker: worker,
 		now:    func() int64 { return time.Now().UnixMilli() },
 	}
-	if err := e.emit(Record{Kind: KindHello, Version: Version, Worker: worker, Fingerprint: fingerprint, Wall: e.now()}); err != nil {
+	err = e.emit(Record{Kind: KindHello, Version: Version, Worker: worker, Fingerprint: fingerprint, Wall: e.now()})
+	if err == nil {
+		err = e.bw.Flush()
+	}
+	if err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -238,6 +244,22 @@ func (e *Emitter) Sync() error {
 		return err
 	}
 	return e.f.Sync()
+}
+
+// Flush writes buffered records to the stream file without an fsync, so
+// a live reader (dagtop) sees them. A long-running feeder with no
+// checkpoint cadence, like dagauditd, calls it after each batch. No-op
+// on nil.
+func (e *Emitter) Flush() error {
+	if e == nil {
+		return nil
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.bw == nil {
+		return nil
+	}
+	return e.bw.Flush()
 }
 
 // Close flushes, fsyncs and closes the stream. No-op on nil.

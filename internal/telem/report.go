@@ -28,9 +28,9 @@ type Report struct {
 }
 
 // Report folds the collection's deterministic plane into a Report, with
-// the alert edges of DetAlerts(rules).
-func (c *Collection) Report(rules []obs.Rule) (*Report, error) {
-	r := &Report{Version: Version, Fingerprint: c.Fingerprint, Spans: c.Spans, Alerts: c.DetAlerts(rules)}
+// the alert edges of DetAlerts.
+func (c *Collection) Report() (*Report, error) {
+	r := &Report{Version: Version, Fingerprint: c.Fingerprint, Spans: c.Spans, Alerts: c.DetAlerts()}
 	if r.Spans == nil {
 		r.Spans = []Span{}
 	}
@@ -56,23 +56,22 @@ func (c *Collection) Report(rules []obs.Rule) (*Report, error) {
 	return r, nil
 }
 
-// DetAlerts evaluates rules (DetRules when nil) over the merged
-// deterministic series and returns the alert edges in sequence order.
-// There is one evaluation, at the newest logical timestamp in the store:
-// the engine sees the fully merged store, so the edge sequence cannot
-// depend on worker count or interleaving. Report and the dagtop console
-// both use it.
-func (c *Collection) DetAlerts(rules []obs.Rule) []obs.Alert {
-	if rules == nil {
-		rules = DetRules()
-	}
+// DetAlerts evaluates obs.DefaultRules over the merged deterministic
+// series and returns the alert edges in sequence order. There is one
+// evaluation, at the newest logical timestamp in the store: the engine
+// sees the fully merged store, so the edge sequence cannot depend on
+// worker count or interleaving. Report and the dagtop console both use
+// it. A fleet sweep's store matches only fleet-leak-budget-burn (on the
+// leak_rate/<scheme> rollup); a mirrored dagauditd stream adds the
+// daemon's leak_burn, queue_sat and retry_rate series and their rules.
+func (c *Collection) DetAlerts() []obs.Alert {
 	var maxT uint64
 	for _, name := range c.DB.Names() {
 		for _, p := range c.DB.Series(name) {
 			maxT = max(maxT, p.T)
 		}
 	}
-	eng := obs.NewEngine(c.DB, rules)
+	eng := obs.NewEngine(c.DB, obs.DefaultRules())
 	eng.Eval(maxT)
 	alerts := eng.History()
 	sort.SliceStable(alerts, func(i, j int) bool { return alerts[i].Seq < alerts[j].Seq })

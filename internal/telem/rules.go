@@ -6,50 +6,6 @@ import (
 	"dagguise/internal/obs"
 )
 
-// DetRules is the deterministic-plane fleet rule catalog, evaluated
-// over the merged logical-cycle TSDB inside Report. Everything here is
-// a pure function of the sweep, so the resulting alert sequence is part
-// of the byte-identical report contract.
-func DetRules() []obs.Rule {
-	rules := []obs.Rule{
-		// leak_rate/<scheme> is the collector's rollup: the fraction of
-		// the scheme's shards whose audit found cross-domain
-		// interference. Any scheme leaking in half its shards or more is
-		// burning the campaign's leakage budget.
-		{Name: "fleet-leak-budget-burn", Series: "leak_rate/*", Kind: obs.RuleThreshold, Threshold: 0.5, Severity: obs.SeverityCritical},
-	}
-	for i := range rules {
-		if err := rules[i].Validate(); err != nil {
-			panic(err) // stock catalog must be valid by construction
-		}
-	}
-	return rules
-}
-
-// FleetRules is the ops-plane rule catalog evaluated by EvalOps against
-// wall-clock-derived series. These drive dagtop and dagmon during a
-// live campaign and are deliberately excluded from the deterministic
-// report.
-func FleetRules() []obs.Rule {
-	rules := []obs.Rule{
-		// straggler/<shard>: wall-clock elapsed of a running shard as a
-		// multiple of the median done-shard duration.
-		{Name: "straggler", Series: "straggler/*", Kind: obs.RuleThreshold, Threshold: 3},
-		// worker_stall/<worker>: seconds since the worker's last
-		// heartbeat, appended only while it holds a running shard.
-		{Name: "worker-stall", Series: "worker_stall/*", Kind: obs.RuleThreshold, Threshold: 30, Severity: obs.SeverityCritical},
-		// requeue_rate: 0/1 indicator per lifecycle transition (claims
-		// score 0, requeues 1) — a burn rate over recent transitions.
-		{Name: "requeue-rate", Series: "requeue_rate", Kind: obs.RuleBurnRate, Threshold: 0.5, Window: 8, MinPoints: 4},
-	}
-	for i := range rules {
-		if err := rules[i].Validate(); err != nil {
-			panic(err)
-		}
-	}
-	return rules
-}
-
 // Straggler ranks one running shard against the fleet's median pace.
 type Straggler struct {
 	Shard     string
@@ -60,15 +16,16 @@ type Straggler struct {
 	Ratio float64
 }
 
-// EvalOps evaluates the ops-plane rules at wall time nowMs (unix
-// milliseconds — inject a fixed clock in tests) and returns the alert
-// edges plus the straggler ranking, slowest first. It builds a fresh
-// TSDB and engine per call, so calling it repeatedly on successive
-// collections (the dagtop refresh loop) never double-counts.
-func (c *Collection) EvalOps(nowMs int64, rules []obs.Rule) ([]obs.Alert, []Straggler) {
-	if rules == nil {
-		rules = FleetRules()
-	}
+// EvalOps evaluates obs.DefaultRules over the ops-plane series at wall
+// time nowMs (unix milliseconds — inject a fixed clock in tests) and
+// returns the alert edges plus the straggler ranking, slowest first.
+// The series live in a store of their own (straggler/<shard>,
+// worker_stall/<worker>, requeue_rate), so only the catalog's
+// wall-clock rules can match here and none of them can reach the
+// deterministic report. It builds a fresh TSDB and engine per call, so
+// calling it repeatedly on successive collections (the dagtop refresh
+// loop) never double-counts.
+func (c *Collection) EvalOps(nowMs int64) ([]obs.Alert, []Straggler) {
 	db := obs.NewTSDB(0)
 
 	// Requeue-rate indicators, in global lifecycle order.
@@ -117,7 +74,7 @@ func (c *Collection) EvalOps(nowMs int64, rules []obs.Rule) ([]obs.Alert, []Stra
 		db.Append("worker_stall/"+w.Name, uint64(nowMs), float64(nowMs-w.LastWall)/1000)
 	}
 
-	eng := obs.NewEngine(db, rules)
+	eng := obs.NewEngine(db, obs.DefaultRules())
 	alerts := eng.Eval(uint64(nowMs))
 	return alerts, rank
 }

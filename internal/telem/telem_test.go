@@ -223,7 +223,7 @@ func TestReportWorkerSplitInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := c.Report(nil)
+		rep, err := c.Report()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,12 +278,20 @@ func TestReportLeakRollupFiresDetRule(t *testing.T) {
 	emitShardRun(e, "s1", "insecure", 1000, 1)
 	emitShardRun(e, "s2", "dagguise", 1000, 0)
 	e.Close()
+	// A standalone dagauditd stream (empty fingerprint) joins the sweep:
+	// one 0/1 leak_burn point per audited window and tenant.
+	d := openTestEmitter(t, dir, "auditd", "", nil)
+	for w := uint64(0); w < 4; w++ {
+		d.Point("leak_burn/insecure", w, 1)
+		d.Point("leak_burn/dagguise", w, 0)
+	}
+	d.Close()
 
 	c, err := Collect(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := c.Report(nil)
+	rep, err := c.Report()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,9 +314,21 @@ func TestReportLeakRollupFiresDetRule(t *testing.T) {
 		t.Fatalf("alert edge: %+v", fired)
 	}
 	for _, a := range rep.Alerts {
-		if a.Series == "leak_rate/dagguise" {
+		if a.Series == "leak_rate/dagguise" || a.Series == "leak_burn/dagguise" {
 			t.Fatalf("clean scheme fired: %+v", a)
 		}
+	}
+	// The daemon's rule comes from the same catalog and fires on the
+	// insecure tenant only.
+	var burn []obs.Alert
+	for _, a := range rep.Alerts {
+		if a.Rule == "leak-budget-burn" {
+			burn = append(burn, a)
+		}
+	}
+	if len(burn) != 1 || burn[0].Series != "leak_burn/insecure" || burn[0].State != "firing" ||
+		burn[0].Severity != obs.SeverityCritical {
+		t.Fatalf("leak-budget-burn edges: %+v", burn)
 	}
 	if rep.TraceDigest == "" || rep.Fingerprint != "fp" {
 		t.Fatalf("report header: %+v", rep)
@@ -346,7 +366,7 @@ func TestOpsRulesFire(t *testing.T) {
 	// Wall now: far past the claims, so "slow" has been running ~50x the
 	// 1s median shard duration and worker 0's last heartbeat is stale.
 	now := int64(64_000)
-	alerts, rank := c.EvalOps(now, nil)
+	alerts, rank := c.EvalOps(now)
 
 	want := map[string]string{ // rule -> series
 		"straggler":    "straggler/slow",
@@ -377,9 +397,17 @@ func TestOpsRulesFire(t *testing.T) {
 		t.Fatalf("straggler ratio %.2f should be past the 3x threshold", rank[0].Ratio)
 	}
 
+	// The wall-clock series live in EvalOps's own store, so the
+	// deterministic evaluation of the same collection never reports them.
+	for _, a := range c.DetAlerts() {
+		if _, ops := want[a.Rule]; ops {
+			t.Fatalf("ops-plane rule reached the deterministic alerts: %+v", a)
+		}
+	}
+
 	// Repeated evaluation (the dagtop refresh loop) must not
 	// double-count: a fresh engine re-reports the same firing edges.
-	again, _ := c.EvalOps(now, nil)
+	again, _ := c.EvalOps(now)
 	if len(again) != len(alerts) {
 		t.Fatalf("EvalOps is not idempotent: %d then %d edges", len(alerts), len(again))
 	}
@@ -452,5 +480,20 @@ func TestMetricsDelta(t *testing.T) {
 func TestCollectEmptyDir(t *testing.T) {
 	if _, err := Collect(t.TempDir()); !errors.Is(err, ErrNoStreams) {
 		t.Fatalf("got %v, want a no-streams error", err)
+	}
+}
+
+// TestCollectFreshStream covers a console started before its feeder
+// writes anything: a just-opened stream already carries its hello.
+func TestCollectFreshStream(t *testing.T) {
+	dir := t.TempDir()
+	e := openTestEmitter(t, dir, "auditd", "", nil)
+	defer e.Close()
+	c, err := Collect(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Workers) != 1 || c.Workers[0].Name != "auditd" {
+		t.Fatalf("workers = %+v, want the open auditd stream", c.Workers)
 	}
 }
