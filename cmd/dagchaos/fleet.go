@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"dagguise/internal/ckpt"
 	"dagguise/internal/fleet"
@@ -18,18 +17,13 @@ import (
 // select the multi-channel, many-tenant machine instead of the two-core
 // campaign machine.
 type fleetFlags struct {
-	shards        int
-	workers       int
-	channels      int
-	domains       int
-	telemDir      string
-	promOut       string
-	join          bool
-	proc          string
-	leaseTTL      time.Duration
-	faultEvents   int
-	fsChaos       int64
-	fsChaosEvents int
+	shards      int
+	workers     int
+	channels    int
+	domains     int
+	telemDir    string
+	promOut     string
+	faultEvents int
 }
 
 func registerFleetFlags() *fleetFlags {
@@ -40,12 +34,7 @@ func registerFleetFlags() *fleetFlags {
 	flag.IntVar(&f.domains, "domains", 100, "with -shards: tenant security domains")
 	flag.StringVar(&f.telemDir, "telem-dir", "", "write per-worker telemetry streams here and a deterministic telem-report.json after the run (watch live with dagtop -dir)")
 	flag.StringVar(&f.promOut, "prom-out", "", "write fleet_* and per-shard counters in Prometheus text format to this path after the run")
-	flag.BoolVar(&f.join, "join", false, "join an existing fleet directory as one of several cooperating processes (requires -checkpoint-dir; shard ownership is arbitrated by lease files)")
-	flag.StringVar(&f.proc, "proc", "", "process name for -join (namespaces telemetry streams and lease owners; default p<pid>)")
-	flag.DurationVar(&f.leaseTTL, "lease-ttl", 0, "shard lease TTL — an unrenewed lease is presumed dead and stealable after this long (0 = 10s)")
 	flag.IntVar(&f.faultEvents, "fault-events", 0, "with -shards: derive a seeded per-shard fault campaign of this many events (DRAM stalls, shaper rejects, egress stalls, deferred responses) from the sweep fingerprint (0 = clean sweep)")
-	flag.Int64Var(&f.fsChaos, "fs-chaos", 0, "seed for injected storage faults (torn writes, EIO, rename stalls, fsync delays) under every manifest/lease/checkpoint/result write (0 = off)")
-	flag.IntVar(&f.fsChaosEvents, "fs-chaos-events", 16, "number of storage faults injected per process when -fs-chaos is set")
 	return f
 }
 

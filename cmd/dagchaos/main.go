@@ -62,7 +62,6 @@ import (
 
 	"dagguise/internal/ckpt"
 	"dagguise/internal/config"
-	"dagguise/internal/fault"
 	"dagguise/internal/fleet"
 	"dagguise/internal/obs"
 	"dagguise/internal/sim"
@@ -155,10 +154,6 @@ func main() {
 // -checkpoint-dir).
 func runFleet(sweep fleet.Sweep, o runOpts) int {
 	f := o.fleetFlags
-	if f.join && o.dir == "" {
-		fmt.Fprintln(os.Stderr, "dagchaos: -join needs -checkpoint-dir (the shared fleet directory)")
-		return 2
-	}
 	if o.pprofAddr != "" {
 		addr, err := obs.ServePprof(o.pprofAddr)
 		if err != nil {
@@ -177,22 +172,6 @@ func runFleet(sweep fleet.Sweep, o runOpts) int {
 		// the mid-shard checkpoints altogether.
 		dir, every = tmp, 0
 	}
-	proc := ""
-	if f.join {
-		proc = f.proc
-		if proc == "" {
-			proc = fmt.Sprintf("p%d", os.Getpid())
-		}
-	}
-	var fsInj *fault.FSInjector
-	if f.fsChaos != 0 {
-		inj, err := fault.NewFSInjector(fault.FSCampaign(f.fsChaos, max(64, 8*f.fsChaosEvents), f.fsChaosEvents))
-		if err != nil {
-			return fail(err)
-		}
-		fsInj = inj
-	}
-
 	// Fleet counters go to mx; the machines of a two-core sweep are
 	// observed through Attach into simMx, tr and prof.
 	var mx, simMx *obs.Registry
@@ -250,9 +229,6 @@ func runFleet(sweep fleet.Sweep, o runOpts) int {
 		Mx:              mx,
 		Attach:          attach,
 		TelemDir:        f.telemDir,
-		Proc:            proc,
-		LeaseTTL:        f.leaseTTL,
-		FS:              fsInj,
 	})
 	switch {
 	case errors.Is(runErr, context.Canceled) || errors.Is(runErr, context.DeadlineExceeded):
@@ -339,7 +315,7 @@ func printCampaigns(sweep fleet.Sweep, recs []fleet.Record, failTrace string) in
 		case rec.Status == fleet.StatusFailed:
 			problem = rec.Error
 		case r == nil:
-			continue // not terminal: a peer process still owns it
+			continue // not terminal: no outcome to print
 		case r.DigestB != "" && r.Counters.TapSamples == 0:
 			problem = "non-interference: no response samples recorded"
 		case r.Interference:

@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"dagguise/internal/eval"
-	"dagguise/internal/fleet"
 	"dagguise/internal/obs"
 	"dagguise/internal/sim"
 	"dagguise/internal/telem"
@@ -49,9 +48,6 @@ func main() {
 	interval := flag.Duration("metrics-interval", 0, "print periodic metric delta snapshots to stderr (e.g. 10s)")
 	ckptDir := flag.String("checkpoint-dir", "", "persist completed measurements here so an interrupted sweep can resume")
 	resume := flag.Bool("resume", false, "resume a sweep from -checkpoint-dir, skipping measurements already done")
-	join := flag.Bool("join", false, "cooperate with other dagsim processes on one -checkpoint-dir: figure rows are claimed through lease files and the results cache is lease-merged")
-	proc := flag.String("proc", "", "process name for -join (lease owner id and telemetry stream name; default p<pid>)")
-	leaseTTL := flag.Duration("lease-ttl", 0, "row lease TTL for -join — an unrenewed lease is presumed dead and stealable after this long (0 = 10s)")
 	timeout := flag.Duration("timeout", 0, "stop the sweep after this long (0 = no deadline); combine with -checkpoint-dir to resume later")
 	workers := flag.Int("workers", 1, "parallel per-app figure rows (0 = GOMAXPROCS); output is identical at any worker count")
 	telemDir := flag.String("telem-dir", "", "append per-row lifecycle telemetry (telem-worker-dagsim.ndjson) to this fleet telemetry directory")
@@ -81,65 +77,28 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dagsim: -resume requires -checkpoint-dir")
 		os.Exit(2)
 	}
-	if *join && *ckptDir == "" {
-		fmt.Fprintln(os.Stderr, "dagsim: -join requires -checkpoint-dir (the shared sweep directory)")
-		os.Exit(2)
-	}
-	owner := *proc
-	if owner == "" {
-		owner = fmt.Sprintf("p%d", os.Getpid())
-	}
 	cachePath := ""
 	if *ckptDir != "" {
 		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
 			fatal(err)
 		}
 		cachePath = filepath.Join(*ckptDir, "results-cache.json")
-		if _, err := os.Stat(cachePath); err == nil && !*resume && !*join {
+		if _, err := os.Stat(cachePath); err == nil && !*resume {
 			fmt.Fprintf(os.Stderr, "dagsim: %s already holds completed measurements; pass -resume to continue them or remove the directory to start over\n", cachePath)
 			os.Exit(2)
 		}
-		if *join {
-			// Cooperating processes: the cache is lease-merged and figure
-			// rows are claimed through per-row lease files, so K dagsim
-			// invocations split the sweep and each still prints the full
-			// (byte-identical) figure.
-			lm := fleet.NewLeaseManager(*ckptDir, *leaseTTL, nil)
-			cache, err := eval.OpenSharedRunCache(cachePath, lm, owner)
-			if err != nil {
-				fatal(err)
-			}
-			opts.Cache = cache
-			opts.Claim = func(app string) (func(), bool) {
-				h, err := lm.Acquire("row-"+app, owner)
-				if err != nil {
-					return nil, false
-				}
-				stop := lm.Heartbeat(ctx, h, nil)
-				return func() {
-					stop()
-					lm.Release(h)
-				}, true
-			}
-			fmt.Fprintf(os.Stderr, "dagsim: joined shared sweep in %s as %s\n", *ckptDir, owner)
-		} else {
-			cache, err := eval.OpenRunCache(cachePath)
-			if err != nil {
-				fatal(err)
-			}
-			if n := cache.Len(); n > 0 {
-				fmt.Fprintf(os.Stderr, "dagsim: resuming, %d measurements already cached\n", n)
-			}
-			opts.Cache = cache
+		cache, err := eval.OpenRunCache(cachePath)
+		if err != nil {
+			fatal(err)
 		}
+		if n := cache.Len(); n > 0 {
+			fmt.Fprintf(os.Stderr, "dagsim: resuming, %d measurements already cached\n", n)
+		}
+		opts.Cache = cache
 	}
 
 	if *telemDir != "" {
-		stream := "dagsim"
-		if *join {
-			stream = "dagsim-" + owner
-		}
-		em, err := telem.OpenEmitter(*telemDir, stream, "")
+		em, err := telem.OpenEmitter(*telemDir, "dagsim", "")
 		if err != nil {
 			fatal(err)
 		}

@@ -115,7 +115,7 @@ func render(c *telem.Collection, nowMs int64) string {
 	unclaimed += pending - countPendingKnown(c)
 	b.WriteString("workers\n")
 	for _, w := range c.Workers {
-		if w.Name == "fleet" || w.Name == "auditd" || strings.HasPrefix(w.Name, "fleet-") {
+		if w.Name == "fleet" || w.Name == "auditd" {
 			continue // campaign-level streams have no shard lane
 		}
 		cells := byWorker[w.Name]
@@ -132,34 +132,6 @@ func render(c *telem.Collection, nowMs int64) string {
 	}
 	if unclaimed > 0 {
 		fmt.Fprintf(&b, "  %-8s %-32s %d shard(s)\n", "(unclaimed)", strings.Repeat(".", min(unclaimed, 32)), unclaimed)
-	}
-
-	// Lease ownership: running shards with their owner identity and
-	// fencing epoch, plus any shard with steal or zombie-fence history.
-	// Only multi-process fleets (dagchaos -join) populate these.
-	var leases []telem.ShardStatus
-	for _, st := range c.Shards {
-		if (st.Owner != "" && st.State == "claim") || st.Steals > 0 || st.Fenced > 0 {
-			leases = append(leases, st)
-		}
-	}
-	if len(leases) > 0 {
-		sort.Slice(leases, func(i, j int) bool { return leases[i].Name < leases[j].Name })
-		b.WriteString("\nleases\n")
-		for _, st := range leases {
-			owner := st.Owner
-			if owner == "" {
-				owner = "-"
-			}
-			notes := ""
-			if st.Steals > 0 {
-				notes += fmt.Sprintf("  stolen x%d", st.Steals)
-			}
-			if st.Fenced > 0 {
-				notes += fmt.Sprintf("  zombie-fenced x%d", st.Fenced)
-			}
-			fmt.Fprintf(&b, "  %-28s %-16s epoch %-4d%s\n", st.Name, owner, st.Epoch, notes)
-		}
 	}
 
 	// Alerts: the stock catalog over the merged deterministic series,

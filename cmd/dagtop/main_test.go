@@ -110,82 +110,6 @@ func TestRenderFrame(t *testing.T) {
 	}
 }
 
-// TestRenderLeaseSection pins the multi-process view: per-process
-// campaign streams (fleet-<proc>) are skipped in the heatmap, and shards
-// with lease history get a "leases" section showing the current owner,
-// fencing epoch, steal count and zombie-fence count.
-func TestRenderLeaseSection(t *testing.T) {
-	dir := t.TempDir()
-	clock := func(base, step int64) func() int64 {
-		v := base - step
-		return func() int64 {
-			v += step
-			return v
-		}
-	}
-	open := func(worker string, c func() int64) *telem.Emitter {
-		e, err := telem.OpenEmitter(dir, worker, "0123456789abcdeffull")
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.SetClock(c)
-		return e
-	}
-
-	// Two per-process campaign streams, as dagchaos -join writes them.
-	for _, proc := range []string{"fleet-p1", "fleet-p2"} {
-		f := open(proc, clock(1000, 1))
-		f.Campaign(2, 2, 1000)
-		f.Close()
-	}
-
-	// Process p1's worker claims s0, then stalls past its lease; its
-	// zombie commit is later refused.
-	w0 := open("p1-w0", clock(1000, 1000))
-	w0.Lease("s0", telem.EventClaim, "p1-w0", 1, 1000)
-	w0.Lease("s0", telem.EventFenced, "p1-w0", 1, 0)
-	w0.Close()
-
-	// Process p2's worker steals s0 at epoch 2 and finishes it, and runs
-	// s1 uneventfully to completion (no lease history -> no leases row).
-	w1 := open("p2-w0", clock(5000, 1000))
-	w1.Lease("s0", telem.EventSteal, "p2-w0", 2, 1000)
-	w1.Shard("s0", telem.EventDone, "", 1000)
-	w1.Shard("s1", telem.EventClaim, "", 1000)
-	w1.Shard("s1", telem.EventDone, "", 1000)
-	w1.Close()
-
-	c, err := telem.Collect(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame := render(c, 60_000)
-
-	for _, want := range []string{
-		"\nleases\n",
-		"s0", "p2-w0", "epoch 2",
-		"stolen x1", "zombie-fenced x1",
-	} {
-		if !strings.Contains(frame, want) {
-			t.Fatalf("frame missing %q:\n%s", want, frame)
-		}
-	}
-	// Per-process campaign streams must not get heatmap rows.
-	for _, absent := range []string{"\n  fleet-p1", "\n  fleet-p2"} {
-		if strings.Contains(frame, absent) {
-			t.Fatalf("campaign stream leaked into the heatmap (%q):\n%s", absent, frame)
-		}
-	}
-	// s1 finished without steals or fences: it must not be listed.
-	leases := frame[strings.Index(frame, "\nleases\n"):]
-	if at := strings.Index(leases[1:], "\n\n"); at >= 0 {
-		leases = leases[:at+1]
-	}
-	if strings.Contains(leases, "s1") {
-		t.Fatalf("uneventful shard listed in the leases section:\n%s", frame)
-	}
-}
-
 func TestCell(t *testing.T) {
 	cases := []struct {
 		st   telem.ShardStatus

@@ -1,4 +1,4 @@
-// Package ckpt serializes full simulator state into versioned, checksummed
+// Package ckpt frames durable payloads into versioned, checksummed
 // snapshots and provides crash-safe file persistence for them.
 //
 // On-disk layout (all integers big-endian):
@@ -7,13 +7,16 @@
 //	0       8     magic "DAGCKPT1"
 //	8       4     format version (currently 1)
 //	12      8     payload length in bytes
-//	20      n     payload: deterministic JSON of sim.SystemState
+//	20      n     payload: the caller's bytes, e.g. deterministic JSON
+//	              of a fleet shard's twin sim.SystemState pair or of
+//	              the dagauditd service state
 //	20+n    32    SHA-256 over bytes [0, 20+n)
 //
-// The payload is canonical: every map in the state layer is serialized as a
-// sorted pair list, so encoding the same state twice yields identical bytes.
-// Decode never panics on hostile input; every rejection is one of the typed
-// sentinel errors below, distinguishable with errors.Is.
+// Simulator state payloads are canonical: every map in the state layer is
+// serialized as a sorted pair list, so encoding the same state twice
+// yields identical bytes. Unframe never panics on hostile input; every
+// rejection is one of the typed sentinel errors below, distinguishable
+// with errors.Is.
 package ckpt
 
 import (
@@ -25,8 +28,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-
-	"dagguise/internal/sim"
 )
 
 // Magic identifies a DAGguise checkpoint file.
@@ -44,7 +45,8 @@ const (
 	maxPayload = 1 << 32
 )
 
-// Typed sentinel errors. Decode wraps them with detail; match with errors.Is.
+// Typed sentinel errors. Unframe and DecodeStrict wrap them with detail;
+// match with errors.Is.
 var (
 	ErrTruncated          = errors.New("ckpt: snapshot truncated")
 	ErrBadMagic           = errors.New("ckpt: not a checkpoint (bad magic)")
@@ -54,10 +56,10 @@ var (
 )
 
 // Frame wraps an arbitrary payload in the versioned, checksummed snapshot
-// framing (magic, version, length, payload, SHA-256). Encode uses it for
-// simulator snapshots; other durable state (the dagauditd tenant-auditor
-// checkpoint, fault schedules under test) reuses the same framing so every
-// on-disk artifact gets the same truncation/corruption detection.
+// framing (magic, version, length, payload, SHA-256). Fleet shard
+// checkpoints and results, the dagauditd tenant-auditor checkpoint and
+// fault schedules under test all use it, so every on-disk artifact gets
+// the same truncation/corruption detection.
 func Frame(payload []byte) []byte {
 	buf := make([]byte, 0, headerLen+len(payload)+checksumLen)
 	buf = append(buf, Magic...)
@@ -98,32 +100,6 @@ func Unframe(data []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w", ErrChecksum)
 	}
 	return body[headerLen:], nil
-}
-
-// Encode serializes a system state into the framed snapshot format.
-func Encode(st *sim.SystemState) ([]byte, error) {
-	if st == nil {
-		return nil, fmt.Errorf("ckpt: nil state")
-	}
-	payload, err := json.Marshal(st)
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: encode state: %w", err)
-	}
-	return Frame(payload), nil
-}
-
-// Decode parses and validates a framed snapshot. It rejects truncated,
-// corrupted or incompatible input with a typed error and never panics.
-func Decode(data []byte) (*sim.SystemState, error) {
-	payload, err := Unframe(data)
-	if err != nil {
-		return nil, err
-	}
-	st := new(sim.SystemState)
-	if err := DecodeStrict(payload, st); err != nil {
-		return nil, err
-	}
-	return st, nil
 }
 
 // DecodeStrict decodes a JSON payload into v, refusing fields v does not

@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"testing"
 
@@ -40,13 +41,37 @@ func buildSystem(t *testing.T, scheme config.Scheme) *sim.System {
 	return sys
 }
 
+// encodeState is the save path a fleet shard checkpoint takes:
+// json.Marshal of the state, then Frame.
+func encodeState(st *sim.SystemState) ([]byte, error) {
+	payload, err := json.Marshal(st)
+	if err != nil {
+		return nil, err
+	}
+	return Frame(payload), nil
+}
+
+// decodeState is the matching resume path: Unframe, then DecodeStrict
+// into a sim.SystemState.
+func decodeState(data []byte) (*sim.SystemState, error) {
+	payload, err := Unframe(data)
+	if err != nil {
+		return nil, err
+	}
+	st := new(sim.SystemState)
+	if err := DecodeStrict(payload, st); err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
 func stateBytes(t *testing.T, sys *sim.System) []byte {
 	t.Helper()
 	st, err := sys.SaveState()
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := Encode(st)
+	data, err := encodeState(st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +106,11 @@ func TestRoundTripGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			frame, err := Encode(st)
+			frame, err := encodeState(st)
 			if err != nil {
 				t.Fatal(err)
 			}
-			loaded, err := Decode(frame)
+			loaded, err := decodeState(frame)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,22 +153,22 @@ func TestEncodeDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Encode(st)
+	a, err := encodeState(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Encode(st)
+	b, err := encodeState(st)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatal("two encodings of the same state differ")
 	}
-	dec, err := Decode(a)
+	dec, err := decodeState(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Encode(dec)
+	c, err := encodeState(dec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +213,7 @@ func TestDecodeRejectsDamage(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			data := tc.mut(append([]byte(nil), frame...))
-			_, err := Decode(data)
+			_, err := decodeState(data)
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("got %v, want %v", err, tc.want)
 			}
@@ -196,7 +221,8 @@ func TestDecodeRejectsDamage(t *testing.T) {
 	}
 }
 
-// FuzzDecode feeds arbitrary mutations of a valid snapshot into Decode.
+// FuzzDecode feeds arbitrary mutations of a valid snapshot into the
+// checkpoint resume path (Unframe, then DecodeStrict).
 // Every outcome must be either a clean decode or one of the typed sentinel
 // errors — never a panic, never an untyped failure.
 func FuzzDecode(f *testing.F) {
@@ -226,7 +252,7 @@ func FuzzDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	frame, err := Encode(st)
+	frame, err := encodeState(st)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -243,10 +269,10 @@ func FuzzDecode(f *testing.F) {
 				mutated = mutated[:cut]
 			}
 		}
-		st, err := Decode(mutated)
+		st, err := decodeState(mutated)
 		if err == nil {
 			if st == nil {
-				t.Fatal("Decode returned nil state with nil error")
+				t.Fatal("decode returned nil state with nil error")
 			}
 			return
 		}
@@ -255,6 +281,6 @@ func FuzzDecode(f *testing.F) {
 				return
 			}
 		}
-		t.Fatalf("Decode returned untyped error %v", err)
+		t.Fatalf("decode returned untyped error %v", err)
 	})
 }

@@ -7,17 +7,12 @@ import (
 	"fmt"
 	"os"
 	"sync"
-	"time"
 
 	"dagguise/internal/ckpt"
-	"dagguise/internal/fleet"
 )
 
 // runCacheVersion guards the cache schema.
 const runCacheVersion = 1
-
-// cacheLease is the lease name serializing shared-cache writes.
-const cacheLease = "results-cache"
 
 // RunCache is dagsim's campaign-level resume store: every completed
 // (figure, app, scheme) measurement is persisted as soon as it finishes, so
@@ -26,18 +21,10 @@ const cacheLease = "results-cache"
 // cached entry is exactly what rerunning the simulation would produce.
 // RunCache is safe for concurrent use: parallel figure sweeps (Options.
 // Workers > 1) share one cache.
-//
-// In shared mode (OpenSharedRunCache) the file is additionally shared
-// with peer processes: every put merges under a lease before writing, and
-// a get miss refreshes from disk to adopt peer-completed measurements.
 type RunCache struct {
 	mu      sync.Mutex
 	path    string
 	entries map[string]SchemeIPCs
-	// lm and owner select shared mode (dagsim -join): the "results-cache"
-	// lease serializes read-merge-write cycles across processes.
-	lm    *fleet.LeaseManager
-	owner string
 }
 
 type runCacheFile struct {
@@ -69,24 +56,6 @@ func OpenRunCache(path string) (*RunCache, error) {
 	return c, nil
 }
 
-// OpenSharedRunCache opens the cache at path for cooperative use by
-// several dagsim processes (-join): puts serialize through lm's
-// "results-cache" lease and merge the on-disk entries before writing, so
-// K processes filling one cache never lose each other's measurements.
-// owner names this process in the lease.
-func OpenSharedRunCache(path string, lm *fleet.LeaseManager, owner string) (*RunCache, error) {
-	c, err := OpenRunCache(path)
-	if err != nil {
-		return nil, err
-	}
-	if lm == nil || owner == "" {
-		return nil, fmt.Errorf("eval: shared run cache needs a lease manager and an owner id")
-	}
-	c.lm = lm
-	c.owner = owner
-	return c, nil
-}
-
 // Len returns the number of cached measurements.
 func (c *RunCache) Len() int {
 	c.mu.Lock()
@@ -96,61 +65,14 @@ func (c *RunCache) Len() int {
 
 func (c *RunCache) get(key string) (SchemeIPCs, bool) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	v, ok := c.entries[key]
-	c.mu.Unlock()
-	if !ok && c.lm != nil {
-		// Shared mode: a peer may have committed this measurement since we
-		// last read the file. The cache file is written atomically, so a
-		// plain re-read is always a consistent snapshot.
-		c.refresh()
-		c.mu.Lock()
-		v, ok = c.entries[key]
-		c.mu.Unlock()
-	}
 	return v, ok
 }
 
-// refresh folds the on-disk entries into memory (shared mode only).
-// Values are deterministic, so a key present in both is identical and
-// either side winning is equivalent.
-func (c *RunCache) refresh() {
-	data, err := os.ReadFile(c.path)
-	if err != nil {
-		return
-	}
-	var f runCacheFile
-	if json.Unmarshal(data, &f) != nil || f.Version != runCacheVersion {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for k, v := range f.Entries {
-		if _, ok := c.entries[k]; !ok {
-			c.entries[k] = v
-		}
-	}
-}
-
 // put records a completed measurement and persists the cache atomically, so
-// a kill between measurements never loses finished work. In shared mode
-// the read-merge-write cycle runs under the "results-cache" lease so
-// concurrent peers never lose each other's entries.
+// a kill between measurements never loses finished work.
 func (c *RunCache) put(key string, v SchemeIPCs) error {
-	if c.lm != nil {
-		for {
-			h, err := c.lm.Acquire(cacheLease, c.owner)
-			if errors.Is(err, fleet.ErrLeaseHeld) {
-				time.Sleep(20 * time.Millisecond)
-				continue
-			}
-			if err != nil {
-				return fmt.Errorf("eval: shared run cache: %w", err)
-			}
-			defer c.lm.Release(h)
-			c.refresh()
-			break
-		}
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.entries[key] = v

@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"dagguise/internal/attack"
 	"dagguise/internal/audit"
@@ -55,18 +54,6 @@ type Options struct {
 	// to feed a fleet telemetry stream. Must be safe for concurrent use
 	// when Workers > 1.
 	Row func(app, event string)
-	// Claim, when non-nil, arbitrates row ownership between cooperating
-	// processes sharing one results cache (dagsim -join): it returns a
-	// release function and true when this process should run the row, or
-	// false when a live peer owns it. A row denied here is retried after
-	// PollInterval — by the time the peer releases, every measurement in
-	// the row is a cache hit and re-running it is free, so every process
-	// still assembles the complete figure. Must be safe for concurrent use
-	// when Workers > 1.
-	Claim func(app string) (release func(), ok bool)
-	// PollInterval is the retry delay while waiting on a peer-owned row
-	// (0 = 250ms). Only read when Claim is set.
-	PollInterval time.Duration
 }
 
 // DefaultOptions returns windows long enough for stable IPCs: the window
@@ -152,28 +139,6 @@ func appMaker(name string, seed int64) specMaker {
 // depends on scheduling.
 func forEachApp(apps []string, opts Options, fn func(i int, app string) error) error {
 	run := func(i int, app string) error {
-		if opts.Claim != nil {
-			// Cooperating processes: wait out a peer that owns the row.
-			// Once it releases (or its lease lapses) we acquire and run the
-			// row anyway — the peer's measurements are cache hits, so the
-			// duplicate pass is free and fills our in-memory figure.
-			poll := opts.PollInterval
-			if poll <= 0 {
-				poll = 250 * time.Millisecond
-			}
-			for {
-				release, ok := opts.Claim(app)
-				if ok {
-					defer release()
-					break
-				}
-				select {
-				case <-opts.ctxOf().Done():
-					return opts.ctxOf().Err()
-				case <-time.After(poll):
-				}
-			}
-		}
 		if opts.Row != nil {
 			opts.Row(app, "claim")
 		}

@@ -320,7 +320,8 @@ func TestManifestRoundTripAndRequeue(t *testing.T) {
 	}
 	m.Records[0].Status = StatusRunning
 	m.Records[1].Status = StatusDone
-	path := filepath.Join(t.TempDir(), ManifestName)
+	dir := t.TempDir()
+	path := filepath.Join(dir, ManifestName)
 	if err := m.Save(path); err != nil {
 		t.Fatal(err)
 	}
@@ -336,8 +337,8 @@ func TestManifestRoundTripAndRequeue(t *testing.T) {
 	if err := loaded.Matches(other); !errors.Is(err, ErrManifestMismatch) {
 		t.Fatalf("got %v, want ErrManifestMismatch", err)
 	}
-	if n := loaded.Requeue(); n != 1 {
-		t.Fatalf("requeued %d shards, want 1", n)
+	if got := Reconcile(loaded, dir, nil); len(got) != 1 || got[0] != m.Records[0].Shard.Name {
+		t.Fatalf("requeued %v, want exactly the running shard", got)
 	}
 	if loaded.Records[0].Status != StatusPending || loaded.Records[0].Resumes != 1 {
 		t.Fatalf("crashed shard not re-queued: %+v", loaded.Records[0])

@@ -32,7 +32,8 @@ const (
 	// StatusPending marks a shard no worker has claimed.
 	StatusPending Status = "pending"
 	// StatusRunning marks a claimed shard. A manifest loaded with running
-	// shards belonged to a crashed fleet; they are re-queued on resume.
+	// shards belonged to a killed fleet; Reconcile re-queues them on
+	// resume.
 	StatusRunning Status = "running"
 	// StatusDone marks a completed shard with a recorded result.
 	StatusDone Status = "done"
@@ -55,14 +56,6 @@ type Record struct {
 	Resumes     int          `json:"resumes"`
 	Error       string       `json:"error,omitempty"`
 	Result      *ShardResult `json:"result,omitempty"`
-	// Owner and Epoch mirror the shard's lease while it is running: the
-	// holder identity and fencing epoch observed at the last reconcile or
-	// claim. Steals and Fenced count lease evictions and refused zombie
-	// commits involving this shard.
-	Owner  string `json:"owner,omitempty"`
-	Epoch  uint64 `json:"epoch,omitempty"`
-	Steals int    `json:"steals,omitempty"`
-	Fenced int    `json:"fenced,omitempty"`
 }
 
 // validStatus reports whether s is a Status this build understands.
@@ -74,7 +67,9 @@ func validStatus(s Status) bool {
 	return false
 }
 
-// Manifest is the fsync'd work queue of a fleet run.
+// Manifest is the fsync'd work queue of a fleet run and its claim table:
+// a worker claims a shard by marking its record running under the pool
+// lock and saving the manifest before it starts work.
 type Manifest struct {
 	Version     int      `json:"version"`
 	Fingerprint string   `json:"fingerprint"`
@@ -132,26 +127,6 @@ func (m *Manifest) Matches(s Sweep) error {
 	return nil
 }
 
-// Requeue flips crashed shards (left running by a killed fleet) back to
-// pending and counts the resume. It returns how many it re-queued.
-//
-// Requeue is the crashed-fleet degenerate path: it assumes every running
-// record's owner is dead, which is only safe when no other process can
-// hold a live claim. Multi-process fleets use Reconcile instead, which
-// consults the lease files and re-queues only shards whose leases have
-// actually lapsed.
-func (m *Manifest) Requeue() int {
-	n := 0
-	for i := range m.Records {
-		if m.Records[i].Status == StatusRunning {
-			m.Records[i].Status = StatusPending
-			m.Records[i].Resumes++
-			n++
-		}
-	}
-	return n
-}
-
 // Counts returns the number of records in each state.
 func (m *Manifest) Counts() (pending, running, done, failed int) {
 	for i := range m.Records {
@@ -174,18 +149,9 @@ func (m *Manifest) Counts() (pending, running, done, failed int) {
 // the same atomic protocol as the checkpoint layer, so a crash leaves
 // either the old queue or the new one, never a torn file.
 func (m *Manifest) Save(path string) error {
-	blob, err := m.encode()
+	blob, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return err
 	}
-	return ckpt.WriteFileAtomic(path, blob)
-}
-
-// encode renders the manifest's canonical on-disk bytes.
-func (m *Manifest) encode() ([]byte, error) {
-	blob, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(blob, '\n'), nil
+	return ckpt.WriteFileAtomic(path, append(blob, '\n'))
 }

@@ -8,8 +8,11 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
+
+	"dagguise/internal/telem"
 )
 
 // runSweep executes a sweep in its own directory and returns the encoded
@@ -138,6 +141,17 @@ func TestFleetKillResume(t *testing.T) {
 	if done == len(m.Records) {
 		t.Fatalf("fleet finished before the kill; enlarge killSweep (child output:\n%s)", childOut.String())
 	}
+	// The shards the kill left running, minus any whose result landed
+	// just before the kill (Reconcile adopts those instead).
+	leftRunning := map[string]bool{}
+	for _, r := range m.Records {
+		if r.Status == StatusRunning && !fileExists(ResultName(killDir, r.Shard.Name)) {
+			leftRunning[r.Shard.Name] = true
+		}
+	}
+	if len(leftRunning) == 0 {
+		t.Fatalf("killed manifest left no shard running (child output:\n%s)", childOut.String())
+	}
 
 	got := runSweep(t, s, Options{Workers: 3, Dir: killDir, CheckpointEvery: 2000, TelemDir: filepath.Join(killDir, "telem")})
 	if !bytes.Equal(ref, got) {
@@ -150,6 +164,22 @@ func TestFleetKillResume(t *testing.T) {
 	b := telemReport(t, filepath.Join(killDir, "telem"))
 	if !bytes.Equal(a, b) {
 		t.Fatalf("killed+resumed telemetry report differs:\n--- reference ---\n%s\n--- resumed ---\n%s", a, b)
+	}
+	// The resume re-queues every shard the killed run left running as
+	// soon as it starts, instead of waiting for the dead process: the
+	// requeue events on its telemetry streams name exactly those shards.
+	col, err := telem.Collect(filepath.Join(killDir, "telem"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	requeued := map[string]bool{}
+	for _, st := range col.Shards {
+		if st.Requeues > 0 {
+			requeued[st.Name] = true
+		}
+	}
+	if !reflect.DeepEqual(requeued, leftRunning) {
+		t.Fatalf("resume re-queued %v, want the shards the kill left running %v", requeued, leftRunning)
 	}
 }
 

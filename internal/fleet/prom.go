@@ -5,10 +5,9 @@ import (
 	"io"
 )
 
-// shardMetric maps one manifest Record field to a Prometheus series.
+// shardMetric maps one manifest Record field to a Prometheus counter.
 type shardMetric struct {
 	name  string
-	typ   string // "counter" or "gauge"
 	help  string
 	value func(r *Record) float64
 }
@@ -16,30 +15,21 @@ type shardMetric struct {
 // shardMetrics is emitted in this fixed order so the exposition is
 // deterministic and diffs cleanly between scrapes.
 var shardMetrics = []shardMetric{
-	{"dagfleet_shard_attempts_total", "counter",
+	{"dagfleet_shard_attempts_total",
 		"Shard execution attempts, including the first.",
 		func(r *Record) float64 { return float64(r.Attempts) }},
-	{"dagfleet_shard_retries_total", "counter",
+	{"dagfleet_shard_retries_total",
 		"Retry decisions after failed shard attempts.",
 		func(r *Record) float64 { return float64(r.Retries) }},
-	{"dagfleet_shard_backoff_seconds_total", "counter",
+	{"dagfleet_shard_backoff_seconds_total",
 		"Deterministic backoff delay scheduled for the shard's retries.",
 		func(r *Record) float64 { return float64(r.BackoffNs) / 1e9 }},
-	{"dagfleet_shard_checkpoint_writes_total", "counter",
+	{"dagfleet_shard_checkpoint_writes_total",
 		"Mid-shard twin checkpoints persisted for the shard.",
 		func(r *Record) float64 { return float64(r.Checkpoints) }},
-	{"dagfleet_shard_resumes_total", "counter",
+	{"dagfleet_shard_resumes_total",
 		"Restores of the shard from a persisted checkpoint or a crashed fleet.",
 		func(r *Record) float64 { return float64(r.Resumes) }},
-	{"dagfleet_shard_lease_steals_total", "counter",
-		"Expired leases on the shard stolen from dead or stalled owners.",
-		func(r *Record) float64 { return float64(r.Steals) }},
-	{"dagfleet_shard_fenced_commits_total", "counter",
-		"Zombie commits on the shard refused by the lease fencing epoch.",
-		func(r *Record) float64 { return float64(r.Fenced) }},
-	{"dagfleet_shard_lease_epoch", "gauge",
-		"Fencing epoch of the shard's live lease (0 when unclaimed or terminal).",
-		func(r *Record) float64 { return float64(r.Epoch) }},
 }
 
 // shardStates is the fixed label universe of the state gauge, so a
@@ -54,7 +44,7 @@ var shardStates = []Status{StatusPending, StatusRunning, StatusDone, StatusFaile
 // disk mid-run are always a consistent snapshot.
 func WriteShardPrometheus(w io.Writer, records []Record) error {
 	for _, m := range shardMetrics {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", m.name, m.help, m.name, m.typ); err != nil {
+		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", m.name, m.help, m.name); err != nil {
 			return err
 		}
 		for i := range records {

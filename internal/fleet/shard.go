@@ -52,9 +52,10 @@ type ShardOptions struct {
 	// both twins (fault decisions are secret-independent, so the
 	// non-interference verdict carries over to the faulty machine).
 	Faults fault.Schedule
-	// SaveFrame and LoadFrame override the checkpoint IO — the hook the
-	// pool uses to route checkpoints through its storage-fault injection
-	// and quarantine layer. Nil selects ckpt.SaveFrame / ckpt.LoadFrame.
+	// SaveFrame and LoadFrame override the checkpoint IO: the pool's
+	// LoadFrame quarantines a corrupt checkpoint to *.corrupt and starts
+	// the shard over, and a caller can wrap SaveFrame to time or count
+	// writes. Nil selects ckpt.SaveFrame / ckpt.LoadFrame.
 	SaveFrame func(path string, payload []byte) error
 	LoadFrame func(path string) ([]byte, error)
 	// OnCheckpoint, if set, is called after every durable checkpoint.

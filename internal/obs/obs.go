@@ -80,12 +80,6 @@ const (
 	CtrFleetRetries
 	CtrFleetCheckpoints
 	CtrFleetResumes
-	// Lease-based multi-process coordination (domain 0): expired-lease
-	// steals, zombie commits refused by the fencing epoch, and injected
-	// storage faults absorbed by the durable-IO layer.
-	CtrFleetLeaseSteals
-	CtrFleetFencedCommits
-	CtrFleetFSFaults
 
 	numCounters
 )
@@ -119,9 +113,6 @@ var counterNames = [numCounters]string{
 	CtrFleetRetries:       "fleet_retries",
 	CtrFleetCheckpoints:   "fleet_checkpoints",
 	CtrFleetResumes:       "fleet_resumes",
-	CtrFleetLeaseSteals:   "fleet_lease_steals",
-	CtrFleetFencedCommits: "fleet_fenced_commits",
-	CtrFleetFSFaults:      "fleet_fs_faults",
 }
 
 // String returns the counter's stable name.
@@ -161,9 +152,6 @@ var counterHelp = [numCounters]string{
 	CtrFleetRetries:       "Fleet shard attempts retried after a failure (domain 0).",
 	CtrFleetCheckpoints:   "Durable per-shard checkpoints cut by fleet workers (domain 0).",
 	CtrFleetResumes:       "Fleet shard executions resumed from a checkpoint frame (domain 0).",
-	CtrFleetLeaseSteals:   "Expired shard leases stolen from dead or stalled owners (domain 0).",
-	CtrFleetFencedCommits: "Zombie result commits refused by the lease fencing epoch (domain 0).",
-	CtrFleetFSFaults:      "Injected storage faults absorbed by the fleet's durable-IO layer (domain 0).",
 }
 
 // Help returns the counter's # HELP text.

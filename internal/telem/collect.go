@@ -53,13 +53,6 @@ type ShardStatus struct {
 	// Retries and Requeues count ops-plane events seen for the shard.
 	Retries  int
 	Requeues int
-	// Owner and Epoch are the shard's lease identity from the newest
-	// claim/steal event (empty on pre-lease streams); Steals and Fenced
-	// count lease evictions and refused zombie commits.
-	Owner  string
-	Epoch  uint64
-	Steals int
-	Fenced int
 	// ClaimWall and EndWall are unix ms of the last claim and the
 	// terminal event (0 = still running).
 	ClaimWall int64
@@ -288,20 +281,6 @@ func applyLifecycle(st *ShardStatus, r Record) {
 		if r.T > 0 {
 			st.Target = r.T
 		}
-		if r.Owner != "" {
-			st.Owner = r.Owner
-			st.Epoch = r.Epoch
-		}
-	case EventSteal:
-		st.Steals++
-		st.State = "claim"
-		st.Worker = r.Worker
-		st.ClaimWall = r.Wall
-		st.EndWall = 0
-		st.Owner = r.Owner
-		st.Epoch = r.Epoch
-	case EventFenced:
-		st.Fenced++
 	case EventRetry:
 		st.Retries++
 		st.Cause = r.Cause

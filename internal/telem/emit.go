@@ -154,17 +154,6 @@ func (e *Emitter) Shard(shard, event, cause string, t uint64) {
 	_ = e.emit(Record{Kind: KindShard, Shard: shard, Event: event, Cause: cause, T: t, Wall: e.wall()})
 }
 
-// Lease records a shard lease transition (ops plane): a claim with its
-// owner identity and fencing epoch, a steal of an expired lease, or a
-// fenced zombie commit. t is the shard's cycle budget on claim, 0
-// otherwise. No-op on nil.
-func (e *Emitter) Lease(shard, event, owner string, epoch uint64, t uint64) {
-	if e == nil {
-		return
-	}
-	_ = e.emit(Record{Kind: KindShard, Shard: shard, Event: event, Owner: owner, Epoch: epoch, T: t, Wall: e.wall()})
-}
-
 // Heartbeat records worker liveness while working shard at cycle t (ops
 // plane). No-op on nil.
 func (e *Emitter) Heartbeat(shard string, t uint64) {

@@ -68,12 +68,6 @@ const (
 	EventRequeue = "requeue"
 	EventDone    = "done"
 	EventFailed  = "failed"
-	// EventSteal records an expired lease evicted by a new owner; Owner
-	// and Epoch carry the thief's identity and fencing generation.
-	EventSteal = "steal"
-	// EventFenced records a zombie worker's commit or renewal refused by
-	// the fencing epoch; Owner and Epoch carry the fenced identity.
-	EventFenced = "fenced"
 )
 
 // Record is one telemetry stream line. Fields are pooled across kinds
@@ -89,13 +83,9 @@ type Record struct {
 	Shards  int `json:"shards,omitempty"`
 	Workers int `json:"workers,omitempty"`
 	// Shard lifecycle / heartbeat / span / point fields.
-	Shard string `json:"shard,omitempty"`
-	Event string `json:"event,omitempty"`
-	Cause string `json:"cause,omitempty"`
-	// Owner and Epoch carry the lease identity on claim/steal/fenced
-	// events (ops plane).
-	Owner  string  `json:"owner,omitempty"`
-	Epoch  uint64  `json:"epoch,omitempty"`
+	Shard  string  `json:"shard,omitempty"`
+	Event  string  `json:"event,omitempty"`
+	Cause  string  `json:"cause,omitempty"`
 	Series string  `json:"series,omitempty"`
 	Name   string  `json:"name,omitempty"`
 	T      uint64  `json:"t,omitempty"`
