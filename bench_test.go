@@ -611,3 +611,19 @@ func BenchmarkSystemTick(b *testing.B) {
 		sys.Tick()
 	}
 }
+
+// BenchmarkClusterTick measures the per-cycle cost of one fleet channel:
+// channel 1 of the 4-channel, 100-tenant DAGguise cluster, warmed for 20k
+// cycles so its partitioned transaction queue is deep (several hundred
+// entries in front of 8 banks).
+func BenchmarkClusterTick(b *testing.B) {
+	sys, err := sim.NewCluster(config.DefaultMultiChannel(4, 100, config.DAGguise), 1, 2, 1, 11)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys.Run(20_000)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sys.Tick()
+	}
+}
