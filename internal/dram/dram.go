@@ -162,18 +162,17 @@ func (d *Device) rankIndex(c mem.Coord) int {
 	return c.Channel*d.mapper.Geometry().Ranks + c.Rank
 }
 
-// BankBusyUntil returns the transaction-granularity busy horizon of the
-// coordinate's bank: the controller should not commit a second transaction
-// to the bank before this cycle.
-func (d *Device) BankBusyUntil(c mem.Coord) uint64 {
-	return d.banks[d.mapper.FlatBank(c)].busyUntil
-}
+// Banks returns the number of banks, indexed by mem.Mapper.FlatBank.
+func (d *Device) Banks() int { return len(d.banks) }
 
-// RowOpen reports whether the coordinate's row is currently open, which
-// lets the scheduler implement FR-FCFS row-hit-first policies.
-func (d *Device) RowOpen(c mem.Coord) bool {
-	b := &d.banks[d.mapper.FlatBank(c)]
-	return b.rowOpen && b.openRow == c.Row
+// BankBusyUntil returns the transaction-granularity busy horizon of flat
+// bank fb: the controller should not commit a second transaction to the
+// bank before this cycle.
+func (d *Device) BankBusyUntil(fb int) uint64 { return d.banks[fb].busyUntil }
+
+// RowOpen reports whether row is open in flat bank fb (FR-FCFS row hits).
+func (d *Device) RowOpen(fb int, row uint64) bool {
+	return d.banks[fb].rowOpen && d.banks[fb].openRow == row
 }
 
 func max64(vals ...uint64) uint64 {

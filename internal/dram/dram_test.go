@@ -85,7 +85,7 @@ func TestBankParallelismBeatsSameBank(t *testing.T) {
 	var doneSame uint64
 	for i := 0; i < 4; i++ {
 		r := dSame.Service(mem.Coord{Bank: 0, Row: uint64(i)}, mem.Read, at)
-		at = dSame.BankBusyUntil(mem.Coord{Bank: 0})
+		at = dSame.BankBusyUntil(0)
 		doneSame = r.DataDone
 	}
 
@@ -177,7 +177,7 @@ func TestServiceMonotonicCompletion(t *testing.T) {
 				return false
 			}
 			last = r.DataDone
-			at = d.BankBusyUntil(mem.Coord{Bank: 2})
+			at = d.BankBusyUntil(2)
 		}
 		return true
 	}
@@ -217,7 +217,7 @@ func TestBusNeverOverlapsProperty(t *testing.T) {
 	// Property: across any mix of banks, rows and kinds, the data bursts
 	// of all transactions on the shared bus are separated by at least
 	// tBURST — collect every DataDone and check pairwise spacing.
-	d, _ := testDevice(false)
+	d, m := testDevice(false)
 	f := func(ops []uint16) bool {
 		d.Reset()
 		var dones []uint64
@@ -235,7 +235,7 @@ func TestBusNeverOverlapsProperty(t *testing.T) {
 			}
 			// Respect the transaction-level contract: one in-flight
 			// transaction per bank.
-			start := d.BankBusyUntil(c)
+			start := d.BankBusyUntil(m.FlatBank(c))
 			if start < now {
 				start = now
 			}
@@ -271,7 +271,7 @@ func TestSameBankRespectsRowCycleProperty(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		r := d.Service(mem.Coord{Bank: 1, Row: uint64(i)}, mem.Read, at)
 		starts = append(starts, r.Start)
-		at = d.BankBusyUntil(mem.Coord{Bank: 1})
+		at = d.BankBusyUntil(1)
 	}
 	for i := 1; i < len(starts); i++ {
 		// Start is the ACT issue time for closed-bank accesses after

@@ -18,10 +18,12 @@ import (
 	"dagguise/internal/obs"
 )
 
-// Entry is a queued transaction together with its decoded DRAM coordinate.
+// Entry is a queued transaction together with its decoded DRAM coordinate
+// and flat bank index (mem.Mapper.FlatBank).
 type Entry struct {
-	Req   mem.Request
-	Coord mem.Coord
+	Req      mem.Request
+	Coord    mem.Coord
+	FlatBank int
 }
 
 // Scheduler picks the next transaction to commit to the DRAM device.
@@ -74,12 +76,11 @@ type Controller struct {
 	sched     Scheduler
 	queue     []Entry
 	capacity  int
-	domainCap int // per-domain queue partition; 0 = shared queue
-	perDomain map[mem.Domain]int
+	domainCap int   // per-domain queue partition; 0 = shared queue
+	perDomain []int // queued entries per domain, when partitioned
 	inflight  completionHeap
-	perBank   []int // in-flight transactions per flat bank
 	stats     Stats
-	byDomain  map[mem.Domain]uint64 // real bytes served per domain
+	byDomain  []uint64 // real bytes served per domain
 	lineSize  uint64
 
 	// Observability (nil = off). The controller attributes per-domain
@@ -102,8 +103,6 @@ func New(dev *dram.Device, mapper *mem.Mapper, sched Scheduler, capacity int) *C
 		mapper:   mapper,
 		sched:    sched,
 		capacity: capacity,
-		perBank:  make([]int, mapper.BankCount()),
-		byDomain: make(map[mem.Domain]uint64),
 		lineSize: uint64(mapper.Geometry().LineBytes),
 	}
 }
@@ -115,7 +114,15 @@ func New(dev *dram.Device, mapper *mem.Mapper, sched Scheduler, capacity int) *C
 // through queue-full signals even under a non-interfering scheduler.
 func (c *Controller) PartitionQueue(perDomain int) {
 	c.domainCap = perDomain
-	c.perDomain = make(map[mem.Domain]int)
+}
+
+// slot returns domain d's element of a domain-indexed counter slice,
+// growing the slice on first use.
+func slot[T int | uint64](s *[]T, d mem.Domain) *T {
+	if int(d) >= len(*s) {
+		*s = append(*s, make([]T, int(d)+1-len(*s))...)
+	}
+	return &(*s)[d]
 }
 
 // Observe attaches an observability registry and tracer (either may be
@@ -149,15 +156,6 @@ func (c *Controller) QueueLen() int { return len(c.queue) }
 // Full reports whether the transaction queue is at capacity.
 func (c *Controller) Full() bool { return len(c.queue) >= c.capacity }
 
-// FullFor reports whether the domain may not enqueue right now, honouring
-// per-domain partitioning when enabled.
-func (c *Controller) FullFor(d mem.Domain) bool {
-	if c.domainCap > 0 {
-		return c.perDomain[d] >= c.domainCap
-	}
-	return len(c.queue) >= c.capacity
-}
-
 // InFlight returns the number of committed-but-incomplete transactions.
 func (c *Controller) InFlight() int { return len(c.inflight) }
 
@@ -169,24 +167,21 @@ func (c *Controller) Idle() bool { return len(c.queue) == 0 && len(c.inflight) =
 // request's Arrival field is stamped with now.
 func (c *Controller) Enqueue(req mem.Request, now uint64) bool {
 	if c.domainCap > 0 {
-		if c.perDomain[req.Domain] >= c.domainCap {
+		n := slot(&c.perDomain, req.Domain)
+		if *n >= c.domainCap {
 			return false
 		}
-		c.perDomain[req.Domain]++
+		*n++
 	} else if len(c.queue) >= c.capacity {
 		return false
 	}
 	req.Arrival = now
-	c.queue = append(c.queue, Entry{Req: req, Coord: c.mapper.Decode(req.Addr)})
+	co := c.mapper.Decode(req.Addr)
+	c.queue = append(c.queue, Entry{Req: req, Coord: co, FlatBank: c.mapper.FlatBank(co)})
 	if len(c.queue) > c.stats.MaxQueueLen {
 		c.stats.MaxQueueLen = len(c.queue)
 	}
 	return true
-}
-
-// bankFree reports whether the entry's bank has no in-flight transaction.
-func (c *Controller) bankFree(e Entry) bool {
-	return c.perBank[c.mapper.FlatBank(e.Coord)] == 0
 }
 
 // Tick advances the controller one cycle: it lets the scheduling policy
@@ -216,8 +211,6 @@ func (c *Controller) issue(idx int, now uint64) {
 	c.prof.Lap(obs.PBMemctrl)
 	res := c.dev.Service(e.Coord, e.Req.Kind, now)
 	c.prof.Lap(obs.PBDRAM)
-	fb := c.mapper.FlatBank(e.Coord)
-	c.perBank[fb]++
 	c.stats.Issued++
 	if e.Req.Kind == mem.Write {
 		c.stats.Writes++
@@ -228,14 +221,14 @@ func (c *Controller) issue(idx int, now uint64) {
 		c.stats.Fakes++
 	} else {
 		c.stats.BytesServed += c.lineSize
-		c.byDomain[e.Req.Domain] += c.lineSize
+		*slot(&c.byDomain, e.Req.Domain) += c.lineSize
 		c.stats.TotalLatency += res.DataDone - e.Req.Arrival
 		if res.Start > e.Req.Arrival {
 			c.stats.TotalQueueing += res.Start - e.Req.Arrival
 		}
 	}
 	if c.mx != nil || c.tr != nil {
-		c.record(e, idx, res, fb)
+		c.record(e, idx, res)
 	}
 	heap.Push(&c.inflight, completion{
 		at: res.DataDone,
@@ -250,7 +243,7 @@ func (c *Controller) issue(idx int, now uint64) {
 // per-domain row-buffer outcome, issue mix, bus/bank occupancy and
 // latency histograms, plus bank- and channel-lane trace events. Called
 // only when a registry or tracer is attached.
-func (c *Controller) record(e Entry, idx int, res dram.Result, fb int) {
+func (c *Controller) record(e Entry, idx int, res dram.Result) {
 	dom := int(e.Req.Domain)
 	c.mx.Inc(obs.CtrSchedPicks, 0)
 	if idx > 0 {
@@ -293,7 +286,7 @@ func (c *Controller) record(e Entry, idx int, res dram.Result, fb int) {
 	if c.tr != nil {
 		c.tr.Emit(obs.Event{
 			Cycle: res.Start, Dur: res.DataDone - res.Start,
-			Comp: obs.CompBank, Kind: kind, Index: int32(fb), Domain: int32(dom),
+			Comp: obs.CompBank, Kind: kind, Index: int32(e.FlatBank), Domain: int32(dom),
 		})
 		c.tr.Emit(obs.Event{
 			Cycle: res.DataDone - c.burst, Dur: c.burst,
@@ -305,9 +298,7 @@ func (c *Controller) record(e Entry, idx int, res dram.Result, fb int) {
 func (c *Controller) drain(now uint64) []mem.Response {
 	var out []mem.Response
 	for len(c.inflight) > 0 && c.inflight[0].at <= now {
-		done := heap.Pop(&c.inflight).(completion)
-		c.perBank[c.mapper.FlatBank(c.mapper.Decode(done.resp.Addr))]--
-		out = append(out, done.resp)
+		out = append(out, heap.Pop(&c.inflight).(completion).resp)
 	}
 	return out
 }
@@ -329,7 +320,12 @@ func (c *Controller) NextEvent(now uint64) (uint64, bool) {
 func (c *Controller) Stats() Stats { return c.stats }
 
 // BytesForDomain returns the real (non-fake) bytes served for the domain.
-func (c *Controller) BytesForDomain(d mem.Domain) uint64 { return c.byDomain[d] }
+func (c *Controller) BytesForDomain(d mem.Domain) uint64 {
+	if int(d) < len(c.byDomain) {
+		return c.byDomain[d]
+	}
+	return 0
+}
 
 // QueueSnapshot returns the per-domain occupancy of the transaction queue,
 // for watchdog diagnostics (the queue picture at the moment an invariant

@@ -18,7 +18,7 @@ func (FCFS) Pick(q []Entry, now uint64, dev *dram.Device) int {
 	if len(q) == 0 {
 		return -1
 	}
-	if dev.BankBusyUntil(q[0].Coord) > now {
+	if dev.BankBusyUntil(q[0].FlatBank) > now {
 		return -1
 	}
 	return 0
@@ -46,8 +46,16 @@ func (FRFCFS) Name() string { return "fr-fcfs" }
 // Pick implements Scheduler. Demand traffic outranks prefetch traffic;
 // within each class, row hits outrank older requests.
 func (p FRFCFS) Pick(q []Entry, now uint64, dev *dram.Device) int {
+	// A deep queue usually finds every bank busy: check the banks first.
+	free := false
+	for b := 0; b < dev.Banks() && !free; b++ {
+		free = dev.BankBusyUntil(b) <= now
+	}
+	if !free {
+		return -1
+	}
 	writes := 0
-	for i := range q {
+	for i := 0; p.WritePressure > 0 && i < len(q); i++ {
 		if q[i].Req.Kind == mem.Write {
 			writes++
 		}
@@ -63,7 +71,7 @@ func (p FRFCFS) Pick(q []Entry, now uint64, dev *dram.Device) int {
 	bestRank := 5
 	for i := range q {
 		e := &q[i]
-		if dev.BankBusyUntil(e.Coord) > now {
+		if dev.BankBusyUntil(e.FlatBank) > now {
 			continue
 		}
 		if drainWrites && e.Req.Kind != mem.Write {
@@ -73,7 +81,7 @@ func (p FRFCFS) Pick(q []Entry, now uint64, dev *dram.Device) int {
 		if e.Req.Prefetch {
 			rank = 4
 		}
-		if dev.RowOpen(e.Coord) {
+		if dev.RowOpen(e.FlatBank, e.Coord.Row) {
 			rank--
 		}
 		age := now - e.Req.Arrival

@@ -2,7 +2,6 @@ package memctrl
 
 import (
 	"fmt"
-	"sort"
 
 	"dagguise/internal/mem"
 )
@@ -15,16 +14,16 @@ type CompletionSave struct {
 	Resp mem.Response `json:"resp"`
 }
 
-// DomainBytes is one domain's served-bytes counter, stored as a sorted pair
-// list so the serialized form never depends on map iteration order.
+// DomainBytes is one domain's served-bytes counter. The state lists the
+// domains that have been served, in ascending domain order.
 type DomainBytes struct {
 	Domain mem.Domain `json:"domain"`
 	Bytes  uint64     `json:"bytes"`
 }
 
 // ControllerState is the controller's full mutable state. Coordinates,
-// per-domain occupancy and per-bank in-flight counts are derived data,
-// recomputed on restore from the queue and in-flight sets.
+// flat bank indices and per-domain occupancy are derived data, recomputed
+// on restore from the queue.
 type ControllerState struct {
 	Queue    []mem.Request    `json:"queue"`
 	Inflight []CompletionSave `json:"inflight"`
@@ -42,46 +41,35 @@ func (c *Controller) SaveState() ControllerState {
 		st.Inflight = append(st.Inflight, CompletionSave{At: f.at, Resp: f.resp})
 	}
 	for d, b := range c.byDomain {
-		st.ByDomain = append(st.ByDomain, DomainBytes{Domain: d, Bytes: b})
+		if b != 0 {
+			st.ByDomain = append(st.ByDomain, DomainBytes{Domain: mem.Domain(d), Bytes: b})
+		}
 	}
-	sort.Slice(st.ByDomain, func(i, j int) bool { return st.ByDomain[i].Domain < st.ByDomain[j].Domain })
 	return st
 }
 
 // RestoreState overwrites the controller's mutable state, recomputing every
-// derived structure (decoded coordinates, per-domain occupancy, per-bank
-// in-flight counts).
+// derived structure (decoded coordinates, flat bank indices, per-domain
+// occupancy).
 func (c *Controller) RestoreState(st ControllerState) error {
 	if len(st.Queue) > c.capacity {
 		return fmt.Errorf("memctrl: state queue depth %d exceeds capacity %d", len(st.Queue), c.capacity)
 	}
 	c.queue = c.queue[:0]
-	if c.domainCap > 0 {
-		c.perDomain = make(map[mem.Domain]int)
-	}
+	clear(c.perDomain)
 	for _, req := range st.Queue {
-		c.queue = append(c.queue, Entry{Req: req, Coord: c.mapper.Decode(req.Addr)})
-		if c.domainCap > 0 {
-			c.perDomain[req.Domain]++
-			if c.perDomain[req.Domain] > c.domainCap {
-				return fmt.Errorf("memctrl: state holds %d queued requests for domain %d, partition cap is %d",
-					c.perDomain[req.Domain], req.Domain, c.domainCap)
-			}
+		if !c.Enqueue(req, req.Arrival) {
+			return fmt.Errorf("memctrl: state holds more than %d queued requests for domain %d", c.domainCap, req.Domain)
 		}
 	}
 	c.inflight = c.inflight[:0]
-	for i := range c.perBank {
-		c.perBank[i] = 0
-	}
 	for _, f := range st.Inflight {
 		c.inflight = append(c.inflight, completion{at: f.At, resp: f.Resp})
-		fb := c.mapper.FlatBank(c.mapper.Decode(f.Resp.Addr))
-		c.perBank[fb]++
 	}
 	c.stats = st.Stats
-	c.byDomain = make(map[mem.Domain]uint64, len(st.ByDomain))
+	clear(c.byDomain)
 	for _, db := range st.ByDomain {
-		c.byDomain[db.Domain] = db.Bytes
+		*slot(&c.byDomain, db.Domain) = db.Bytes
 	}
 	return nil
 }

@@ -191,7 +191,7 @@ func (f *FixedService) Pick(q []memctrl.Entry, now uint64, dev *dram.Device) int
 		if f.bankGroups > 1 && e.Coord.Bank%f.bankGroups != bankGroup {
 			continue
 		}
-		if dev.BankBusyUntil(e.Coord) > now {
+		if dev.BankBusyUntil(e.FlatBank) > now {
 			continue
 		}
 		f.issued = true
