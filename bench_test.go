@@ -627,3 +627,29 @@ func BenchmarkClusterTick(b *testing.B) {
 		sys.Tick()
 	}
 }
+
+// BenchmarkEightCoreTick measures the per-cycle cost of the eight-core
+// DAGguise machine of Figure 10: four protected DocDist victims with the
+// eight-core defense, each followed by an lbm co-runner, warmed for 20k
+// cycles. Its memory-bound cores are stalled on almost every cycle.
+func BenchmarkEightCoreTick(b *testing.B) {
+	p, err := workload.ByName("lbm")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var specs []sim.CoreSpec
+	for i := int64(0); i < 4; i++ {
+		specs = append(specs,
+			sim.CoreSpec{Name: "docdist", Source: docdistLoop(b), Protected: true, Defense: eval.EightCoreDefense()},
+			sim.CoreSpec{Name: "lbm", Source: workload.MustSource(p, 21+i)})
+	}
+	sys, err := sim.New(config.Default(8, config.DAGguise), specs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys.Run(20_000)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sys.Tick()
+	}
+}
