@@ -42,10 +42,10 @@ func ProfileVictim(src trace.Source, samples int, maxRequests int) (Distribution
 		return Distribution{}, err
 	}
 	var times []uint64
-	port := &recordingPort{ctrl: ctrl, times: &times}
+	port := &recordingPort{ctrl: ctrl, dom: 1, times: &times}
 	next := uint64(0)
 	alloc := func() uint64 { next++; return next }
-	core := cpu.New(1, src, hier, cfg.Core, port, alloc)
+	core := cpu.New(port.dom, src, hier, cfg.Core, port, alloc)
 
 	const maxCycles = 20_000_000
 	for now := uint64(0); now < maxCycles && len(times) < maxRequests && !core.Done(); now++ {
@@ -89,8 +89,12 @@ func boolToInt(b bool) int {
 // times (the victim's injection instants).
 type recordingPort struct {
 	ctrl  *memctrl.Controller
+	dom   mem.Domain
 	times *[]uint64
 }
+
+// Room implements cpu.Port.
+func (p *recordingPort) Room(uint64) bool { return p.ctrl.Room(p.dom) }
 
 // TryEnqueue implements cpu.Port.
 func (p *recordingPort) TryEnqueue(req mem.Request, now uint64) bool {

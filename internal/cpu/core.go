@@ -22,6 +22,10 @@ import (
 // shaper's private queue (protected domains).
 type Port interface {
 	TryEnqueue(req mem.Request, now uint64) bool
+	// Room reports whether TryEnqueue would accept a request at now. Only
+	// the core's own enqueues take room away before the memory side
+	// steps, so a core may read it at its turn in place of an offer.
+	Room(now uint64) bool
 }
 
 // IDAlloc returns unique request IDs; all producers in a simulation share
@@ -92,6 +96,16 @@ type Core struct {
 	exhausted bool
 	stats     Stats
 
+	// Park state, derived and never serialized (RestoreState clears it).
+	// A full tick that changes nothing but Cycles and StallCycles parks
+	// the core: until a response arrives, the port has room for the
+	// refused offers or the window head's completion cycle comes, every
+	// tick would repeat it exactly, so Tick replays it in O(1).
+	busy    bool   // the full tick in progress changed core state
+	parked  bool   // the last full tick changed nothing
+	refused int    // offers that tick made, each refused after drawing an ID
+	wakeAt  uint64 // the head's completion cycle, or ^0 when none is due
+
 	// Observability (nil = off); measurement only.
 	mx *obs.Registry
 }
@@ -146,11 +160,37 @@ func (c *Core) depSatisfied(s *slot) bool {
 func (c *Core) Tick(now uint64) {
 	c.stats.Cycles++
 	c.mx.Observe(obs.HistMLP, int(c.domain), uint64(c.outstanding))
+	if c.parked && now < c.wakeAt && (c.refused == 0 || !c.port.Room(now)) {
+		// Request IDs come from the machine-wide allocator in core order,
+		// so the replay draws one per refused offer.
+		for i := 0; i < c.refused; i++ {
+			c.alloc()
+		}
+		c.stats.StallCycles++
+		c.mx.Inc(obs.CtrROBStallCycles, int(c.domain))
+		return
+	}
+	c.busy, c.refused = false, 0
 	c.fill()
 	c.issue(now)
 	c.issuePrefetches(now)
 	c.flushWritebacks(now)
 	c.retire(now)
+	c.parked, c.wakeAt = !c.busy, ^uint64(0)
+	if c.parked && len(c.window) > 0 && c.window[0].status == stDone {
+		c.wakeAt = c.window[0].completion
+	}
+}
+
+// offer hands req to the port, recording whether the tick changed state
+// or made one more refused offer.
+func (c *Core) offer(req mem.Request, now uint64) bool {
+	if c.port.TryEnqueue(req, now) {
+		c.busy = true
+		return true
+	}
+	c.refused++
+	return false
 }
 
 // issuePrefetches drains pending store-fill and prefetch lines through the
@@ -165,7 +205,7 @@ func (c *Core) issuePrefetches(now uint64) {
 	trySend := func(line uint64) bool {
 		id := c.alloc()
 		req := mem.Request{ID: id, Addr: line * 64, Kind: mem.Read, Domain: c.domain, Issue: now, Prefetch: true}
-		if !c.port.TryEnqueue(req, now) {
+		if !c.offer(req, now) {
 			return false
 		}
 		c.pfIssued[line] = true
@@ -177,6 +217,7 @@ func (c *Core) issuePrefetches(now uint64) {
 		line := c.fillPending[0]
 		if c.pfIssued[line] {
 			c.fillPending = c.fillPending[1:]
+			c.busy = true
 			continue
 		}
 		if !trySend(line) {
@@ -188,6 +229,7 @@ func (c *Core) issuePrefetches(now uint64) {
 		line := c.pfPending[0]
 		if c.pfIssued[line] || c.hier.Contains(line*64) {
 			c.pfPending = c.pfPending[1:]
+			c.busy = true
 			continue
 		}
 		if !trySend(line) {
@@ -199,6 +241,7 @@ func (c *Core) issuePrefetches(now uint64) {
 
 func (c *Core) fill() {
 	for !c.exhausted && c.instCount < c.cfg.ROBEntries {
+		c.busy = true
 		op, ok := c.src.Next()
 		if !ok {
 			c.exhausted = true
@@ -219,6 +262,7 @@ func (c *Core) issue(now uint64) {
 				continue
 			}
 			s.status = stReady
+			c.busy = true
 			fallthrough
 		case stReady:
 			c.access(s, now)
@@ -238,6 +282,7 @@ func (c *Core) access(s *slot, now uint64) {
 		// effects (allocation + dirty evictions) but never stall. A
 		// store miss still fetches its line (write-allocate) as a
 		// non-blocking fill read through the prefetch engine.
+		c.busy = true
 		res := c.hier.Access(s.op.Addr, true)
 		c.wbQueue = append(c.wbQueue, res.Writebacks...)
 		if c.pf != nil && res.Level >= 2 {
@@ -256,6 +301,7 @@ func (c *Core) access(s *slot, now uint64) {
 		return
 	}
 	if s.reqID != needsMemSentinel {
+		c.busy = true
 		res := c.hier.Access(s.op.Addr, false)
 		c.wbQueue = append(c.wbQueue, res.Writebacks...)
 		// Train the stream prefetcher on every L1 miss — including hits
@@ -273,7 +319,7 @@ func (c *Core) access(s *slot, now uint64) {
 	}
 	id := c.alloc()
 	req := mem.Request{ID: id, Addr: s.op.Addr, Kind: mem.Read, Domain: c.domain, Issue: now}
-	if !c.port.TryEnqueue(req, now) {
+	if !c.offer(req, now) {
 		return // port full: retry next cycle without re-accessing caches
 	}
 	s.status = stInMem
@@ -286,7 +332,7 @@ func (c *Core) access(s *slot, now uint64) {
 func (c *Core) flushWritebacks(now uint64) {
 	for len(c.wbQueue) > 0 {
 		req := mem.Request{ID: c.alloc(), Addr: c.wbQueue[0], Kind: mem.Write, Domain: c.domain, Issue: now}
-		if !c.port.TryEnqueue(req, now) {
+		if !c.offer(req, now) {
 			return
 		}
 		c.wbQueue = c.wbQueue[1:]
@@ -324,6 +370,7 @@ func (c *Core) retire(now uint64) {
 		c.stats.StallCycles++
 		c.mx.Inc(obs.CtrROBStallCycles, int(c.domain))
 	} else {
+		c.busy = true
 		c.mx.Add(obs.CtrRetired, int(c.domain), uint64(retired))
 	}
 }
@@ -351,6 +398,7 @@ func (e *RetiredResponseError) Error() string {
 // core does not track) are ignored. A response for an already-retired
 // instruction is a protocol violation reported as *RetiredResponseError.
 func (c *Core) OnResponse(resp mem.Response, now uint64) error {
+	c.parked = false
 	if addr, ok := c.pfInMem[resp.ID]; ok {
 		delete(c.pfInMem, resp.ID)
 		delete(c.pfIssued, addr/64)

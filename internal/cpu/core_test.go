@@ -19,8 +19,12 @@ type fixedLatencyPort struct {
 	writes   uint64
 }
 
+func (p *fixedLatencyPort) Room(uint64) bool {
+	return p.capacity == 0 || len(p.inflight) < p.capacity
+}
+
 func (p *fixedLatencyPort) TryEnqueue(req mem.Request, now uint64) bool {
-	if p.capacity > 0 && len(p.inflight) >= p.capacity {
+	if !p.Room(now) {
 		return false
 	}
 	if req.Kind == mem.Write {
@@ -50,7 +54,7 @@ func (p *fixedLatencyPort) deliver(c *Core, now uint64) {
 	p.due = keepD
 }
 
-func tinyCaches(t *testing.T) *cache.Hierarchy {
+func tinyCaches(t testing.TB) *cache.Hierarchy {
 	t.Helper()
 	cfg := config.Default(1, config.Insecure)
 	cfg.L1 = config.CacheLevel{SizeBytes: 1 << 10, Ways: 2, LineBytes: 64, LatencyCycles: 4}

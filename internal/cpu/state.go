@@ -169,5 +169,6 @@ func (c *Core) RestoreState(st CoreState) error {
 	}
 	c.exhausted = st.Exhausted
 	c.stats = st.Stats
+	c.parked = false
 	return nil
 }

@@ -162,18 +162,25 @@ func (c *Controller) InFlight() int { return len(c.inflight) }
 // Idle reports whether the controller has no queued or in-flight work.
 func (c *Controller) Idle() bool { return len(c.queue) == 0 && len(c.inflight) == 0 }
 
+// Room reports whether Enqueue would accept a request from domain d: the
+// domain's partition, or the shared queue when unpartitioned, has a free
+// entry.
+func (c *Controller) Room(d mem.Domain) bool {
+	if c.domainCap > 0 {
+		return int(d) >= len(c.perDomain) || c.perDomain[d] < c.domainCap
+	}
+	return len(c.queue) < c.capacity
+}
+
 // Enqueue inserts a request into the global transaction queue. It returns
 // false when the queue is full (the producer must retry later). The
 // request's Arrival field is stamped with now.
 func (c *Controller) Enqueue(req mem.Request, now uint64) bool {
-	if c.domainCap > 0 {
-		n := slot(&c.perDomain, req.Domain)
-		if *n >= c.domainCap {
-			return false
-		}
-		*n++
-	} else if len(c.queue) >= c.capacity {
+	if !c.Room(req.Domain) {
 		return false
+	}
+	if c.domainCap > 0 {
+		*slot(&c.perDomain, req.Domain)++
 	}
 	req.Arrival = now
 	co := c.mapper.Decode(req.Addr)

@@ -74,29 +74,38 @@ func (ch *channel) shape(p *port, dag *shaper.Shaper, camo *camouflage.Shaper) {
 	ch.shaped = append(ch.shaped, p)
 }
 
-// TryEnqueue hands a tenant's request to the port. A fault-injected
-// backpressure burst makes a shaper port reject enqueues exactly like a
-// full private queue; the rejection is keyed on (domain, cycle) only and
-// is therefore secret-independent. Routing violations are stashed on the
-// System for the current tick to surface as a protocol SimError.
+// Room reports whether TryEnqueue would accept the domain's request at
+// now. A fault-injected backpressure burst makes a shaper port reject
+// enqueues exactly like a full private queue; the rejection is keyed on
+// (domain, cycle) only and is therefore secret-independent.
+func (p *port) Room(now uint64) bool {
+	switch {
+	case p.dag == nil && p.camo == nil:
+		return p.ctrl.Room(p.dom)
+	case p.s.faults != nil && p.s.faults.ShaperRejects(p.dom, now):
+		return false
+	case p.dag != nil:
+		return !p.dag.Full()
+	default:
+		return !p.camo.Full()
+	}
+}
+
+// TryEnqueue hands a tenant's request to the port, refusing exactly when
+// Room is false. Routing violations are stashed on the System for the
+// current tick to surface as a protocol SimError.
 func (p *port) TryEnqueue(req mem.Request, now uint64) bool {
 	if p.dag == nil && p.camo == nil {
 		return p.ctrl.Enqueue(req, now)
 	}
-	if p.s.faults != nil && p.s.faults.ShaperRejects(p.dom, now) {
+	if !p.Room(now) {
 		return false
 	}
 	var ok bool
 	var err error
 	if p.dag != nil {
-		if p.dag.Full() {
-			return false
-		}
 		ok, err = p.dag.Enqueue(req, now)
 	} else {
-		if p.camo.Full() {
-			return false
-		}
 		ok, err = p.camo.Enqueue(req, now)
 	}
 	if err != nil && p.s.portErr == nil {
