@@ -75,6 +75,7 @@ func main() {
 	fmt.Println(unsat(rep.InductionHolds))
 	fmt.Println("**** Public-State Determinism Finished ****")
 	fmt.Println(unsat(rep.DeterminismHolds))
+	fmt.Printf("largest SAT instance: %d variables, %d clauses\n", rep.Vars, rep.Clauses)
 	if rep.Holds() {
 		fmt.Printf("\nsecurity property proven at K=%d: the receiver's response trace is independent of the transmitter's requests\n", depth)
 		return

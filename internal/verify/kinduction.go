@@ -50,7 +50,9 @@ type Report struct {
 	DeterminismHolds bool
 	// Cex is non-nil when a step failed.
 	Cex *Counterexample
-	// Vars and Clauses record the size of the largest SAT instance.
+	// Vars and Clauses record the size of the largest SAT instance among
+	// the steps run: the most variables and the most clauses any of them
+	// needed.
 	Vars, Clauses int
 }
 
@@ -99,8 +101,15 @@ func (v *Verifier) unroll(b *sym.Builder, m *Model, s1, s2 State, k int) unrolle
 	return u
 }
 
+// check is one SAT obligation's verdict and the size of its instance.
+type check struct {
+	holds         bool
+	cex           *Counterexample
+	vars, clauses int
+}
+
 // solve asserts the formula and extracts a counterexample on SAT.
-func (v *Verifier) solve(u unrolled, violation sym.Expr, k int, induction bool) (bool, *Counterexample, int, int) {
+func (v *Verifier) solve(u unrolled, violation sym.Expr, k int, induction bool) check {
 	cnf := u.b.CNF(violation)
 	solver := sat.New()
 	solver.EnsureVars(cnf.NumVars)
@@ -111,11 +120,8 @@ func (v *Verifier) solve(u unrolled, violation sym.Expr, k int, induction bool) 
 			break
 		}
 	}
-	if !ok {
-		return true, nil, solver.NumVars(), len(cnf.Clauses)
-	}
-	if solver.Solve(cnf.Lit(violation)) == sat.Unsat {
-		return true, nil, solver.NumVars(), len(cnf.Clauses)
+	if !ok || solver.Solve(cnf.Lit(violation)) == sat.Unsat {
+		return check{holds: true, vars: solver.NumVars(), clauses: len(cnf.Clauses)}
 	}
 	cex := &Counterexample{K: k, Induction: induction}
 	readBit := func(e sym.Expr) bool {
@@ -138,7 +144,7 @@ func (v *Verifier) solve(u unrolled, violation sym.Expr, k int, induction bool) 
 			RxBank:   readBit(u.inputs1[i].RxBank),
 		})
 	}
-	return false, cex, solver.NumVars(), len(cnf.Clauses)
+	return check{cex: cex, vars: solver.NumVars(), clauses: len(cnf.Clauses)}
 }
 
 func abs(x int) int {
@@ -152,10 +158,15 @@ func abs(x int) int {
 // pair of transmitter traces makes the receiver's responses differ within
 // k cycles.
 func (v *Verifier) CheckBase(k int) (bool, *Counterexample, error) {
+	c, err := v.base(k)
+	return c.holds, c.cex, err
+}
+
+func (v *Verifier) base(k int) (check, error) {
 	b := sym.NewBuilder()
 	m, err := NewModel(v.cfg, b)
 	if err != nil {
-		return false, nil, err
+		return check{}, err
 	}
 	u := v.unroll(b, m, m.ResetState(), m.ResetState(), k)
 	// Violation: some cycle's outputs differ.
@@ -163,8 +174,7 @@ func (v *Verifier) CheckBase(k int) (bool, *Counterexample, error) {
 	for _, eq := range u.outEq {
 		violation = b.Or(violation, eq.Not())
 	}
-	holds, cex, _, _ := v.solve(u, violation, k, false)
-	return holds, cex, nil
+	return v.solve(u, violation, k, false), nil
 }
 
 // pairedStates builds the induction start states: a fully symbolic state
@@ -192,10 +202,15 @@ func (v *Verifier) pairedStates(m *Model) (State, State) {
 // states agreeing on the public components (see pairedStates) whose
 // outputs agree for k cycles, the outputs also agree at cycle k+1.
 func (v *Verifier) CheckInduction(k int) (bool, *Counterexample, error) {
+	c, err := v.induction(k)
+	return c.holds, c.cex, err
+}
+
+func (v *Verifier) induction(k int) (check, error) {
 	b := sym.NewBuilder()
 	m, err := NewModel(v.cfg, b)
 	if err != nil {
-		return false, nil, err
+		return check{}, err
 	}
 	s1, s2 := v.pairedStates(m)
 	u := v.unroll(b, m, s1, s2, k+1)
@@ -204,8 +219,7 @@ func (v *Verifier) CheckInduction(k int) (bool, *Counterexample, error) {
 		assume = b.And(assume, eq)
 	}
 	violation := b.And(assume, u.outEq[k].Not())
-	holds, cex, _, _ := v.solve(u, violation, k, true)
-	return holds, cex, nil
+	return v.solve(u, violation, k, true), nil
 }
 
 // publicEqual builds equality of the public (receiver-influencing) state
@@ -244,10 +258,15 @@ func (m *Model) publicEqual(a, b State) sym.Expr {
 // runs of the property start from the same reset state) this proves the
 // public state stays shared along the entire real execution.
 func (v *Verifier) CheckPublicDeterminism() (bool, *Counterexample, error) {
+	c, err := v.determinism()
+	return c.holds, c.cex, err
+}
+
+func (v *Verifier) determinism() (check, error) {
 	b := sym.NewBuilder()
 	m, err := NewModel(v.cfg, b)
 	if err != nil {
-		return false, nil, err
+		return check{}, err
 	}
 	s1, s2 := v.pairedStates(m)
 	in1 := m.FreeInput()
@@ -260,8 +279,7 @@ func (v *Verifier) CheckPublicDeterminism() (bool, *Counterexample, error) {
 	preserved := b.And(m.publicEqual(n1, n2), m.OutputsEqual(o1, o2))
 	violation := b.And(assume, preserved.Not())
 	u := unrolled{b: b, m: m, inputs1: []Input{in1}, inputs2: []Input{in2}}
-	holds, cex, _, _ := v.solve(u, violation, 1, true)
-	return holds, cex, nil
+	return v.solve(u, violation, 1, true), nil
 }
 
 // DetectionDepth returns the smallest base-step depth at which the
@@ -282,33 +300,29 @@ func (v *Verifier) DetectionDepth(maxK int) (int, *Counterexample, error) {
 }
 
 // Verify runs the base step, the induction step and the public-state
-// determinism side condition at depth k.
+// determinism side condition at depth k, stopping at the first that fails.
 func (v *Verifier) Verify(k int) (Report, error) {
 	rep := Report{K: k}
-	var err error
-	var cex *Counterexample
-	rep.BaseHolds, cex, err = v.CheckBase(k)
-	if err != nil {
-		return rep, err
+	steps := []struct {
+		run   func() (check, error)
+		holds *bool
+	}{
+		{func() (check, error) { return v.base(k) }, &rep.BaseHolds},
+		{func() (check, error) { return v.induction(k) }, &rep.InductionHolds},
+		{v.determinism, &rep.DeterminismHolds},
 	}
-	if !rep.BaseHolds {
-		rep.Cex = cex
-		return rep, nil
-	}
-	rep.InductionHolds, cex, err = v.CheckInduction(k)
-	if err != nil {
-		return rep, err
-	}
-	if !rep.InductionHolds {
-		rep.Cex = cex
-		return rep, nil
-	}
-	rep.DeterminismHolds, cex, err = v.CheckPublicDeterminism()
-	if err != nil {
-		return rep, err
-	}
-	if !rep.DeterminismHolds {
-		rep.Cex = cex
+	for _, st := range steps {
+		c, err := st.run()
+		if err != nil {
+			return rep, err
+		}
+		*st.holds = c.holds
+		rep.Vars = max(rep.Vars, c.vars)
+		rep.Clauses = max(rep.Clauses, c.clauses)
+		if !c.holds {
+			rep.Cex = c.cex
+			break
+		}
 	}
 	return rep, nil
 }

@@ -243,6 +243,17 @@ func TestVerifyReportAtProvenK(t *testing.T) {
 	if !rep.Holds() {
 		t.Fatalf("Verify(%d) = %+v, want proof", k, rep)
 	}
+	if rep.Vars <= 0 || rep.Clauses <= 0 {
+		t.Fatalf("Verify(%d) reports a %d-variable, %d-clause largest instance, want positive sizes", k, rep.Vars, rep.Clauses)
+	}
+	next, err := v.Verify(k + 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.Vars < rep.Vars || next.Clauses < rep.Clauses {
+		t.Fatalf("largest instance shrank from k=%d (%d vars, %d clauses) to k=%d (%d vars, %d clauses)",
+			k, rep.Vars, rep.Clauses, k+1, next.Vars, next.Clauses)
+	}
 }
 
 func TestSingleBankModel(t *testing.T) {
