@@ -11,6 +11,7 @@
 package dagguise_test
 
 import (
+	"context"
 	"testing"
 
 	"dagguise/internal/attack"
@@ -43,7 +44,7 @@ func benchOpts() eval.Options {
 // mean latency per scenario in cycles.
 func BenchmarkFigure1AttackPrimer(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := attack.Figure1Primer(150)
+		rows, err := attack.Figure1Primer(150, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -65,7 +66,7 @@ func BenchmarkFigure2CamouflageLeak(b *testing.B) {
 	probe := attack.Probe{Bank: 0, Gap: 120}
 	dist := camouflage.Distribution{Intervals: []uint64{200, 400}}
 	for i := 0; i < b.N; i++ {
-		res, err := attack.MeasureLeakage(config.Camouflage, rdag.Template{}, dist, s0, s1, probe, 120, 3)
+		res, err := attack.MeasureLeakageOpts(config.Camouflage, rdag.Template{}, dist, s0, s1, probe, 120, 3, attack.MeasureOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -182,7 +183,7 @@ func BenchmarkFigure10EightCore(b *testing.B) {
 // of the insecure baseline, Camouflage and DAGguise.
 func BenchmarkTable1SecurityComparison(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := eval.Table1(100, 2)
+		rows, err := eval.Table1Observed(100, 2, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -303,7 +304,11 @@ func runPair(b *testing.B, scheme config.Scheme, defense rdag.Template, mutate f
 	if err != nil {
 		b.Fatal(err)
 	}
-	return sys.Measure(50_000, 600_000)
+	res, err := sys.Measure(context.Background(), 50_000, 600_000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
 }
 
 // BenchmarkAblationClosedVsOpenRow quantifies the cost of the closed-row
@@ -468,7 +473,10 @@ func BenchmarkAblationFakeEnergy(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res := sys.Measure(50_000, 600_000)
+		res, err := sys.Measure(context.Background(), 50_000, 600_000)
+		if err != nil {
+			b.Fatal(err)
+		}
 		ctrlStats := sys.Controller().Stats()
 		_, misses, conflicts, refreshes := sys.Controller().Device().Stats()
 		counts := energy.Counts{
@@ -608,7 +616,9 @@ func BenchmarkSystemTick(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sys.Tick()
+		if err := sys.Tick(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -621,10 +631,14 @@ func BenchmarkClusterTick(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sys.Run(20_000)
+	if err := sys.Run(context.Background(), 20_000); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sys.Tick()
+		if err := sys.Tick(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -647,9 +661,13 @@ func BenchmarkEightCoreTick(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sys.Run(20_000)
+	if err := sys.Run(context.Background(), 20_000); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sys.Tick()
+		if err := sys.Tick(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

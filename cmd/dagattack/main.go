@@ -68,7 +68,7 @@ func main() {
 
 	switch {
 	case *fig == 1:
-		rows, err := eval.Figure1PrimerObserved(*probes, attach)
+		rows, err := attack.Figure1Primer(*probes, attach)
 		if err != nil {
 			fatal(err)
 		}

@@ -12,7 +12,8 @@
 //	dagaudit -scheme camouflage -metrics       # append the obs metrics table
 //
 // Exit codes: 0 = the expectation held (default expectation: within
-// budget), 1 = it did not, 2 = usage error.
+// budget), 1 = it did not, 2 = usage error, 3 = interrupted by a signal
+// or -timeout.
 package main
 
 import (

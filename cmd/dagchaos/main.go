@@ -367,7 +367,7 @@ func dumpFailTrace(path string, sweep fleet.Sweep, sh fleet.Shard) {
 				return err
 			}
 		}
-		if err := sys.RunChecked(sh.Cycles); err == nil {
+		if err := sys.Run(context.Background(), sh.Cycles); err == nil {
 			fmt.Fprintln(os.Stderr, "dagchaos: replay of failing seed did not fail; writing trace anyway")
 		}
 		if err := obs.WriteChromeTraceFile(path, tr); err != nil {

@@ -133,14 +133,15 @@ func main() {
 	if *cycleProf || *cycleProfOut != "" {
 		prof = obs.NewCycleProfile()
 	}
-	if mx != nil || tr != nil || prof != nil {
-		// Attach can run from parallel row workers; registry and tracer are
-		// thread-safe and the cycle counter is atomic.
-		opts.Attach = func(sys *sim.System) {
-			atomic.AddUint64(&simCycles, *warmup+*window)
-			sys.Observe(mx, tr)
-			sys.Profile(prof)
-		}
+	// Attach arms every run's watchdog, so a machine that stops making
+	// progress fails with a *sim.SimError instead of spinning until the
+	// deadline. It can run from parallel row workers; registry and tracer
+	// are thread-safe and the cycle counter is atomic.
+	opts.Attach = func(sys *sim.System) {
+		sys.SetWatchdog(sim.DefaultWatchdog())
+		atomic.AddUint64(&simCycles, *warmup+*window)
+		sys.Observe(mx, tr)
+		sys.Profile(prof)
 	}
 	if *interval > 0 {
 		stop := obs.StartIntervalDump(os.Stderr, mx, *interval)

@@ -19,7 +19,12 @@
 //		{Name: "victim", Source: victimTrace, Protected: true, Defense: tpl},
 //		{Name: "co-runner", Source: appTrace},
 //	})
-//	res := sys.Measure(30_000, 400_000)
+//	res, err := sys.Measure(context.Background(), 30_000, 400_000)
+//
+// Tick, Run and Measure are the only ways to advance a System; each
+// returns an error, and Run and Measure take a context. The
+// forward-progress watchdog stays off until SetWatchdog arms it (for
+// example with DefaultWatchdog).
 package dagguise
 
 import (
@@ -84,6 +89,15 @@ type CoreResult = sim.CoreResult
 
 // Result is the outcome of a measurement window.
 type Result = sim.Result
+
+// Watchdog configures the forward-progress invariants (the deadlock stall
+// budget and the egress high-water mark) a System checks on every tick
+// once SetWatchdog arms them.
+type Watchdog = sim.Watchdog
+
+// DefaultWatchdog returns the stall and egress budgets the command-line
+// tools arm. Nothing arms a watchdog implicitly.
+func DefaultWatchdog() Watchdog { return sim.DefaultWatchdog() }
 
 // CPUFrequencyHz is the simulated core clock.
 const CPUFrequencyHz = sim.CPUFrequencyHz

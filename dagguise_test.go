@@ -1,6 +1,7 @@
 package dagguise_test
 
 import (
+	"context"
 	"testing"
 
 	"dagguise"
@@ -34,7 +35,10 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := sys.Measure(10_000, 100_000)
+	res, err := sys.Measure(context.Background(), 10_000, 100_000)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Cores) != 2 {
 		t.Fatalf("cores = %d", len(res.Cores))
 	}

@@ -1,6 +1,7 @@
 package dagguise_test
 
 import (
+	"context"
 	"fmt"
 
 	"dagguise"
@@ -28,7 +29,11 @@ func ExampleNewSystem() {
 	if err != nil {
 		panic(err)
 	}
-	res := sys.Measure(10_000, 100_000)
+	sys.SetWatchdog(dagguise.DefaultWatchdog()) // a stall fails Measure instead of spinning
+	res, err := sys.Measure(context.Background(), 10_000, 100_000)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println(len(res.Cores), "cores measured,", res.Cores[0].ShaperForwarded > 0)
 	// Output: 2 cores measured, true
 }

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -46,7 +47,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		return sys.Measure(30_000, 300_000)
+		res, err := sys.Measure(context.Background(), 30_000, 300_000)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return res
 	}
 
 	insecure := run(dagguise.Insecure, false)

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -77,10 +78,15 @@ func adaptivity() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sys.Run(20_000) // warm up
+	if err := sys.Run(context.Background(), 20_000); err != nil { // warm up
+		log.Fatal(err)
+	}
 	fmt.Println("  window   victim GB/s   co-runner GB/s")
 	for w := 0; w < 8; w++ {
-		res := sys.Measure(0, 60_000)
+		res, err := sys.Measure(context.Background(), 0, 60_000)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("  %6d %13.2f %16.2f\n", w, res.Cores[0].BandwidthGBps, res.Cores[1].BandwidthGBps)
 	}
 	fmt.Println("  (victim bandwidth dips in the co-runner's heavy windows and recovers after —")

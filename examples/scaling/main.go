@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -54,7 +55,11 @@ func main() {
 	}
 
 	measure := func(scheme dagguise.Scheme, protected bool) dagguise.Result {
-		return build(scheme, protected).Measure(30_000, 250_000)
+		res, err := build(scheme, protected).Measure(context.Background(), 30_000, 250_000)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return res
 	}
 
 	base := measure(dagguise.Insecure, false)

@@ -327,14 +327,8 @@ type MeasureOpts struct {
 	Attach func(*Harness)
 }
 
-// MeasureLeakage runs the two secret patterns for several trials each
+// MeasureLeakageOpts runs the two secret patterns for several trials each
 // (varying shaper seeds) and quantifies attacker-side distinguishability.
-func MeasureLeakage(scheme config.Scheme, defense rdag.Template, dist camouflage.Distribution,
-	secret0, secret1 Pattern, probe Probe, probes, trials int) (LeakageResult, error) {
-	return MeasureLeakageOpts(scheme, defense, dist, secret0, secret1, probe, probes, trials, MeasureOpts{})
-}
-
-// MeasureLeakageOpts is MeasureLeakage with observability options.
 func MeasureLeakageOpts(scheme config.Scheme, defense rdag.Template, dist camouflage.Distribution,
 	secret0, secret1 Pattern, probe Probe, probes, trials int, opts MeasureOpts) (LeakageResult, error) {
 

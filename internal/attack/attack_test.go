@@ -21,7 +21,7 @@ func defaultProbe() Probe { return Probe{Bank: 0, Row: 0, Gap: 120} }
 func leakage(t *testing.T, scheme config.Scheme, trials int) LeakageResult {
 	t.Helper()
 	s0, s1 := figure5Secrets()
-	res, err := MeasureLeakage(scheme, rdag.Template{}, camouflage.Distribution{}, s0, s1, defaultProbe(), 150, trials)
+	res, err := MeasureLeakageOpts(scheme, rdag.Template{}, camouflage.Distribution{}, s0, s1, defaultProbe(), 150, trials, MeasureOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,8 +56,8 @@ func TestCamouflageLeaksOrdering(t *testing.T) {
 	// Figure 2: Camouflage hides the aggregate distribution but not the
 	// fine-grained schedule.
 	s0, s1 := figure5Secrets()
-	res, err := MeasureLeakage(config.Camouflage, rdag.Template{},
-		camouflage.Distribution{Intervals: []uint64{200, 400}}, s0, s1, defaultProbe(), 150, 4)
+	res, err := MeasureLeakageOpts(config.Camouflage, rdag.Template{},
+		camouflage.Distribution{Intervals: []uint64{200, 400}}, s0, s1, defaultProbe(), 150, 4, MeasureOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,8 +100,8 @@ func TestRowAwareDAGguiseTimingSecretsBlocked(t *testing.T) {
 	s0 := Pattern{Gaps: []uint64{100}, Banks: []int{0, 1}, Rows: []uint64{7}}
 	s1 := Pattern{Gaps: []uint64{200}, Banks: []int{0, 1}, Rows: []uint64{7}}
 	defense := rdag.Template{Sequences: 4, Weight: 150, Banks: 16, RowHitRatio: 0.5}
-	res, err := MeasureLeakage(config.DAGguise, defense, camouflage.Distribution{},
-		s0, s1, defaultProbe(), 150, 2)
+	res, err := MeasureLeakageOpts(config.DAGguise, defense, camouflage.Distribution{},
+		s0, s1, defaultProbe(), 150, 2, MeasureOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,8 +120,8 @@ func TestRowAwareRowValueChannelDocumented(t *testing.T) {
 	s0 := Pattern{Gaps: []uint64{100}, Banks: []int{0}, Rows: []uint64{0}}  // the attacker's own row
 	s1 := Pattern{Gaps: []uint64{100}, Banks: []int{0}, Rows: []uint64{42}} // a different row
 	defense := rdag.Template{Sequences: 4, Weight: 150, Banks: 16, RowHitRatio: 0.5}
-	rowAware, err := MeasureLeakage(config.DAGguise, defense, camouflage.Distribution{},
-		s0, s1, defaultProbe(), 150, 2)
+	rowAware, err := MeasureLeakageOpts(config.DAGguise, defense, camouflage.Distribution{},
+		s0, s1, defaultProbe(), 150, 2, MeasureOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,8 +132,8 @@ func TestRowAwareRowValueChannelDocumented(t *testing.T) {
 	// The base (closed-row) scheme blocks the same secret pair.
 	base := defense
 	base.RowHitRatio = 0
-	closed, err := MeasureLeakage(config.DAGguise, base, camouflage.Distribution{},
-		s0, s1, defaultProbe(), 150, 2)
+	closed, err := MeasureLeakageOpts(config.DAGguise, base, camouflage.Distribution{},
+		s0, s1, defaultProbe(), 150, 2, MeasureOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestRowAwareRowValueChannelDocumented(t *testing.T) {
 }
 
 func TestFigure1PrimerOrdering(t *testing.T) {
-	rows, err := Figure1Primer(200)
+	rows, err := Figure1Primer(200, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,14 +18,9 @@ type Figure1Row struct {
 // Figure1Primer reproduces the Figure 1 example on the insecure (open-row,
 // FR-FCFS) configuration: the attacker's probe latency reveals whether the
 // victim is idle, hitting a different bank, the same bank and row, or the
-// same bank but a different row.
-func Figure1Primer(probes int) ([]Figure1Row, error) {
-	return Figure1PrimerObserved(probes, nil)
-}
-
-// Figure1PrimerObserved is Figure1Primer with an observability hook:
-// attach, when non-nil, is called on every harness before it runs.
-func Figure1PrimerObserved(probes int, attach func(*Harness)) ([]Figure1Row, error) {
+// same bank but a different row. attach, when non-nil, is called on every
+// harness before it runs.
+func Figure1Primer(probes int, attach func(*Harness)) ([]Figure1Row, error) {
 	probe := Probe{Bank: 0, Row: 0, Gap: 200}
 	scenarios := []struct {
 		name   string

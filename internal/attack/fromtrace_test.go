@@ -61,16 +61,16 @@ func TestEndToEndRealVictimLeakage(t *testing.T) {
 	}
 
 	probe := Probe{Bank: 0, Row: 0, Gap: 120}
-	insecure, err := MeasureLeakage(config.Insecure, rdag.Template{}, camouflage.Distribution{},
-		pA, pB, probe, 150, 2)
+	insecure, err := MeasureLeakageOpts(config.Insecure, rdag.Template{}, camouflage.Distribution{},
+		pA, pB, probe, 150, 2, MeasureOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if insecure.SequenceMI < 0.02 {
 		t.Fatalf("real DocDist documents not distinguishable on the insecure baseline: MI=%f", insecure.SequenceMI)
 	}
-	shaped, err := MeasureLeakage(config.DAGguise, rdag.Template{Sequences: 8, Weight: 150, Banks: 8},
-		camouflage.Distribution{}, pA, pB, probe, 150, 2)
+	shaped, err := MeasureLeakageOpts(config.DAGguise, rdag.Template{Sequences: 8, Weight: 150, Banks: 8},
+		camouflage.Distribution{}, pA, pB, probe, 150, 2, MeasureOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

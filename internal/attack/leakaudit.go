@@ -17,20 +17,12 @@ import (
 // cfg.Seed for their shaper, matching the attacker's strongest position
 // (identical defense randomness, only the secret differs).
 //
+// The context is threaded through the auditor's per-window calibration
+// loops: a canceled context stops the permutation and bootstrap resampling
+// between iterations and surfaces as an error wrapping audit.ErrCanceled.
 // attach, when non-nil, is called on each harness before it runs (the
 // observability hook of cmd/dagaudit's -metrics / -trace-out flags).
-func AuditLeakage(scheme config.Scheme, defense rdag.Template, dist camouflage.Distribution,
-	secret0, secret1 Pattern, probe Probe, probes int, cfg audit.Config,
-	attach func(*Harness)) (*audit.Report, error) {
-	return AuditLeakageCtx(context.Background(), scheme, defense, dist,
-		secret0, secret1, probe, probes, cfg, attach)
-}
-
-// AuditLeakageCtx is AuditLeakage with cooperative cancellation threaded
-// through the auditor's per-window calibration loops: a canceled context
-// stops the permutation and bootstrap resampling between iterations and
-// surfaces as an error wrapping audit.ErrCanceled.
-func AuditLeakageCtx(ctx context.Context, scheme config.Scheme, defense rdag.Template,
+func AuditLeakage(ctx context.Context, scheme config.Scheme, defense rdag.Template,
 	dist camouflage.Distribution, secret0, secret1 Pattern, probe Probe, probes int,
 	cfg audit.Config, attach func(*Harness)) (*audit.Report, error) {
 
@@ -46,10 +38,10 @@ func AuditLeakageCtx(ctx context.Context, scheme config.Scheme, defense rdag.Tem
 	// an online deployment would see them; every window is audited the
 	// moment both streams cover it.
 	for i := 0; i < len(s0) && i < len(s1); i++ {
-		if err := auditor.PushCtx(ctx, 0, s0[i]); err != nil {
+		if err := auditor.Push(ctx, 0, s0[i]); err != nil {
 			return nil, err
 		}
-		if err := auditor.PushCtx(ctx, 1, s1[i]); err != nil {
+		if err := auditor.Push(ctx, 1, s1[i]); err != nil {
 			return nil, err
 		}
 	}

@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"context"
 	"testing"
 
 	"dagguise/internal/audit"
@@ -59,7 +60,7 @@ func TestTapNonInterference(t *testing.T) {
 
 func TestAuditLeakageInsecureExceedsBudget(t *testing.T) {
 	s0, s1 := figure5Secrets()
-	rep, err := AuditLeakage(config.Insecure, rdag.Template{}, camouflage.Distribution{},
+	rep, err := AuditLeakage(context.Background(), config.Insecure, rdag.Template{}, camouflage.Distribution{},
 		s0, s1, defaultProbe(), 150, auditConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +81,7 @@ func TestAuditLeakageInsecureExceedsBudget(t *testing.T) {
 
 func TestAuditLeakageDAGguiseWithinBudget(t *testing.T) {
 	s0, s1 := figure5Secrets()
-	rep, err := AuditLeakage(config.DAGguise, rdag.Template{}, camouflage.Distribution{},
+	rep, err := AuditLeakage(context.Background(), config.DAGguise, rdag.Template{}, camouflage.Distribution{},
 		s0, s1, defaultProbe(), 150, auditConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +101,7 @@ func TestAuditLeakageAttachObserves(t *testing.T) {
 	s0, s1 := figure5Secrets()
 	mx := obs.NewRegistry(3)
 	cfg := auditConfig()
-	_, err := AuditLeakage(config.DAGguise, rdag.Template{}, camouflage.Distribution{},
+	_, err := AuditLeakage(context.Background(), config.DAGguise, rdag.Template{}, camouflage.Distribution{},
 		s0, s1, defaultProbe(), 60, cfg, func(h *Harness) { h.Observe(mx, nil) })
 	if err != nil {
 		t.Fatal(err)

@@ -223,43 +223,48 @@ func New(cfg Config) (*Auditor, error) {
 }
 
 // Push appends one sample observed under the given secret (0 or 1) and
-// processes any windows that became complete.
-func (a *Auditor) Push(secret int, s Sample) error {
+// audits every window that became complete. A context that fires abandons
+// the window being calibrated with a wrapped ErrCanceled; samples already
+// appended stay, and a later Push with a live context resumes the pending
+// windows.
+func (a *Auditor) Push(ctx context.Context, secret int, s Sample) error {
 	if secret != 0 && secret != 1 {
 		return fmt.Errorf("audit: secret %d outside the binary channel", secret)
 	}
 	a.streams[secret] = append(a.streams[secret], s)
-	a.drain()
-	return nil
+	return a.drain(ctx)
 }
 
-// PushTap feeds every sample of the tap under the given secret.
-func (a *Auditor) PushTap(secret int, t *Tap) error {
+// PushTap feeds every sample of the tap under the given secret,
+// honouring cancellation between windows.
+func (a *Auditor) PushTap(ctx context.Context, secret int, t *Tap) error {
 	for _, s := range t.Samples() {
-		if err := a.Push(secret, s); err != nil {
+		if err := a.Push(ctx, secret, s); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// drain audits every window both streams have fully covered.
-func (a *Auditor) drain() {
+// drain audits every complete window, honouring cancellation both
+// between windows and inside each window's calibration loops. An
+// abandoned window leaves the auditor's counters untouched, so a later
+// push with a live context re-evaluates it identically.
+func (a *Auditor) drain(ctx context.Context) error {
 	w := a.cfg.Window
 	for a.base+len(a.streams[0]) >= a.next+w && a.base+len(a.streams[1]) >= a.next+w {
-		a.audit(a.next)
+		if err := ctxErr(ctx); err != nil {
+			return err
+		}
+		rel := a.next - a.base
+		rep, err := a.evalWindow(ctx, a.next, a.streams[0][rel:rel+w], a.streams[1][rel:rel+w])
+		if err != nil {
+			return err
+		}
+		a.windows = append(a.windows, rep)
 		a.next += a.cfg.stride()
 	}
-}
-
-// audit evaluates the full window starting at absolute offset start.
-func (a *Auditor) audit(start int) {
-	w := a.cfg.Window
-	rel := start - a.base
-	win0 := a.streams[0][rel : rel+w]
-	win1 := a.streams[1][rel : rel+w]
-	rep, _ := a.evalWindow(context.Background(), start, win0, win1)
-	a.windows = append(a.windows, rep)
+	return nil
 }
 
 // evalWindow computes one window report over the two (possibly
@@ -375,12 +380,10 @@ func (a *Auditor) TakeWindows() []WindowReport {
 // tenant that stopped short of Config.Window. A starved stream (fewer than
 // 2 pending samples in either secret class) cannot be calibrated and
 // returns a wrapped ErrInsufficientSamples; with nothing pending at all it
-// returns (nil, nil). The evaluated window is also appended to Windows.
-func (a *Auditor) Flush() (*WindowReport, error) { return a.FlushCtx(context.Background()) }
-
-// FlushCtx is Flush with cooperative cancellation threaded through the
-// calibration loops.
-func (a *Auditor) FlushCtx(ctx context.Context) (*WindowReport, error) {
+// returns (nil, nil). The evaluated window is also appended to Windows. A
+// context that fires abandons the calibration with a wrapped ErrCanceled
+// and leaves the pending samples for a later Flush.
+func (a *Auditor) Flush(ctx context.Context) (*WindowReport, error) {
 	p := a.Pending()
 	if p[0] == 0 && p[1] == 0 {
 		return nil, nil

@@ -2,6 +2,7 @@ package audit
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"math/rand"
 	"os"
@@ -60,7 +61,7 @@ func TestAuditorRejectsNonBinarySecret(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Push(2, Sample{}); err == nil {
+	if err := a.Push(context.Background(), 2, Sample{}); err == nil {
 		t.Fatal("secret 2 accepted")
 	}
 }
@@ -71,10 +72,10 @@ func pushPair(t *testing.T, a *Auditor, n int, gen func(i int) (uint64, uint64, 
 	t.Helper()
 	for i := 0; i < n; i++ {
 		c, v0, v1 := gen(i)
-		if err := a.Push(0, Sample{Cycle: c, Value: v0}); err != nil {
+		if err := a.Push(context.Background(), 0, Sample{Cycle: c, Value: v0}); err != nil {
 			t.Fatal(err)
 		}
-		if err := a.Push(1, Sample{Cycle: c, Value: v1}); err != nil {
+		if err := a.Push(context.Background(), 1, Sample{Cycle: c, Value: v1}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -206,10 +207,10 @@ func TestPushTap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.PushTap(0, tap0); err != nil {
+	if err := a.PushTap(context.Background(), 0, tap0); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.PushTap(1, tap1); err != nil {
+	if err := a.PushTap(context.Background(), 1, tap1); err != nil {
 		t.Fatal(err)
 	}
 	if len(a.Windows()) != 1 {

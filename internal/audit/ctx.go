@@ -139,47 +139,3 @@ func BootstrapCICtx(ctx context.Context, obs0, obs1 []uint64, stat Stat, b int, 
 	tail := (1 - confidence) / 2
 	return vals[quantileIdx(b, tail)], vals[quantileIdx(b, 1-tail)], nil
 }
-
-// PushCtx is Push with cancellation: window calibration triggered by this
-// sample is abandoned (wrapped ErrCanceled) when the context fires. Samples
-// already appended stay; a later PushCtx with a live context resumes the
-// pending windows.
-func (a *Auditor) PushCtx(ctx context.Context, secret int, s Sample) error {
-	if secret != 0 && secret != 1 {
-		return fmt.Errorf("audit: secret %d outside the binary channel", secret)
-	}
-	a.streams[secret] = append(a.streams[secret], s)
-	return a.drainCtx(ctx)
-}
-
-// PushTapCtx feeds every sample of the tap under the given secret,
-// honouring cancellation between windows.
-func (a *Auditor) PushTapCtx(ctx context.Context, secret int, t *Tap) error {
-	for _, s := range t.Samples() {
-		if err := a.PushCtx(ctx, secret, s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// drainCtx audits every complete window, honouring cancellation both
-// between windows and inside each window's calibration loops. An
-// abandoned window leaves the auditor's counters untouched, so a later
-// push with a live context re-evaluates it identically.
-func (a *Auditor) drainCtx(ctx context.Context) error {
-	w := a.cfg.Window
-	for a.base+len(a.streams[0]) >= a.next+w && a.base+len(a.streams[1]) >= a.next+w {
-		if err := ctxErr(ctx); err != nil {
-			return err
-		}
-		rel := a.next - a.base
-		rep, err := a.evalWindow(ctx, a.next, a.streams[0][rel:rel+w], a.streams[1][rel:rel+w])
-		if err != nil {
-			return err
-		}
-		a.windows = append(a.windows, rep)
-		a.next += a.cfg.stride()
-	}
-	return nil
-}

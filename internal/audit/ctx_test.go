@@ -69,7 +69,7 @@ func TestCtxVariantsReturnTypedErrCanceled(t *testing.T) {
 	}
 }
 
-func TestAuditorPushCtx(t *testing.T) {
+func TestAuditorPushHonoursCancel(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Window = 10
 	au, err := New(cfg)
@@ -79,27 +79,27 @@ func TestAuditorPushCtx(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	a, b := synthStreams(3, 20)
 	for i := 0; i < 9; i++ {
-		if err := au.PushCtx(ctx, 0, Sample{Cycle: uint64(i), Value: a[i]}); err != nil {
+		if err := au.Push(ctx, 0, Sample{Cycle: uint64(i), Value: a[i]}); err != nil {
 			t.Fatal(err)
 		}
-		if err := au.PushCtx(ctx, 1, Sample{Cycle: uint64(i), Value: b[i]}); err != nil {
+		if err := au.Push(ctx, 1, Sample{Cycle: uint64(i), Value: b[i]}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	cancel()
 	// The push completing the first window must abandon calibration with a
 	// typed error and leave the window unprocessed...
-	if err := au.PushCtx(ctx, 0, Sample{Cycle: 9, Value: a[9]}); err != nil {
+	if err := au.Push(ctx, 0, Sample{Cycle: 9, Value: a[9]}); err != nil {
 		t.Fatal(err) // stream 1 not full yet, no window triggered
 	}
-	if err := au.PushCtx(ctx, 1, Sample{Cycle: 9, Value: b[9]}); !errors.Is(err, ErrCanceled) {
+	if err := au.Push(ctx, 1, Sample{Cycle: 9, Value: b[9]}); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("got %v, want ErrCanceled", err)
 	}
 	if len(au.Windows()) != 0 {
 		t.Fatal("canceled push still audited a window")
 	}
 	// ...and a later push under a live context resumes it.
-	if err := au.PushCtx(context.Background(), 0, Sample{Cycle: 10, Value: a[10]}); err != nil {
+	if err := au.Push(context.Background(), 0, Sample{Cycle: 10, Value: a[10]}); err != nil {
 		t.Fatal(err)
 	}
 	if len(au.Windows()) != 1 {

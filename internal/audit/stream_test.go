@@ -25,10 +25,10 @@ func feed(t *testing.T, a *Auditor, n int, seed int64, off0, off1 uint64) {
 	rnd := rand.New(rand.NewSource(seed))
 	for i := 0; i < n; i++ {
 		c := uint64(i * 10)
-		if err := a.Push(0, Sample{Cycle: c, Value: off0 + uint64(rnd.Intn(16))}); err != nil {
+		if err := a.Push(context.Background(), 0, Sample{Cycle: c, Value: off0 + uint64(rnd.Intn(16))}); err != nil {
 			t.Fatal(err)
 		}
-		if err := a.Push(1, Sample{Cycle: c + 5, Value: off1 + uint64(rnd.Intn(16))}); err != nil {
+		if err := a.Push(context.Background(), 1, Sample{Cycle: c + 5, Value: off1 + uint64(rnd.Intn(16))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -51,10 +51,10 @@ func TestCompactPreservesReports(t *testing.T) {
 		s0 := Sample{Cycle: uint64(i * 10), Value: 100 + uint64(rnd.Intn(16))}
 		s1 := Sample{Cycle: uint64(i*10 + 5), Value: 100 + uint64(rnd.Intn(16))}
 		for _, a := range []*Auditor{plain, compacted} {
-			if err := a.Push(0, s0); err != nil {
+			if err := a.Push(context.Background(), 0, s0); err != nil {
 				t.Fatal(err)
 			}
-			if err := a.Push(1, s1); err != nil {
+			if err := a.Push(context.Background(), 1, s1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -110,10 +110,10 @@ func TestAuditorStateRoundTrip(t *testing.T) {
 		if i < 53 {
 			continue
 		}
-		if err := resumed.Push(0, s0); err != nil {
+		if err := resumed.Push(context.Background(), 0, s0); err != nil {
 			t.Fatal(err)
 		}
-		if err := resumed.Push(1, s1); err != nil {
+		if err := resumed.Push(context.Background(), 1, s1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -148,14 +148,14 @@ func TestFlushStarvedStream(t *testing.T) {
 	}
 	// Class 0 keeps producing; class 1 delivered a single sample.
 	for i := 0; i < 9; i++ {
-		if err := a.Push(0, Sample{Cycle: uint64(i), Value: 100}); err != nil {
+		if err := a.Push(context.Background(), 0, Sample{Cycle: uint64(i), Value: 100}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := a.Push(1, Sample{Cycle: 0, Value: 100}); err != nil {
+	if err := a.Push(context.Background(), 1, Sample{Cycle: 0, Value: 100}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Flush(); !errors.Is(err, ErrInsufficientSamples) {
+	if _, err := a.Flush(context.Background()); !errors.Is(err, ErrInsufficientSamples) {
 		t.Fatalf("starved flush returned %v, want ErrInsufficientSamples", err)
 	}
 	// The calibration primitives themselves carry the same typed error.
@@ -180,7 +180,7 @@ func TestFlushPartialWindow(t *testing.T) {
 	if got := a.Audited(); got != 1 {
 		t.Fatalf("audited %d full windows, want 1", got)
 	}
-	rep, err := a.Flush()
+	rep, err := a.Flush(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestFlushPartialWindow(t *testing.T) {
 	if !rep.Exceeded {
 		t.Fatal("grossly leaky partial window not flagged")
 	}
-	if rep2, err := a.Flush(); err != nil || rep2 != nil {
+	if rep2, err := a.Flush(context.Background()); err != nil || rep2 != nil {
 		t.Fatalf("second flush = (%v, %v), want no-op", rep2, err)
 	}
 }

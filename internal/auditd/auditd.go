@@ -41,13 +41,16 @@ package auditd
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"io/fs"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"dagguise/internal/audit"
+	"dagguise/internal/ckpt"
 	"dagguise/internal/obs"
 	"dagguise/internal/rng"
 	"dagguise/internal/telem"
@@ -480,7 +483,10 @@ func (s *Service) processBatch(t *tenant, batch []Observation) (resp batchResp) 
 		}
 		t.kept[o.Secret]++
 		s.mx.Observe(obs.HistReqLatency, t.slot, o.Value)
-		if err := t.aud.Push(o.Secret, audit.Sample{Cycle: o.Cycle, Value: o.Value}); err != nil {
+		// An admitted batch is audited to completion: no context cancels
+		// a window mid-calibration, so the only possible error is an
+		// out-of-range secret.
+		if err := t.aud.Push(context.Background(), o.Secret, audit.Sample{Cycle: o.Cycle, Value: o.Value}); err != nil {
 			panic(err) // secret validated at parse; reaching here is a pipeline bug
 		}
 	}
@@ -593,7 +599,10 @@ func (s *Service) Flush(name string) (*audit.WindowReport, error) {
 	if t.poisoned {
 		return nil, fmt.Errorf("auditd: tenant %q quarantined: %s", name, t.poisonReason)
 	}
-	rep, err := t.aud.Flush()
+	// The flush is not tied to the requesting client: a calibration
+	// abandoned on a disconnect would be recorded as the tenant's flush
+	// error.
+	rep, err := t.aud.Flush(context.Background())
 	t.flushed = true
 	if err != nil {
 		t.flushError = err.Error()
@@ -716,7 +725,7 @@ func (s *Service) Checkpoint() error {
 	if err != nil {
 		return fmt.Errorf("auditd: encode checkpoint: %w", err)
 	}
-	if err := ckptSave(s.cfg.CheckpointPath, payload); err != nil {
+	if err := ckpt.SaveFrame(s.cfg.CheckpointPath, payload); err != nil {
 		return err
 	}
 	s.ctr.checkpoints.Add(1)
@@ -726,18 +735,21 @@ func (s *Service) Checkpoint() error {
 // Checkpoints returns how many checkpoints have been persisted.
 func (s *Service) Checkpoints() uint64 { return s.ctr.checkpoints.Load() }
 
-// restore loads the checkpoint at cfg.CheckpointPath if one exists.
+// restore loads the checkpoint at cfg.CheckpointPath if one exists. Every
+// corruption the frame detects (truncation, bit rot, a wrong file) and a
+// payload with fields this build does not know fail with ckpt's typed
+// errors instead of restoring silently wrong verdicts.
 func (s *Service) restore() error {
-	payload, err := ckptLoad(s.cfg.CheckpointPath)
+	payload, err := ckpt.LoadFrame(s.cfg.CheckpointPath)
 	if err != nil {
-		if isNotExist(err) {
+		if errors.Is(err, fs.ErrNotExist) {
 			return nil // fresh start
 		}
 		return err
 	}
 	var st serviceState
-	if err := strictUnmarshal(payload, &st); err != nil {
-		return fmt.Errorf("auditd: corrupt checkpoint payload: %w", err)
+	if err := ckpt.DecodeStrict(payload, &st); err != nil {
+		return fmt.Errorf("auditd: checkpoint: %w", err)
 	}
 	if st.Kind != serviceStateKind {
 		return fmt.Errorf("auditd: checkpoint kind %q, want %q", st.Kind, serviceStateKind)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"dagguise/internal/audit"
+	"dagguise/internal/ckpt"
 	"dagguise/internal/fault"
 )
 
@@ -480,6 +482,20 @@ func TestCheckpointCorruptionRejected(t *testing.T) {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("%s: New accepted a corrupt checkpoint", name)
 		}
+	}
+
+	// An intact frame whose payload carries a field this build does not
+	// know is refused as corrupt instead of restoring part of the state.
+	payload, err := ckpt.Unframe(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unknown := append([]byte(`{"unknown_field":1,`), payload[1:]...)
+	if err := ckpt.SaveFrame(cfg.CheckpointPath, unknown); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(cfg); !errors.Is(err, ckpt.ErrCorrupt) {
+		t.Errorf("unknown payload field: New returned %v, want ckpt.ErrCorrupt", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"testing"
@@ -14,6 +15,25 @@ import (
 	"dagguise/internal/victim"
 	"dagguise/internal/workload"
 )
+
+// mustRun advances sys by cycles, failing the test on an invariant
+// violation.
+func mustRun(t testing.TB, sys *sim.System, cycles uint64) {
+	t.Helper()
+	if err := sys.Run(context.Background(), cycles); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// mustMeasure is Measure failing the test on an invariant violation.
+func mustMeasure(t testing.TB, sys *sim.System, warmup, window uint64) sim.Result {
+	t.Helper()
+	res, err := sys.Measure(context.Background(), warmup, window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 func buildSystem(t *testing.T, scheme config.Scheme) *sim.System {
 	t.Helper()
@@ -97,11 +117,11 @@ func TestRoundTripGolden(t *testing.T) {
 			t.Parallel()
 			straight := buildSystem(t, scheme)
 			straight.EnableEgressTrace()
-			straight.Run(2 * half)
+			mustRun(t, straight, 2*half)
 
 			first := buildSystem(t, scheme)
 			first.EnableEgressTrace()
-			first.Run(half)
+			mustRun(t, first, half)
 			st, err := first.SaveState()
 			if err != nil {
 				t.Fatal(err)
@@ -120,7 +140,7 @@ func TestRoundTripGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			resumed.EnableEgressTrace()
-			resumed.Run(half)
+			mustRun(t, resumed, half)
 
 			for dom := mem.Domain(1); dom <= 2; dom++ {
 				want := straight.EgressTrace(dom)
@@ -148,7 +168,7 @@ func TestRoundTripGolden(t *testing.T) {
 // decoded copy, must yield identical bytes — no map-order or pointer noise.
 func TestEncodeDeterministic(t *testing.T) {
 	sys := buildSystem(t, config.DAGguise)
-	sys.Run(20_000)
+	mustRun(t, sys, 20_000)
 	st, err := sys.SaveState()
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +199,7 @@ func TestEncodeDeterministic(t *testing.T) {
 
 func TestRestoreRejectsSchemeMismatch(t *testing.T) {
 	sys := buildSystem(t, config.DAGguise)
-	sys.Run(10_000)
+	mustRun(t, sys, 10_000)
 	st, err := sys.SaveState()
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +212,7 @@ func TestRestoreRejectsSchemeMismatch(t *testing.T) {
 
 func TestDecodeRejectsDamage(t *testing.T) {
 	sys := buildSystem(t, config.Insecure)
-	sys.Run(10_000)
+	mustRun(t, sys, 10_000)
 	frame := stateBytes(t, sys)
 
 	cases := []struct {
@@ -247,7 +267,7 @@ func FuzzDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	sys.Run(5_000)
+	mustRun(f, sys, 5_000)
 	st, err := sys.SaveState()
 	if err != nil {
 		f.Fatal(err)

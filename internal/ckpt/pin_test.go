@@ -31,7 +31,7 @@ func TestPinnedSystemOutputs(t *testing.T) {
 			t.Parallel()
 			sys := buildSystem(t, scheme)
 			sys.EnableEgressTrace()
-			res := sys.Measure(20_000, 60_000)
+			res := mustMeasure(t, sys, 20_000, 60_000)
 			h := sha256.New()
 			for _, v := range []interface{}{res, sys.EgressTrace(mem.Domain(1)), sys.EgressTrace(mem.Domain(2))} {
 				blob, err := json.Marshal(v)

@@ -33,7 +33,8 @@ type Options struct {
 	Apps []string
 	// Attach, when non-nil, is called on every freshly built system before
 	// it runs — the hook the CLIs use to wire a shared observability
-	// registry and tracer across an experiment's many simulations.
+	// registry and tracer across an experiment's many simulations, and to
+	// arm a watchdog with SetWatchdog (eval itself arms none).
 	Attach func(*sim.System)
 	// Ctx, when non-nil, threads cooperative cancellation through every
 	// simulation's tick loop: a SIGINT/SIGTERM or deadline stops the sweep
@@ -212,14 +213,9 @@ func runSystem(key string, scheme config.Scheme, specs []sim.CoreSpec, opts Opti
 	if opts.Attach != nil {
 		opts.Attach(sys)
 	}
-	var res sim.Result
-	if opts.Ctx != nil {
-		res, err = sys.MeasureCheckedCtx(opts.ctxOf(), opts.Warmup, opts.Window)
-		if err != nil {
-			return SchemeIPCs{}, err
-		}
-	} else {
-		res = sys.Measure(opts.Warmup, opts.Window)
+	res, err := sys.Measure(opts.ctxOf(), opts.Warmup, opts.Window)
+	if err != nil {
+		return SchemeIPCs{}, err
 	}
 	out := SchemeIPCs{TotalGBps: res.TotalGBps}
 	for _, c := range res.Cores {
@@ -470,16 +466,6 @@ func Figure7(opts Options) (*profile.Result, error) {
 	})
 }
 
-// Figure1Primer re-exports the attack primer for the cmd tools.
-func Figure1Primer(probes int) ([]attack.Figure1Row, error) {
-	return attack.Figure1Primer(probes)
-}
-
-// Figure1PrimerObserved re-exports the attach-hook variant.
-func Figure1PrimerObserved(probes int, attach func(*attack.Harness)) ([]attack.Figure1Row, error) {
-	return attack.Figure1PrimerObserved(probes, attach)
-}
-
 // Table1Row is one scheme's leakage measurement.
 type Table1Row struct {
 	Scheme      config.Scheme
@@ -519,13 +505,8 @@ func figure5Pair() (attack.Pattern, attack.Pattern, attack.Probe, camouflage.Dis
 	return s0, s1, probe, dist
 }
 
-// Table1 quantifies each scheme's leakage for the Figure 5 secret pair:
-// the security column of the design-goals comparison.
-func Table1(probes, trials int) ([]Table1Row, error) {
-	return Table1Observed(probes, trials, nil)
-}
-
-// Table1Observed is Table1 with an observability hook: attach, when
+// Table1Observed quantifies each scheme's leakage for the Figure 5 secret
+// pair: the security column of the design-goals comparison. attach, when
 // non-nil, is called on every harness before it runs.
 func Table1Observed(probes, trials int, attach func(*attack.Harness)) ([]Table1Row, error) {
 	s0, s1, probe, dist := figure5Pair()
@@ -570,10 +551,10 @@ func Audit(scheme config.Scheme, probes int, cfg audit.Config, attach func(*atta
 }
 
 // AuditCtx is Audit with cooperative cancellation threaded into the
-// auditor's per-window calibration loops (see attack.AuditLeakageCtx).
+// auditor's per-window calibration loops (see attack.AuditLeakage).
 func AuditCtx(ctx context.Context, scheme config.Scheme, probes int, cfg audit.Config, attach func(*attack.Harness)) (*audit.Report, error) {
 	s0, s1, probe, dist := figure5Pair()
-	return attack.AuditLeakageCtx(ctx, scheme, DefaultDefense(), dist, s0, s1, probe, probes, cfg, attach)
+	return attack.AuditLeakage(ctx, scheme, DefaultDefense(), dist, s0, s1, probe, probes, cfg, attach)
 }
 
 // AuditStreams runs the Figure 5 secret pair under the scheme and returns

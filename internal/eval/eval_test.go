@@ -71,7 +71,7 @@ func TestFigure10ShapesOnSubset(t *testing.T) {
 }
 
 func TestTable1SecurityClassification(t *testing.T) {
-	rows, err := Table1(120, 2)
+	rows, err := Table1Observed(120, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -145,7 +145,8 @@ func referenceCell(t *testing.T, scheme config.Scheme, seed int64) twoCoreOutcom
 		Events:   pinEvents,
 	})
 	a := referenceTwoCore(t, scheme, 11, sched)
-	if err := a.RunChecked(pinCycles); err != nil {
+	a.SetWatchdog(sim.DefaultWatchdog())
+	if err := a.Run(context.Background(), pinCycles); err != nil {
 		return twoCoreOutcome{err: err}
 	}
 	o := twoCoreOutcome{counters: a.Counters(), digestA: a.AuditDigest()}
@@ -154,7 +155,8 @@ func referenceCell(t *testing.T, scheme config.Scheme, seed int64) twoCoreOutcom
 	}
 	if scheme == config.DAGguise {
 		b := referenceTwoCore(t, scheme, 12, sched)
-		if err := b.RunChecked(pinCycles); err != nil {
+		b.SetWatchdog(sim.DefaultWatchdog())
+		if err := b.Run(context.Background(), pinCycles); err != nil {
 			return twoCoreOutcome{err: err}
 		}
 		o.digestB = b.AuditDigest()

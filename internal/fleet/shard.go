@@ -87,8 +87,9 @@ func CheckpointName(dir, shard string) string {
 
 // RunShard executes one shard of a cluster sweep over base: twin clusters
 // over the shard's channel slice, advanced in checkpointed chunks,
-// digested into a ShardResult. A context cancellation between chunks
-// returns ctx.Err() with the last checkpoint already durable; rerunning
+// digested into a ShardResult. A context cancellation returns an error
+// matching ctx.Err() (errors.Is) with the last checkpoint already
+// durable, whether it fires between chunks or inside one; rerunning
 // the same shard resumes from it and produces the identical result. A
 // simulation invariant violation returns the twin's *sim.SimError; a
 // checkpoint this build cannot fully read returns an error wrapping
@@ -177,8 +178,12 @@ func runTwins(ctx context.Context, sh Shard, opt ShardOptions, build func(secret
 			chunk = rem
 		}
 		lo := a.Now()
+		// Run arms no watchdog of its own: a cluster runs without one (a
+		// fault campaign may legitimately stall a channel for longer than
+		// any budget), while a two-core machine carries its own from
+		// construction, with its progress marks in the checkpointed state.
 		for _, twin := range machines {
-			if err := advance(twin, chunk); err != nil {
+			if err := twin.Run(ctx, chunk); err != nil {
 				return nil, fmt.Errorf("fleet: shard %s: %w", sh.Name, err)
 			}
 		}
@@ -209,20 +214,6 @@ func runTwins(ctx context.Context, sh Shard, opt ShardOptions, build func(secret
 		res.Interference = res.DigestA != res.DigestB
 	}
 	return res, nil
-}
-
-// advance runs a twin for the given cycles, stopping at the first
-// invariant violation. It arms no watchdog of its own: a cluster runs
-// without one (a fault campaign may legitimately stall a channel for
-// longer than any budget), while a two-core machine carries its own from
-// construction, with its progress marks in the checkpointed state.
-func advance(twin *sim.System, cycles uint64) error {
-	for end := twin.Now() + cycles; twin.Now() < end; {
-		if err := twin.TickChecked(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // saveCheckpoint cuts a durable paired snapshot of the twins.

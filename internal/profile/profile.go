@@ -8,6 +8,7 @@
 package profile
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -118,7 +119,7 @@ func runOnce(src trace.Source, scheme config.Scheme, tpl rdag.Template, opts Opt
 	if opts.Attach != nil {
 		opts.Attach(sys)
 	}
-	return sys.Measure(opts.Warmup, opts.Window), nil
+	return sys.Measure(context.TODO(), opts.Warmup, opts.Window)
 }
 
 // selectKnee picks the cheapest candidate (by allocated bandwidth) whose

@@ -22,9 +22,7 @@ func TestAuditTapNonInterference(t *testing.T) {
 		// path must behave exactly like no attachment.
 		sys.AuditResponses(1, tap)
 		sys.EnableEgressTrace()
-		if err := sys.RunChecked(cycles); err != nil {
-			t.Fatal(err)
-		}
+		mustRun(t, sys, cycles)
 		return sys.EgressTrace(1), tap
 	}
 
@@ -67,9 +65,7 @@ func TestAuditTapSecretIndependentUnderDAGguise(t *testing.T) {
 		sys := obsSystem(t, secret)
 		tap := audit.NewTap()
 		sys.AuditResponses(1, tap)
-		if err := sys.RunChecked(cycles); err != nil {
-			t.Fatal(err)
-		}
+		mustRun(t, sys, cycles)
 		return tap.Samples()
 	}
 	a, b := run(11), run(13)

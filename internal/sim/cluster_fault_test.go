@@ -39,7 +39,7 @@ func TestClusterNonInterferenceUnderFaults(t *testing.T) {
 		if err := c.AttachFaults(sched); err != nil {
 			t.Fatal(err)
 		}
-		c.Run(cycles)
+		mustRun(t, c, cycles)
 		return c.AuditDigest(), c.Counters()
 	}
 	a, ca := run(config.DAGguise, 11)
@@ -77,7 +77,7 @@ func TestClusterFaultCheckpointRoundTrip(t *testing.T) {
 		return c
 	}
 	ref := build()
-	ref.Run(cycles)
+	mustRun(t, ref, cycles)
 	if c := ref.Counters(); c.FaultDeferred == 0 {
 		t.Skip("campaign produced no deferred responses; round-trip has nothing fault-specific to pin")
 	}
@@ -86,7 +86,7 @@ func TestClusterFaultCheckpointRoundTrip(t *testing.T) {
 	// responses in flight.
 	for _, cut := range []uint64{cycles / 4, cycles / 2, cycles * 3 / 4} {
 		half := build()
-		half.Run(cut)
+		mustRun(t, half, cut)
 		st, err := half.SaveState()
 		if err != nil {
 			t.Fatal(err)
@@ -103,7 +103,7 @@ func TestClusterFaultCheckpointRoundTrip(t *testing.T) {
 		if err := resumed.RestoreState(&decoded); err != nil {
 			t.Fatal(err)
 		}
-		resumed.Run(cycles - cut)
+		mustRun(t, resumed, cycles-cut)
 
 		if got, want := resumed.AuditDigest(), ref.AuditDigest(); got != want {
 			t.Fatalf("cut %d: resumed digest %s != uninterrupted %s", cut, got, want)

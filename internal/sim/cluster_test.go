@@ -24,7 +24,7 @@ func TestClusterDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c.Run(12000)
+			mustRun(t, c, 12000)
 			return c.AuditDigest(), c.Counters()
 		}
 		d1, c1 := run()
@@ -55,7 +55,7 @@ func TestClusterNonInterference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.Run(20000)
+		mustRun(t, c, 20000)
 		return c.AuditDigest()
 	}
 	if a, b := digest(config.DAGguise, 11), digest(config.DAGguise, 12); a != b {
@@ -75,7 +75,7 @@ func TestClusterVictimStreamSecretIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Run(15000)
+	mustRun(t, c, 15000)
 	// The i-th generated request of a tenant must consume exactly 2 draws
 	// (gap jitter + address) regardless of the secret's bit pattern, so a
 	// victim's address stream is a pure function of (seed, request index).
@@ -94,13 +94,13 @@ func TestClusterCheckpointRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref.Run(16000)
+		mustRun(t, ref, 16000)
 
 		half, err := NewCluster(cfg, 0, 2, 99, 11)
 		if err != nil {
 			t.Fatal(err)
 		}
-		half.Run(8000)
+		mustRun(t, half, 8000)
 		st, err := half.SaveState()
 		if err != nil {
 			t.Fatal(err)
@@ -120,7 +120,7 @@ func TestClusterCheckpointRoundTrip(t *testing.T) {
 		if err := resumed.RestoreState(&decoded); err != nil {
 			t.Fatal(err)
 		}
-		resumed.Run(8000)
+		mustRun(t, resumed, 8000)
 
 		if got, want := resumed.AuditDigest(), ref.AuditDigest(); got != want {
 			t.Fatalf("%s: resumed digest %s != uninterrupted %s", scheme, got, want)
@@ -151,7 +151,7 @@ func TestClusterCheckpointBytesDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.Run(9000)
+		mustRun(t, c, 9000)
 		st, err := c.SaveState()
 		if err != nil {
 			t.Fatal(err)
@@ -173,7 +173,7 @@ func TestClusterChannelSlice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Run(8000)
+	mustRun(t, c, 8000)
 	counters := c.Counters()
 	if counters.Remote == 0 {
 		t.Fatal("a half-slice cluster should route some traffic remotely")

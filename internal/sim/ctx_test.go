@@ -20,11 +20,11 @@ func twoCore(t *testing.T, scheme config.Scheme) *System {
 	return sys
 }
 
-func TestRunCheckedCtxHonoursCancel(t *testing.T) {
+func TestRunHonoursCancel(t *testing.T) {
 	sys := twoCore(t, config.DAGguise)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := sys.RunCheckedCtx(ctx, 100_000); !errors.Is(err, context.Canceled) {
+	if err := sys.Run(ctx, 100_000); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 	if sys.now != 0 {
@@ -32,11 +32,11 @@ func TestRunCheckedCtxHonoursCancel(t *testing.T) {
 	}
 }
 
-func TestRunCheckedCtxDeadlineStopsMidRun(t *testing.T) {
+func TestRunDeadlineStopsMidRun(t *testing.T) {
 	sys := twoCore(t, config.DAGguise)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	err := sys.RunCheckedCtx(ctx, 1<<40) // far more cycles than 10ms allows
+	err := sys.Run(ctx, 1<<40) // far more cycles than 10ms allows
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("got %v, want context.DeadlineExceeded", err)
 	}
@@ -44,21 +44,28 @@ func TestRunCheckedCtxDeadlineStopsMidRun(t *testing.T) {
 		t.Fatal("deadline fired before any progress")
 	}
 	// The machine stopped at a consistent boundary: it must run on cleanly.
-	if err := sys.RunChecked(10_000); err != nil {
+	sys.SetWatchdog(DefaultWatchdog())
+	if err := sys.Run(context.Background(), 10_000); err != nil {
 		t.Fatalf("machine not resumable after ctx stop: %v", err)
 	}
 }
 
-func TestRunCheckedCtxMatchesRun(t *testing.T) {
+// TestRunMatchesTickLoop checks that Run's context polls are invisible to
+// the machine: a run of a cycle count that is no multiple of the poll
+// interval leaves the same shaped egress as ticking the machine directly.
+func TestRunMatchesTickLoop(t *testing.T) {
+	const cycles = 50_000
 	a := twoCore(t, config.DAGguise)
 	a.EnableEgressTrace()
-	a.Run(50_000)
+	for i := 0; i < cycles; i++ {
+		if err := a.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	b := twoCore(t, config.DAGguise)
 	b.EnableEgressTrace()
-	if err := b.RunCheckedCtx(context.Background(), 50_000); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, b, cycles)
 	ta, tb := a.EgressTrace(1), b.EgressTrace(1)
 	if len(ta) == 0 || len(ta) != len(tb) {
 		t.Fatalf("egress traces differ: %d vs %d events", len(ta), len(tb))
@@ -70,13 +77,40 @@ func TestRunCheckedCtxMatchesRun(t *testing.T) {
 	}
 }
 
-func TestMeasureCheckedCtxCancel(t *testing.T) {
+func TestMeasureHonoursCancel(t *testing.T) {
 	sys := twoCore(t, config.Insecure)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := sys.MeasureCheckedCtx(ctx, 10_000, 10_000); !errors.Is(err, context.Canceled) {
+	if _, err := sys.Measure(ctx, 10_000, 10_000); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
+}
+
+// TestOnlySetWatchdogArms pins the one arming path: Run never arms a
+// watchdog, so a machine stuck behind a permanent DRAM stall runs on
+// without error until SetWatchdog arms one, and Runs shorter than the
+// stall budget then keep the progress marks between calls and report the
+// deadlock.
+func TestOnlySetWatchdogArms(t *testing.T) {
+	sys := twoCore(t, config.Insecure)
+	err := sys.AttachFaults(fault.Schedule{Events: []fault.Event{
+		{Kind: fault.DRAMStall, Start: 2_000, Duration: fault.Forever},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustRun(t, sys, 60_000) // stalled for longer than DefaultWatchdog's budget
+	sys.SetWatchdog(Watchdog{StallBudget: 5_000})
+	for i := 0; i < 10; i++ {
+		if err := sys.Run(context.Background(), 1_000); err != nil {
+			var se *SimError
+			if !errors.As(err, &se) || se.Invariant != InvariantDeadlock {
+				t.Fatalf("got %v, want a deadlock SimError", err)
+			}
+			return
+		}
+	}
+	t.Fatal("1k-cycle runs never reported the stall to a 5k-cycle budget")
 }
 
 // TestWatchdogTripLeavesSystemRestartable pins the recovery contract
@@ -94,7 +128,7 @@ func TestWatchdogTripLeavesSystemRestartable(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.SetWatchdog(Watchdog{StallBudget: 5_000})
-	runErr := sys.RunChecked(100_000)
+	runErr := sys.Run(context.Background(), 100_000)
 	var se *SimError
 	if !errors.As(runErr, &se) || se.Invariant != InvariantDeadlock {
 		t.Fatalf("got %v, want deadlock SimError", runErr)
@@ -104,7 +138,7 @@ func TestWatchdogTripLeavesSystemRestartable(t *testing.T) {
 	// Recovery: widen the budget past the remaining storm and run on. The
 	// same System must make it to the end without another trip.
 	sys.SetWatchdog(Watchdog{StallBudget: 60_000})
-	if err := sys.RunChecked(100_000 - (tripCycle - 0)); err != nil {
+	if err := sys.Run(context.Background(), 100_000-tripCycle); err != nil {
 		t.Fatalf("system not restartable after watchdog trip: %v", err)
 	}
 	if sys.now < 100_000 {

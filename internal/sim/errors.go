@@ -88,8 +88,9 @@ func formatDepths(m map[mem.Domain]int) string {
 	return strings.Join(parts, " ")
 }
 
-// Watchdog configures the forward-progress invariants checked each tick by
-// the Checked run APIs. The zero value of a field disables that check.
+// Watchdog configures the forward-progress invariants every tick checks
+// once SetWatchdog arms them. The zero value of a field disables that
+// check.
 type Watchdog struct {
 	// StallBudget is the number of consecutive cycles the machine may go
 	// with pending work but no instruction retired and no response
@@ -102,9 +103,10 @@ type Watchdog struct {
 	EgressHighWater int
 }
 
-// DefaultWatchdog returns the budget used by RunChecked when none is
-// configured: 50k cycles of stall (an order of magnitude above the longest
-// legitimate stall on the Table 2 machine) and a 4096-entry egress bound.
+// DefaultWatchdog returns the budget the CLIs arm with SetWatchdog: 50k
+// cycles of stall (an order of magnitude above the longest legitimate
+// stall on the Table 2 machine) and a 4096-entry egress bound. Nothing
+// arms it implicitly.
 func DefaultWatchdog() Watchdog {
 	return Watchdog{StallBudget: 50_000, EgressHighWater: 4096}
 }

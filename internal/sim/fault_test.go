@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -50,7 +51,8 @@ func TestNonInterferenceUnderFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 		sys.EnableEgressTrace()
-		if err := sys.RunChecked(cycles); err != nil {
+		sys.SetWatchdog(DefaultWatchdog())
+		if err := sys.Run(context.Background(), cycles); err != nil {
 			t.Fatalf("secret %d: %v", secret, err)
 		}
 		return sys.EgressTrace(1)
@@ -86,7 +88,7 @@ func TestPermanentStallBecomesDeadlockError(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.SetWatchdog(Watchdog{StallBudget: 8_000})
-	err = sys.RunChecked(200_000)
+	err = sys.Run(context.Background(), 200_000)
 	if err == nil {
 		t.Fatal("permanently stalled DRAM ran to completion")
 	}
@@ -126,7 +128,8 @@ func TestFiniteStormRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.MeasureChecked(10_000, 100_000)
+	sys.SetWatchdog(DefaultWatchdog())
+	res, err := sys.Measure(context.Background(), 10_000, 100_000)
 	if err != nil {
 		t.Fatalf("finite storm tripped the watchdog: %v", err)
 	}
@@ -161,7 +164,7 @@ func TestEgressStallTriggersLivelock(t *testing.T) {
 	// The pattern driver holds one slot in flight per sequence (8 here),
 	// so depth plateaus near 8: a high-water mark of 4 must trip.
 	sys.SetWatchdog(Watchdog{EgressHighWater: 4})
-	err = sys.RunChecked(50_000)
+	err = sys.Run(context.Background(), 50_000)
 	var serr *SimError
 	if !errors.As(err, &serr) {
 		t.Fatalf("error = %T (%v), want *SimError", err, err)
@@ -212,14 +215,12 @@ func TestCorruptedResponseIsProtocolError(t *testing.T) {
 	} {
 		t.Run(fmt.Sprintf("%s/domain%d", tc.engine, tc.dom), func(t *testing.T) {
 			sys := build[tc.engine](t)
-			if err := sys.RunChecked(5_000); err != nil {
-				t.Fatal(err)
-			}
+			mustRun(t, sys, 5_000)
 			// Inject a bogus completion on the controller→tenant boundary,
 			// as a dropped-and-corrupted redelivery would.
 			ch := sys.chans[0]
 			ch.deferred = append(ch.deferred, DeferredResponse{Until: sys.Now(), Resp: mem.Response{ID: 1 << 62, Domain: tc.dom}})
-			err := sys.TickChecked()
+			err := sys.Tick()
 			var serr *SimError
 			if !errors.As(err, &serr) {
 				t.Fatalf("error = %T (%v), want *SimError", err, err)

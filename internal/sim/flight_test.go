@@ -29,9 +29,7 @@ func TestFullObservabilityNonInterference(t *testing.T) {
 				attach(sys)
 			}
 			sys.EnableEgressTrace()
-			if err := sys.RunChecked(cycles); err != nil {
-				t.Fatal(err)
-			}
+			mustRun(t, sys, cycles)
 			return sys.EgressTrace(1)
 		}
 		plain := run(11, false)
@@ -56,9 +54,7 @@ func TestFullObservabilityNonInterference(t *testing.T) {
 			if everything {
 				attach(sys)
 			}
-			if err := sys.RunChecked(cycles / 3); err != nil {
-				t.Fatal(err)
-			}
+			mustRun(t, sys, cycles/3)
 			return sys.AuditDigest(), sys.Counters()
 		}
 		var digests []string
@@ -89,15 +85,11 @@ func TestCycleAttributionCoverage(t *testing.T) {
 	prof := obs.NewCycleProfile()
 	sys.Profile(prof)
 	// Warm up out of profile, then measure a tight tick loop.
-	if err := sys.RunChecked(5_000); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, sys, 5_000)
 	prof.Reset()
 	const ticks = 200_000
 	start := time.Now()
-	if err := sys.RunChecked(ticks); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, sys, ticks)
 	wall := time.Since(start)
 
 	r := prof.Report(wall, ticks)

@@ -53,9 +53,7 @@ func TestObservabilityNonInterference(t *testing.T) {
 			sys.Observe(obs.NewRegistry(sys.NumDomains()), obs.NewTracer(1<<16))
 		}
 		sys.EnableEgressTrace()
-		if err := sys.RunChecked(cycles); err != nil {
-			t.Fatal(err)
-		}
+		mustRun(t, sys, cycles)
 		return sys.EgressTrace(1)
 	}
 	plain := run(11, false)
@@ -90,9 +88,7 @@ func TestChromeTraceDeterminism(t *testing.T) {
 		sys := obsSystem(t, 11)
 		tr := obs.NewTracer(1 << 16)
 		sys.Observe(obs.NewRegistry(sys.NumDomains()), tr)
-		if err := sys.RunChecked(20_000); err != nil {
-			t.Fatal(err)
-		}
+		mustRun(t, sys, 20_000)
 		var buf bytes.Buffer
 		if err := obs.WriteChromeTrace(&buf, tr.Events()); err != nil {
 			t.Fatal(err)
@@ -116,9 +112,7 @@ func TestChromeTraceGoldenRun(t *testing.T) {
 	sys := obsSystem(t, 11)
 	tr := obs.NewTracer(1 << 16)
 	sys.Observe(obs.NewRegistry(sys.NumDomains()), tr)
-	if err := sys.RunChecked(3_000); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, sys, 3_000)
 	var buf bytes.Buffer
 	if err := obs.WriteChromeTrace(&buf, tr.Events()); err != nil {
 		t.Fatal(err)
@@ -147,7 +141,7 @@ func TestChromeTraceGoldenRun(t *testing.T) {
 func TestMeasureMetricsPopulated(t *testing.T) {
 	sys := obsSystem(t, 11)
 	sys.Observe(obs.NewRegistry(sys.NumDomains()), nil)
-	res := sys.Measure(5_000, 60_000)
+	res := mustMeasure(t, sys, 5_000, 60_000)
 	m := res.Metrics
 	if m == nil {
 		t.Fatal("Result.Metrics nil with a registry attached")
@@ -194,7 +188,7 @@ func TestSlotCountersUnderFSBTA(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.Observe(obs.NewRegistry(sys.NumDomains()), nil)
-	res := sys.Measure(2_000, 40_000)
+	res := mustMeasure(t, sys, 2_000, 40_000)
 	m := res.Metrics
 	if m.Counter(obs.CtrSlotsSeen, 0) == 0 {
 		t.Fatal("no slots seen")
@@ -207,10 +201,10 @@ func TestSlotCountersUnderFSBTA(t *testing.T) {
 // TestEgressDepthsPopulatedOnMeasure is the regression test for the egress
 // high-water accounting: the mark must be sampled before the per-tick
 // drain, so a healthy DAGguise run reports the real peak staging occupancy
-// (not zero) on the unchecked Measure path as well as the checked one.
+// (not zero) with and without a watchdog armed.
 func TestEgressDepthsPopulatedOnMeasure(t *testing.T) {
 	sys := obsSystem(t, 11)
-	res := sys.Measure(2_000, 40_000)
+	res := mustMeasure(t, sys, 2_000, 40_000)
 	if res.EgressDepths == nil {
 		t.Fatal("EgressDepths nil for a shaped system")
 	}
@@ -221,13 +215,11 @@ func TestEgressDepthsPopulatedOnMeasure(t *testing.T) {
 		t.Fatal("EgressMaxDepth = 0")
 	}
 
-	sysChecked := obsSystem(t, 11)
-	resChecked, err := sysChecked.MeasureChecked(2_000, 40_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resChecked.EgressDepths[1] != res.EgressDepths[1] {
-		t.Fatalf("checked and unchecked paths disagree: %d vs %d",
-			resChecked.EgressDepths[1], res.EgressDepths[1])
+	watched := obsSystem(t, 11)
+	watched.SetWatchdog(DefaultWatchdog())
+	resWatched := mustMeasure(t, watched, 2_000, 40_000)
+	if resWatched.EgressDepths[1] != res.EgressDepths[1] {
+		t.Fatalf("runs with and without a watchdog disagree: %d vs %d",
+			resWatched.EgressDepths[1], res.EgressDepths[1])
 	}
 }

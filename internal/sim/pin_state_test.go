@@ -73,7 +73,7 @@ func sha256Hex(t *testing.T, v interface{}) string {
 func TestPinnedSystemState(t *testing.T) {
 	eightCore := func(t *testing.T, scheme config.Scheme) *System {
 		sys := eightCoreMachine(t, scheme)
-		sys.Run(30_000)
+		mustRun(t, sys, 30_000)
 		return sys
 	}
 	withFaults := func(seed int64) func(*testing.T, config.Scheme) *System {
@@ -85,7 +85,7 @@ func TestPinnedSystemState(t *testing.T) {
 			if err := sys.AttachFaults(sched); err != nil {
 				t.Fatal(err)
 			}
-			sys.Run(30_000)
+			mustRun(t, sys, 30_000)
 			return sys
 		}
 	}
@@ -98,7 +98,7 @@ func TestPinnedSystemState(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sys.Run(60_000)
+			mustRun(t, sys, 60_000)
 			return sys
 		}
 	}
@@ -107,7 +107,7 @@ func TestPinnedSystemState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sys.Run(10_000)
+		mustRun(t, sys, 10_000)
 		return sys
 	}
 	cases := []struct {
@@ -198,7 +198,7 @@ func TestPinnedMeasureMetrics(t *testing.T) {
 			t.Parallel()
 			sys := eightCoreMachine(t, tc.scheme)
 			sys.Observe(obs.NewRegistry(sys.NumDomains()), nil)
-			res := sys.Measure(20_000, 40_000)
+			res := mustMeasure(t, sys, 20_000, 40_000)
 			if res.Metrics == nil {
 				t.Fatal("no metrics snapshot with a registry attached")
 			}

@@ -11,6 +11,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 
 	"dagguise/internal/audit"
@@ -265,20 +266,10 @@ func (s *System) shapeCore(ch *channel, p *port, spec CoreSpec) error {
 	return nil
 }
 
-// Tick advances the whole machine one cycle. It panics on an invariant
-// violation (the legacy unchecked contract); use TickChecked, RunChecked or
-// MeasureChecked to receive a structured *SimError instead.
-func (s *System) Tick() {
-	if err := s.tick(); err != nil {
-		panic(err)
-	}
-}
-
-// TickChecked advances the machine one cycle and reports any invariant
-// violation as a *SimError.
-func (s *System) TickChecked() error { return s.tick() }
-
-func (s *System) tick() error {
+// Tick advances the whole machine one cycle and reports an invariant
+// violation as a *SimError. The forward-progress checks run only when a
+// watchdog is armed with SetWatchdog; routing checks always run.
+func (s *System) Tick() error {
 	now := s.now
 	// The profiler is a telescoping lap clock: each Lap charges the time
 	// since the previous lap (anywhere) to its bucket. Lapping PBHarness
@@ -370,48 +361,36 @@ func (s *System) idle() bool {
 	return len(s.gens) == 0
 }
 
-// Run advances the machine by the given number of cycles, panicking on an
-// invariant violation (the legacy unchecked contract).
-func (s *System) Run(cycles uint64) {
-	if err := s.run(cycles); err != nil {
-		panic(err)
-	}
-}
+// ctxCheckInterval is how many cycles Run advances between context polls.
+// Polling every tick would put a synchronized atomic load on the
+// simulator's hot path; 4096 cycles bounds cancellation latency to a few
+// microseconds of wall time while keeping the poll cost unmeasurable.
+const ctxCheckInterval = 4096
 
-// run advances the machine by the given number of cycles, stopping at the
-// first invariant violation.
-func (s *System) run(cycles uint64) error {
+// Run advances the machine by the given number of cycles, stopping at the
+// first invariant violation (a *SimError). The context is polled every
+// ctxCheckInterval cycles and its error is returned as soon as it fires
+// (use errors.Is with context.Canceled / context.DeadlineExceeded). Either
+// way the machine stops at a cycle boundary in a consistent state, so a
+// caller may checkpoint it with SaveState and resume later.
+func (s *System) Run(ctx context.Context, cycles uint64) error {
 	for end := s.now + cycles; s.now < end; {
-		if err := s.tick(); err != nil {
+		if err := ctx.Err(); err != nil {
 			return err
+		}
+		for stop := min(end, s.now+ctxCheckInterval); s.now < stop; {
+			if err := s.Tick(); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// RunChecked advances the machine by the given number of cycles with the
-// forward-progress watchdog armed, returning a structured *SimError the
-// moment an invariant fails (instead of panicking or spinning forever). If
-// no watchdog was configured with SetWatchdog, DefaultWatchdog is used.
-func (s *System) RunChecked(cycles uint64) error {
-	restore := s.armWatchdog()
-	defer restore()
-	return s.run(cycles)
-}
-
-// armWatchdog installs the default watchdog if none is configured and
-// returns a func restoring the previous state.
-func (s *System) armWatchdog() func() {
-	prev := s.wd
-	if s.wd == (Watchdog{}) {
-		s.wd = DefaultWatchdog()
-		s.lastProgress = s.now
-	}
-	return func() { s.wd = prev }
-}
-
-// SetWatchdog configures the forward-progress invariants for the Checked
-// APIs. Fields left zero disable the corresponding check.
+// SetWatchdog arms the forward-progress invariants every later tick
+// checks, and is the only way to arm them: a machine runs without a
+// watchdog until one is set. Fields left zero disable the corresponding
+// check; the zero Watchdog disarms both.
 func (s *System) SetWatchdog(w Watchdog) {
 	s.wd = w
 	s.lastProgress = s.now
@@ -597,32 +576,16 @@ func (s *System) snap() snapshot {
 }
 
 // Measure runs warmup cycles (discarded) then a measurement window and
-// returns per-core IPC and bandwidth over that window. It panics on an
-// invariant violation; use MeasureChecked for the structured-error form.
-func (s *System) Measure(warmup, window uint64) Result {
-	res, err := s.measureWith(s.run, warmup, window)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// MeasureChecked is Measure with the forward-progress watchdog armed: it
-// returns a *SimError (and the zero Result) the moment an invariant fails
-// during warmup or measurement.
-func (s *System) MeasureChecked(warmup, window uint64) (Result, error) {
-	return s.measureWith(s.RunChecked, warmup, window)
-}
-
-// measureWith is the measurement core, parameterised over the run loop so
-// the checked and context-aware forms share the exact accounting.
-func (s *System) measureWith(run func(uint64) error, warmup, window uint64) (Result, error) {
-	if err := run(warmup); err != nil {
+// returns per-core IPC and bandwidth over that window. Both phases run
+// through Run, so an invariant violation or a fired context returns its
+// error (and the zero Result).
+func (s *System) Measure(ctx context.Context, warmup, window uint64) (Result, error) {
+	if err := s.Run(ctx, warmup); err != nil {
 		return Result{}, err
 	}
 	before := s.snap()
 	mxBefore := s.mx.Snapshot()
-	if err := run(window); err != nil {
+	if err := s.Run(ctx, window); err != nil {
 		return Result{}, err
 	}
 	after := s.snap()

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"dagguise/internal/config"
@@ -33,13 +34,32 @@ func docdistSpec(t *testing.T, protected bool) CoreSpec {
 	}
 }
 
+// mustRun advances sys by cycles, failing the test on an invariant
+// violation.
+func mustRun(t testing.TB, sys *System, cycles uint64) {
+	t.Helper()
+	if err := sys.Run(context.Background(), cycles); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// mustMeasure is Measure failing the test on an invariant violation.
+func mustMeasure(t testing.TB, sys *System, warmup, window uint64) Result {
+	t.Helper()
+	res, err := sys.Measure(context.Background(), warmup, window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestTwoCoreSystemRuns(t *testing.T) {
 	cfg := config.Default(2, config.Insecure)
 	sys, err := New(cfg, []CoreSpec{docdistSpec(t, true), specFor(t, "lbm", 5, false)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := sys.Measure(20_000, 200_000)
+	res := mustMeasure(t, sys, 20_000, 200_000)
 	if len(res.Cores) != 2 {
 		t.Fatalf("cores = %d", len(res.Cores))
 	}
@@ -62,7 +82,7 @@ func TestSchemeOrderingOnMemoryBoundPair(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sys.Measure(20_000, 300_000)
+		return mustMeasure(t, sys, 20_000, 300_000)
 	}
 	insecure := run(config.Insecure)
 	dag := run(config.DAGguise)
@@ -86,7 +106,7 @@ func TestDAGguiseShaperActive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := sys.Measure(10_000, 100_000)
+	res := mustMeasure(t, sys, 10_000, 100_000)
 	v := res.Cores[0]
 	if v.ShaperForwarded == 0 {
 		t.Fatal("shaper forwarded no real requests")
@@ -114,7 +134,7 @@ func TestTwoChannelGeometryRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sys.Measure(20_000, 200_000).TotalGBps
+		return mustMeasure(t, sys, 20_000, 200_000).TotalGBps
 	}
 	one := run(1)
 	two := run(2)
@@ -156,7 +176,7 @@ func TestEightCoreSystemRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := sys.Measure(10_000, 100_000)
+	res := mustMeasure(t, sys, 10_000, 100_000)
 	for _, c := range res.Cores {
 		if c.IPC <= 0 {
 			t.Fatalf("core %s starved", c.Name)

@@ -31,9 +31,7 @@ func TestAuditTapStreamSecretIndependent(t *testing.T) {
 		}
 		tap := audit.NewTap()
 		sys.AuditResponses(1, tap)
-		if err := sys.RunChecked(120_000); err != nil {
-			t.Fatal(err)
-		}
+		mustRun(t, sys, 120_000)
 		return tap.Samples()
 	}
 	a := run(11)

@@ -29,7 +29,7 @@ type CamouflageDistribution = camouflage.Distribution
 // latencies of its own probes (the Table 1 security comparison).
 func MeasureLeakage(scheme Scheme, defense Template, dist CamouflageDistribution,
 	secret0, secret1 AttackPattern, probe AttackProbe, probes, trials int) (LeakageResult, error) {
-	return attack.MeasureLeakage(scheme, defense, dist, secret0, secret1, probe, probes, trials)
+	return attack.MeasureLeakageOpts(scheme, defense, dist, secret0, secret1, probe, probes, trials, attack.MeasureOpts{})
 }
 
 // Figure1Primer reproduces the paper's Figure 1 attack example on the
@@ -37,7 +37,7 @@ func MeasureLeakage(scheme Scheme, defense Template, dist CamouflageDistribution
 // victim is idle, using a different bank, the same bank and row, or the
 // same bank but a different row.
 func Figure1Primer(probes int) ([]attack.Figure1Row, error) {
-	return attack.Figure1Primer(probes)
+	return attack.Figure1Primer(probes, nil)
 }
 
 // VerifyModelConfig parameterises the bit-level model used by the formal
