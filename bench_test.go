@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"dagguise/internal/attack"
+	"dagguise/internal/audit"
 	"dagguise/internal/camouflage"
 	"dagguise/internal/config"
 	"dagguise/internal/dram"
@@ -669,5 +670,39 @@ func BenchmarkEightCoreTick(b *testing.B) {
 		if err := sys.Tick(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkAttackRig measures the attack rig's cost per simulated cycle
+// under each scheme. One op builds a harness and runs the Figure 5 secret-0
+// victim against the probe for 1000 probes, with the defense template and
+// Camouflage distribution of the Table 1 runs and the seed of their first
+// trial. The ns/cycle metric divides the elapsed time by the simulated
+// cycles, which end at the audit tap's last probe.
+func BenchmarkAttackRig(b *testing.B) {
+	s0 := attack.Pattern{Gaps: []uint64{100}, Banks: []int{0, 1, 2, 3}}
+	probe := attack.Probe{Bank: 0, Row: 0, Gap: 120}
+	dist := camouflage.Distribution{Intervals: []uint64{200, 400}}
+	for _, scheme := range []config.Scheme{
+		config.Insecure, config.Camouflage, config.FixedService,
+		config.FSBTA, config.TemporalPartitioning, config.DAGguise,
+	} {
+		b.Run(scheme.String(), func(b *testing.B) {
+			var cycles uint64
+			for i := 0; i < b.N; i++ {
+				h, err := attack.NewHarness(scheme, eval.DefaultDefense(), dist, 7)
+				if err != nil {
+					b.Fatal(err)
+				}
+				tap := audit.NewTap()
+				h.SetAuditTap(tap)
+				if _, err := h.Run(s0, probe, 1000, 0); err != nil {
+					b.Fatal(err)
+				}
+				samples := tap.Samples()
+				cycles += samples[len(samples)-1].Cycle + 1
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cycles), "ns/cycle")
+		})
 	}
 }
