@@ -8,18 +8,17 @@ package attack
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"dagguise/internal/audit"
 	"dagguise/internal/camouflage"
 	"dagguise/internal/config"
-	"dagguise/internal/dram"
+	"dagguise/internal/cpu"
 	"dagguise/internal/mem"
-	"dagguise/internal/memctrl"
 	"dagguise/internal/obs"
 	"dagguise/internal/rdag"
-	"dagguise/internal/sched"
-	"dagguise/internal/shaper"
+	"dagguise/internal/sim"
 	"dagguise/internal/stats"
 )
 
@@ -60,22 +59,16 @@ type Probe struct {
 	Gap  uint64
 }
 
-// Harness wires a victim and an attacker to a shared memory controller
-// under one protection scheme, without the full core model: both parties
-// emit raw requests, which isolates the channel itself.
+// Harness is the attack rig: a victim and an attacker sharing one memory
+// controller under one protection scheme, without the full core model.
+// Both are closed-loop tenants of a two-domain sim.System that emit raw
+// requests, which isolates the channel itself; sim.New wires the scheme's
+// policy, slot groups, queue partition and shaper exactly as it does for
+// the simulated machine.
 type Harness struct {
-	scheme  config.Scheme
-	mapper  *mem.Mapper
-	dev     *dram.Device
-	ctrl    *memctrl.Controller
-	dag     *shaper.Shaper
-	camo    *camouflage.Shaper
-	egress  []mem.Request
-	nextID  uint64
-	defense rdag.Template
-	dist    camouflage.Distribution
-	seed    int64
-	tap     *audit.Tap
+	sys      *sim.System
+	victim   party
+	attacker party
 }
 
 const (
@@ -84,112 +77,39 @@ const (
 )
 
 // NewHarness builds the shared-controller rig for the scheme. defense is
-// used for DAGguise, dist for Camouflage; zero values select defaults.
+// used for DAGguise, dist for Camouflage; zero values select sim.New's
+// defaults. seed seeds the victim's shaper.
 func NewHarness(scheme config.Scheme, defense rdag.Template, dist camouflage.Distribution, seed int64) (*Harness, error) {
 	cfg := config.Default(2, scheme)
-	if scheme == config.DAGguise && defense.RowHitRatio > 0 {
-		// Row-buffer-aware defense rDAGs prescribe the row behaviour
-		// themselves; the closed-row policy is not needed (§4.4).
-		cfg.ClosedRow = false
-	}
 	mapper := mem.MustMapper(cfg.Geometry)
-	dev := dram.New(cfg.Timing, mapper, cfg.ClosedRow)
-	h := &Harness{scheme: scheme, mapper: mapper, dev: dev, defense: defense, dist: dist, seed: seed}
-
-	var policy memctrl.Scheduler
-	partition := false
-	groups := []sched.Group{{victimDomain}, {attackerDomain}}
-	switch scheme {
-	case config.Insecure, config.Camouflage, config.DAGguise:
-		policy = memctrl.FRFCFS{}
-	case config.FixedService:
-		policy = sched.NewFixedService(cfg.Timing, groups)
-		partition = true
-	case config.FSBTA:
-		policy = sched.NewFSBTA(cfg.Timing, groups)
-		partition = true
-	case config.TemporalPartitioning:
-		policy = sched.NewTemporalPartitioning(cfg.Timing, groups, 96)
-		partition = true
-	default:
-		return nil, fmt.Errorf("attack: unsupported scheme %v", scheme)
+	h := &Harness{
+		victim:   party{mapper: mapper, dom: victimDomain, cols: 32},
+		attacker: party{mapper: mapper, dom: attackerDomain, cols: 2, col0: 1},
 	}
-	h.ctrl = memctrl.New(dev, mapper, policy, 64)
-	if partition {
-		h.ctrl.PartitionQueue(8)
+	sys, err := sim.New(cfg, []sim.CoreSpec{
+		{Name: "victim", Tenant: &h.victim, Protected: true, Defense: defense, Distribution: dist, ShaperSeed: seed},
+		{Name: "attacker", Tenant: &h.attacker},
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	switch scheme {
-	case config.DAGguise:
-		tpl := defense
-		if tpl.Sequences == 0 {
-			tpl = rdag.Template{Sequences: 4, Weight: 300, Banks: mapper.BankCount()}
-		}
-		driver, err := rdag.NewPatternDriver(tpl)
-		if err != nil {
-			return nil, err
-		}
-		h.dag = shaper.New(victimDomain, driver, mapper, 8, h.alloc, seed)
-	case config.Camouflage:
-		d := dist
-		if len(d.Intervals) == 0 {
-			d = camouflage.Distribution{Intervals: []uint64{200, 400}}
-		}
-		sh, err := camouflage.New(victimDomain, d, mapper, 8, h.alloc, seed)
-		if err != nil {
-			return nil, err
-		}
-		h.camo = sh
-	}
+	h.sys = sys
 	return h, nil
-}
-
-func (h *Harness) alloc() uint64 {
-	h.nextID++
-	return h.nextID
 }
 
 // SetAuditTap attaches a leakage-audit tap recording every attacker probe
 // as (completion cycle, latency). The tap is measurement-only — nothing in
 // the harness reads it back — and a nil tap keeps the hook a no-op, so the
 // probe sequence is bit-identical with auditing on and off.
-func (h *Harness) SetAuditTap(t *audit.Tap) { h.tap = t }
+func (h *Harness) SetAuditTap(t *audit.Tap) { h.attacker.tap = t }
 
 // Observe attaches an observability registry and tracer (either may be
-// nil) to the harness's controller, DRAM device and shaper, mirroring
-// sim.System.Observe for the attack rig.
-func (h *Harness) Observe(mx *obs.Registry, tr *obs.Tracer) {
-	h.ctrl.Observe(mx, tr)
-	if h.dag != nil {
-		h.dag.Observe(mx, tr)
-	}
-	if h.camo != nil {
-		h.camo.Observe(mx, tr)
-	}
-}
-
-// victimEnqueue routes a victim request through the scheme's shaper (if
-// any) or directly to the controller. The error reports a routing
-// violation (a request tagged with the wrong domain).
-func (h *Harness) victimEnqueue(req mem.Request, now uint64) (bool, error) {
-	switch {
-	case h.dag != nil:
-		if h.dag.Full() {
-			return false, nil
-		}
-		return h.dag.Enqueue(req, now)
-	case h.camo != nil:
-		if h.camo.Full() {
-			return false, nil
-		}
-		return h.camo.Enqueue(req, now)
-	default:
-		return h.ctrl.Enqueue(req, now), nil
-	}
-}
+// nil) to the rig's machine through sim.System.Observe.
+func (h *Harness) Observe(mx *obs.Registry, tr *obs.Tracer) { h.sys.Observe(mx, tr) }
 
 // Run simulates until the attacker collects nProbes latencies (or the
-// cycle budget runs out) and returns them in probe order.
+// cycle budget runs out) and returns them in probe order. A harness runs
+// once.
 func (h *Harness) Run(victim Pattern, probe Probe, nProbes int, maxCycles uint64) ([]uint64, error) {
 	if err := victim.Validate(); err != nil {
 		return nil, err
@@ -197,100 +117,61 @@ func (h *Harness) Run(victim Pattern, probe Probe, nProbes int, maxCycles uint64
 	if maxCycles == 0 {
 		maxCycles = 30_000_000
 	}
-	var latencies []uint64
-
-	// Victim state: closed loop over its pattern.
-	vIdx := 0
-	vOutstanding := false
-	vNextAt := uint64(0)
-	var vPendingID uint64
-
-	// Attacker state.
-	aOutstanding := false
-	aNextAt := uint64(0)
-	var aID uint64
-	var aIssued uint64
-	probeCol := 0
-
-	for now := uint64(0); now < maxCycles && len(latencies) < nProbes; now++ {
-		// Victim emission.
-		if !vOutstanding && now >= vNextAt {
-			bank := victim.Banks[vIdx%len(victim.Banks)]
-			req := mem.Request{
-				ID:     h.alloc(),
-				Addr:   h.mapper.AddrForBank(bank, victim.row(vIdx), vIdx%32),
-				Kind:   mem.Read,
-				Domain: victimDomain,
-				Issue:  now,
-			}
-			ok, err := h.victimEnqueue(req, now)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				vPendingID = req.ID
-				vOutstanding = true
-			}
-		}
-		// Attacker probe.
-		if !aOutstanding && now >= aNextAt {
-			probeCol = (probeCol + 1) % 2
-			req := mem.Request{
-				ID:     h.alloc(),
-				Addr:   h.mapper.AddrForBank(probe.Bank, probe.Row, probeCol),
-				Kind:   mem.Read,
-				Domain: attackerDomain,
-				Issue:  now,
-			}
-			if h.ctrl.Enqueue(req, now) {
-				aID = req.ID
-				aIssued = now
-				aOutstanding = true
-			}
-		}
-		// Shaper emission.
-		if h.dag != nil {
-			h.egress = append(h.egress, h.dag.Tick(now)...)
-		}
-		if h.camo != nil {
-			h.egress = append(h.egress, h.camo.Tick(now)...)
-		}
-		for len(h.egress) > 0 && h.ctrl.Enqueue(h.egress[0], now) {
-			h.egress = h.egress[1:]
-		}
-		// Controller.
-		for _, resp := range h.ctrl.Tick(now) {
-			switch resp.Domain {
-			case attackerDomain:
-				if resp.ID == aID {
-					latencies = append(latencies, now-aIssued)
-					h.tap.Record(now, now-aIssued)
-					aOutstanding = false
-					aNextAt = now + probe.Gap
-				}
-			case victimDomain:
-				deliver := true
-				if h.dag != nil {
-					var err error
-					deliver, err = h.dag.OnResponse(resp, now)
-					if err != nil {
-						return nil, err
-					}
-				} else if h.camo != nil {
-					deliver = h.camo.OnResponse(resp, now)
-				}
-				if deliver && resp.ID == vPendingID {
-					vOutstanding = false
-					vIdx++
-					vNextAt = now + victim.Gaps[(vIdx-1)%len(victim.Gaps)]
-				}
-			}
+	h.victim.pat = victim
+	h.attacker.pat = Pattern{Gaps: []uint64{probe.Gap}, Banks: []int{probe.Bank}, Rows: []uint64{probe.Row}}
+	for h.sys.Now() < maxCycles && len(h.attacker.lats) < nProbes {
+		if err := h.sys.Tick(); err != nil {
+			return nil, err
 		}
 	}
-	if len(latencies) < nProbes {
-		return latencies, fmt.Errorf("attack: collected %d of %d probes within %d cycles", len(latencies), nProbes, maxCycles)
+	lats := h.attacker.lats
+	if len(lats) < nProbes {
+		return lats, fmt.Errorf("attack: collected %d of %d probes within %d cycles", len(lats), nProbes, maxCycles)
 	}
-	return latencies, nil
+	return lats, nil
+}
+
+// party is the victim or the attacker, a closed-loop sim.Tenant that keeps
+// one read outstanding: request k reads the bank and row of pattern entry
+// k at column (k+col0) mod cols, and request k+1 issues gap k cycles after
+// request k completes. Every completion's latency is kept, and recorded
+// on the tap when one is set.
+type party struct {
+	mapper     *mem.Mapper
+	dom        mem.Domain
+	cols, col0 int
+	pat        Pattern
+	tap        *audit.Tap
+	lats       []uint64
+	issued     uint64 // cycle the outstanding request issued
+}
+
+// Tick implements sim.Tenant: it offers request k, whose index is the
+// number of completions so far, and retries on the next cycle if refused.
+func (p *party) Tick(now uint64, port cpu.Port, alloc cpu.IDAlloc) uint64 {
+	k := len(p.lats)
+	req := mem.Request{
+		ID:     alloc(),
+		Addr:   p.mapper.AddrForBank(p.pat.Banks[k%len(p.pat.Banks)], p.pat.row(k), (k+p.col0)%p.cols),
+		Kind:   mem.Read,
+		Domain: p.dom,
+		Issue:  now,
+	}
+	if !port.TryEnqueue(req, now) {
+		return now + 1
+	}
+	p.issued = now
+	return math.MaxUint64
+}
+
+// OnResponse implements sim.Tenant. The shaper has already swallowed the
+// domain's fakes, so every response delivered here is the outstanding
+// request's.
+func (p *party) OnResponse(_ mem.Response, now uint64) uint64 {
+	k := len(p.lats)
+	p.lats = append(p.lats, now-p.issued)
+	p.tap.Record(now, now-p.issued)
+	return now + p.pat.Gaps[k%len(p.pat.Gaps)]
 }
 
 // LeakageBinWidth is the latency-histogram bin width (cycles) every MI

@@ -562,6 +562,13 @@ func AuditCtx(ctx context.Context, scheme config.Scheme, probes int, cfg audit.C
 // of the dagauditd service path, deterministic in (scheme, probes, seed),
 // so a traffic generator can regenerate and replay them byte-identically
 // after a crash.
+//
+// seed is the shaper seed and reaches nothing else: the insecure scheme
+// has no shaper, and DAGguise's seed only draws the rows and columns of
+// its fake requests, which cannot change timing under the closed-row
+// policy. The insecure and DAGguise streams are therefore the same at
+// every seed (TestPinnedLeakageOutputs pins seeds 1 and 2 to one hash
+// each).
 func AuditStreams(scheme config.Scheme, probes int, seed int64) (s0, s1 []audit.Sample, err error) {
 	p0, p1, probe, dist := figure5Pair()
 	return attack.CollectTaps(scheme, DefaultDefense(), dist, p0, p1, probe, probes, seed, nil)

@@ -204,7 +204,10 @@ func (c *Controller) Tick(now uint64) []mem.Response {
 			c.issue(idx, now)
 		}
 	}
-	resps := c.drain(now)
+	var resps []mem.Response
+	if len(c.inflight) > 0 && c.inflight[0].at <= now {
+		resps = c.drain(now)
+	}
 	c.prof.Lap(obs.PBMemctrl)
 	return resps
 }

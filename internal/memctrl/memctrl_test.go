@@ -149,24 +149,6 @@ func TestPendingForDomain(t *testing.T) {
 	}
 }
 
-func TestDomainFiltered(t *testing.T) {
-	inner := FCFS{}
-	f := DomainFiltered{Inner: inner, Allow: func(d mem.Domain) bool { return d == 7 }}
-	c, m := testRig(f, false)
-	c.Enqueue(mem.Request{ID: 0, Addr: m.AddrForBank(0, 0, 0), Domain: 1}, 0)
-	c.Enqueue(mem.Request{ID: 1, Addr: m.AddrForBank(1, 0, 0), Domain: 7}, 0)
-	resps := []mem.Response{}
-	for now := uint64(0); now < 5000 && len(resps) == 0; now++ {
-		resps = append(resps, c.Tick(now)...)
-	}
-	if len(resps) != 1 || resps[0].ID != 1 {
-		t.Fatalf("filtered scheduler served %v, want only domain 7", resps)
-	}
-	if c.QueueLen() != 1 {
-		t.Fatal("disallowed request should remain queued")
-	}
-}
-
 func TestNextEvent(t *testing.T) {
 	c, m := testRig(FCFS{}, false)
 	if _, ok := c.NextEvent(0); ok {

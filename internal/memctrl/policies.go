@@ -98,35 +98,3 @@ func (p FRFCFS) Pick(q []Entry, now uint64, dev *dram.Device) int {
 	}
 	return best
 }
-
-// DomainFiltered wraps a policy so that only requests from an allowed set
-// of domains are eligible. It is used by the temporal-partitioning arbiter
-// and by tests that isolate one domain's traffic.
-type DomainFiltered struct {
-	Inner Scheduler
-	Allow func(mem.Domain) bool
-}
-
-// Name implements Scheduler.
-func (d DomainFiltered) Name() string { return d.Inner.Name() + "+filter" }
-
-// Pick implements Scheduler.
-func (d DomainFiltered) Pick(q []Entry, now uint64, dev *dram.Device) int {
-	// Build the filtered view, then translate the inner pick back.
-	idxMap := make([]int, 0, len(q))
-	sub := make([]Entry, 0, len(q))
-	for i := range q {
-		if d.Allow(q[i].Req.Domain) {
-			idxMap = append(idxMap, i)
-			sub = append(sub, q[i])
-		}
-	}
-	if len(sub) == 0 {
-		return -1
-	}
-	inner := d.Inner.Pick(sub, now, dev)
-	if inner < 0 {
-		return -1
-	}
-	return idxMap[inner]
-}

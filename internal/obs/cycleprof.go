@@ -95,11 +95,15 @@ func NewCycleProfile() *CycleProfile {
 }
 
 // Lap charges the time since the previous lap to bucket b and advances
-// the lap clock. No-op on nil.
+// the lap clock. No-op on nil. The clock read is outlined in lap so that
+// Lap itself inlines and a nil profiler costs the tick loop one compare.
 func (p *CycleProfile) Lap(b ProfBucket) {
-	if p == nil {
-		return
+	if p != nil {
+		p.lap(b)
 	}
+}
+
+func (p *CycleProfile) lap(b ProfBucket) {
 	now := int64(time.Since(p.base))
 	p.ns[b] += now - p.last
 	p.laps[b]++

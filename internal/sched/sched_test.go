@@ -356,3 +356,100 @@ func TestTPRejectsEmptyGroups(t *testing.T) {
 	}()
 	NewTemporalPartitioning(config.DDR31600(), nil, 96)
 }
+
+// filterPick is TP's pick as it stood with memctrl.DomainFiltered: the
+// turn and refresh guards, then the inner policy over a filtered copy of
+// the queue, its pick translated back. The filter's body is kept
+// verbatim as the reference for the allocation-free pick.
+func filterPick(tp *TemporalPartitioning, q []memctrl.Entry, now uint64, dev *dram.Device) int {
+	pos := now % tp.turn
+	if pos >= tp.turn-tp.dead {
+		return -1
+	}
+	if tp.nearRefresh(now) {
+		return -1
+	}
+	owner := tp.groups[(now/tp.turn)%uint64(len(tp.groups))]
+	idxMap := make([]int, 0, len(q))
+	sub := make([]memctrl.Entry, 0, len(q))
+	for i := range q {
+		if owner.contains(q[i].Req.Domain) {
+			idxMap = append(idxMap, i)
+			sub = append(sub, q[i])
+		}
+	}
+	if len(sub) == 0 {
+		return -1
+	}
+	inner := tp.inner.Pick(sub, now, dev)
+	if inner < 0 {
+		return -1
+	}
+	return idxMap[inner]
+}
+
+// TestTPPickMatchesFilteredPick differentially tests TP's pick against the
+// filter-and-copy reference over random owner groups, queues, bank states
+// and cycles. Each case picks several times from prefixes of one queue,
+// longest first, so a stale tail of the reused scratch would show. The
+// slot counter must count exactly the issued picks.
+func TestTPPickMatchesFilteredPick(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	m := mem.MustMapper(mem.Geometry{Channels: 1, Ranks: 1, Banks: 8, RowBytes: 8 << 10, LineBytes: 64, CapacityGiB: 4})
+	var guarded, none, picked int
+	for c := 0; c < 3000; c++ {
+		var groups []Group
+		for g, n := 0, 1+r.Intn(4); g < n; g++ {
+			var grp Group
+			for d := 1; d <= 5; d++ {
+				if r.Intn(3) == 0 {
+					grp = append(grp, mem.Domain(d))
+				}
+			}
+			groups = append(groups, grp)
+		}
+		tp := NewTemporalPartitioning(config.DDR31600(), groups, 32+r.Intn(96))
+		dev := dram.New(config.DDR31600(), m, r.Intn(2) == 0)
+		at := 200 + uint64(r.Intn(50_000))
+		for i, n := 0, r.Intn(24); i < n; i++ {
+			co := mem.Coord{Bank: r.Intn(8), Row: uint64(r.Intn(4))}
+			dev.Service(co, mem.Kind(r.Intn(2)), at)
+			at += uint64(r.Intn(60))
+		}
+		q := make([]memctrl.Entry, r.Intn(40))
+		for i := range q {
+			addr := m.AddrForBank(r.Intn(8), uint64(r.Intn(4)), r.Intn(4))
+			co := m.Decode(addr)
+			req := mem.Request{ID: uint64(i), Addr: addr, Kind: mem.Kind(r.Intn(2)), Domain: mem.Domain(r.Intn(6)),
+				Prefetch: r.Intn(4) == 0, Arrival: uint64(r.Int63n(int64(at) + 1))}
+			q[i] = memctrl.Entry{Req: req, Coord: co, FlatBank: m.FlatBank(co)}
+		}
+		issued := uint64(0)
+		for k := len(q); k >= 0; k -= 1 + r.Intn(8) {
+			now := at - 200 + uint64(r.Intn(2000))
+			want := filterPick(tp, q[:k], now, dev)
+			got := tp.Pick(q[:k], now, dev)
+			if got != want {
+				t.Fatalf("case %d: Pick = %d, reference = %d (now %d, %d of %d entries, groups %v)",
+					c, got, want, now, k, len(q), groups)
+			}
+			pos := now % tp.turn
+			switch {
+			case pos >= tp.turn-tp.dead || tp.nearRefresh(now):
+				guarded++
+			case got < 0:
+				none++
+			default:
+				picked++
+				issued++
+			}
+		}
+		if used := tp.Stats().SlotsUsed; used != issued {
+			t.Fatalf("case %d: SlotsUsed = %d, want %d issued picks", c, used, issued)
+		}
+	}
+	t.Logf("picks: %d guarded, %d none eligible, %d picked", guarded, none, picked)
+	if guarded == 0 || none == 0 || picked == 0 {
+		t.Fatalf("a path went untested: %d guarded, %d none eligible, %d picked", guarded, none, picked)
+	}
+}

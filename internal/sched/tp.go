@@ -23,6 +23,11 @@ type TemporalPartitioning struct {
 	stats  Stats
 	mx     *obs.Registry // observability (nil = off); measurement only
 
+	// Per-pick scratch, reused so a pick allocates nothing: the turn
+	// owner's queue entries and their indices in the full queue.
+	sub []memctrl.Entry
+	idx []int
+
 	refi, rfc uint64 // refresh guard, as in FixedService
 }
 
@@ -88,14 +93,25 @@ func (tp *TemporalPartitioning) Pick(q []memctrl.Entry, now uint64, dev *dram.De
 	if tp.nearRefresh(now) {
 		return -1
 	}
+	// Within the turn, FR-FCFS picks among the owner's entries only.
 	owner := tp.groups[(now/tp.turn)%uint64(len(tp.groups))]
-	filtered := memctrl.DomainFiltered{Inner: tp.inner, Allow: owner.contains}
-	idx := filtered.Pick(q, now, dev)
-	if idx >= 0 {
-		tp.stats.SlotsUsed++
-		tp.mx.Inc(obs.CtrSlotsUsed, 0)
+	tp.sub, tp.idx = tp.sub[:0], tp.idx[:0]
+	for i := range q {
+		if owner.contains(q[i].Req.Domain) {
+			tp.sub = append(tp.sub, q[i])
+			tp.idx = append(tp.idx, i)
+		}
 	}
-	return idx
+	if len(tp.sub) == 0 {
+		return -1
+	}
+	pick := tp.inner.Pick(tp.sub, now, dev)
+	if pick < 0 {
+		return -1
+	}
+	tp.stats.SlotsUsed++
+	tp.mx.Inc(obs.CtrSlotsUsed, 0)
+	return tp.idx[pick]
 }
 
 // String describes the arbiter.

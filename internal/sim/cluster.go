@@ -253,7 +253,7 @@ type ClusterCounters struct {
 // Remote and Stalls count open-loop generator traffic only; Instructions
 // counts core retirement only.
 func (s *System) Counters() ClusterCounters {
-	out := ClusterCounters{Cycles: s.now, Tenants: len(s.cores) + len(s.gens), FaultDeferred: s.faultDeferred}
+	out := ClusterCounters{Cycles: s.now, Tenants: len(s.cores) + len(s.tenants) + len(s.gens), FaultDeferred: s.faultDeferred}
 	for _, c := range s.cores {
 		out.Instructions = append(out.Instructions, c.Stats().Instructions)
 	}

@@ -99,8 +99,12 @@ type SystemState struct {
 
 // SaveState captures the system's complete mutable state. Every core's
 // trace source must be checkpointable (trace.Stateful); every shaper's
-// driver must be checkpointable (both rdag drivers are).
+// driver must be checkpointable (both rdag drivers are). A system built
+// from Tenants is refused: their state lives outside the machine.
 func (s *System) SaveState() (*SystemState, error) {
+	if len(s.tenants) > 0 {
+		return nil, fmt.Errorf("sim: a system of Tenants has no checkpoint form")
+	}
 	st := &SystemState{
 		Scheme:        s.scheme,
 		Seed:          s.seed,
