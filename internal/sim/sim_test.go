@@ -2,9 +2,12 @@ package sim
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"dagguise/internal/config"
+	"dagguise/internal/cpu"
+	"dagguise/internal/mem"
 	"dagguise/internal/rdag"
 	"dagguise/internal/trace"
 	"dagguise/internal/victim"
@@ -181,5 +184,51 @@ func TestEightCoreSystemRuns(t *testing.T) {
 		if c.IPC <= 0 {
 			t.Fatalf("core %s starved", c.Name)
 		}
+	}
+}
+
+// pinger is a minimal Tenant: one read to bank 0 outstanding, reissued
+// gap cycles after each response.
+type pinger struct {
+	dom  mem.Domain
+	gap  uint64
+	done int
+}
+
+func (p *pinger) Tick(now uint64, port cpu.Port, alloc cpu.IDAlloc) uint64 {
+	if !port.TryEnqueue(mem.Request{ID: alloc(), Kind: mem.Read, Domain: p.dom, Issue: now}, now) {
+		return now + 1
+	}
+	return math.MaxUint64
+}
+
+func (p *pinger) OnResponse(_ mem.Response, now uint64) uint64 {
+	p.done++
+	return now + p.gap
+}
+
+// TestTenantSystem checks the bookkeeping of a system built from Tenants:
+// they count as domains and tenants, receive their responses, keep the
+// machine from reading idle and refuse a checkpoint; a system mixing
+// Tenants and cores is refused.
+func TestTenantSystem(t *testing.T) {
+	cfg := config.Default(2, config.FixedService)
+	a, b := &pinger{dom: 1, gap: 10}, &pinger{dom: 2, gap: 30}
+	sys, err := New(cfg, []CoreSpec{{Name: "a", Tenant: a, Protected: true}, {Name: "b", Tenant: b}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustRun(t, sys, 20_000)
+	if a.done == 0 || b.done == 0 || a.done <= b.done {
+		t.Fatalf("tenant responses: a %d, b %d; want both served, a more often", a.done, b.done)
+	}
+	if sys.NumDomains() != 3 || sys.Counters().Tenants != 2 || sys.idle() {
+		t.Fatalf("NumDomains %d, Tenants %d, idle %v; want 3, 2, false", sys.NumDomains(), sys.Counters().Tenants, sys.idle())
+	}
+	if _, err := sys.SaveState(); err == nil {
+		t.Fatal("a system of Tenants produced a checkpoint")
+	}
+	if _, err := New(cfg, []CoreSpec{{Name: "a", Tenant: a}, specFor(t, "lbm", 5, false)}); err == nil {
+		t.Fatal("New accepted a Tenant beside a core")
 	}
 }
