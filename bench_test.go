@@ -623,11 +623,11 @@ func BenchmarkSystemTick(b *testing.B) {
 	}
 }
 
-// BenchmarkClusterTick measures the per-cycle cost of one fleet channel:
-// channel 1 of the 4-channel, 100-tenant DAGguise cluster, warmed for 20k
-// cycles so its partitioned transaction queue is deep (several hundred
-// entries in front of 8 banks).
-func BenchmarkClusterTick(b *testing.B) {
+// clusterChannel builds channel 1 of the 4-channel, 100-tenant DAGguise
+// cluster, warmed for 20k cycles so its partitioned transaction queue is
+// deep (several hundred entries in front of 8 banks).
+func clusterChannel(b *testing.B) *sim.System {
+	b.Helper()
 	sys, err := sim.NewCluster(config.DefaultMultiChannel(4, 100, config.DAGguise), 1, 2, 1, 11)
 	if err != nil {
 		b.Fatal(err)
@@ -635,19 +635,15 @@ func BenchmarkClusterTick(b *testing.B) {
 	if err := sys.Run(context.Background(), 20_000); err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := sys.Tick(); err != nil {
-			b.Fatal(err)
-		}
-	}
+	return sys
 }
 
-// BenchmarkEightCoreTick measures the per-cycle cost of the eight-core
-// DAGguise machine of Figure 10: four protected DocDist victims with the
-// eight-core defense, each followed by an lbm co-runner, warmed for 20k
-// cycles. Its memory-bound cores are stalled on almost every cycle.
-func BenchmarkEightCoreTick(b *testing.B) {
+// eightCoreMachine builds the eight-core DAGguise machine of Figure 10:
+// four protected DocDist victims with the eight-core defense, each
+// followed by an lbm co-runner, warmed for 20k cycles. Its memory-bound
+// cores are stalled on almost every cycle.
+func eightCoreMachine(b *testing.B) *sim.System {
+	b.Helper()
 	p, err := workload.ByName("lbm")
 	if err != nil {
 		b.Fatal(err)
@@ -665,11 +661,53 @@ func BenchmarkEightCoreTick(b *testing.B) {
 	if err := sys.Run(context.Background(), 20_000); err != nil {
 		b.Fatal(err)
 	}
+	return sys
+}
+
+// BenchmarkClusterTick measures the per-cycle cost of one fleet channel
+// (clusterChannel) stepped through Tick.
+func BenchmarkClusterTick(b *testing.B) {
+	sys := clusterChannel(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := sys.Tick(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkEightCoreTick measures the per-cycle cost of the eight-core
+// machine of Figure 10 (eightCoreMachine) stepped through Tick.
+func BenchmarkEightCoreTick(b *testing.B) {
+	sys := eightCoreMachine(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := sys.Tick(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkClusterRun measures the fleet channel of BenchmarkClusterTick
+// advanced through Run, the path the fleet's chunk loop takes. One op is
+// one simulated cycle, so ns/op is the cost per cycle.
+func BenchmarkClusterRun(b *testing.B) {
+	sys := clusterChannel(b)
+	b.ResetTimer()
+	if err := sys.Run(context.Background(), uint64(b.N)); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkEightCoreRun measures the eight-core machine of
+// BenchmarkEightCoreTick advanced through Run, the path Measure and the
+// figure runs take. One op is one simulated cycle, so ns/op is the cost
+// per cycle.
+func BenchmarkEightCoreRun(b *testing.B) {
+	sys := eightCoreMachine(b)
+	b.ResetTimer()
+	if err := sys.Run(context.Background(), uint64(b.N)); err != nil {
+		b.Fatal(err)
 	}
 }
 
