@@ -106,7 +106,7 @@ func TestFacadeEnergy(t *testing.T) {
 }
 
 func TestFacadeTraces(t *testing.T) {
-	rec := dagguise.NewTraceRecorder(true)
+	rec := dagguise.NewTraceRecorder()
 	rec.Compute(5)
 	rec.Load(0x40)
 	rec.LoadDep(0x80)

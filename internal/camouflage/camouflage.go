@@ -200,6 +200,22 @@ func (s *Shaper) Tick(now uint64) []mem.Request {
 	return []mem.Request{req}
 }
 
+// NextEmit returns the earliest cycle at or after now at which Tick does
+// more than sample the private queue's occupancy: now until the first
+// Tick has drawn an interval, then the next injection cycle. SkipTicks
+// replays the ticks before it.
+func (s *Shaper) NextEmit(now uint64) uint64 {
+	if !s.started {
+		return now
+	}
+	return s.nextAt
+}
+
+// SkipTicks replays k ticks before NextEmit at once.
+func (s *Shaper) SkipTicks(k uint64) {
+	s.mx.ObserveN(obs.HistShaperQueue, int(s.domain), uint64(len(s.queue)), k)
+}
+
 // OnResponse reports whether the response should be delivered to the core.
 // Camouflage tracks nothing across responses.
 func (s *Shaper) OnResponse(resp mem.Response, now uint64) bool {

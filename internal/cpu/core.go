@@ -79,6 +79,7 @@ type Core struct {
 	alloc  IDAlloc
 
 	window    []slot
+	buf       []slot // window's backing array from its first element
 	baseSeq   uint64 // seq of window[0]
 	nextSeq   uint64
 	instCount int // instructions represented in the window
@@ -160,9 +161,11 @@ func (c *Core) depSatisfied(s *slot) bool {
 func (c *Core) Tick(now uint64) {
 	c.stats.Cycles++
 	c.mx.Observe(obs.HistMLP, int(c.domain), uint64(c.outstanding))
-	if c.parked && now < c.wakeAt && (c.refused == 0 || !c.port.Room(now)) {
+	if now < c.WakeAt(now) {
 		// Request IDs come from the machine-wide allocator in core order,
-		// so the replay draws one per refused offer.
+		// so the replay draws one per refused offer. SkipParked is the
+		// same replay for k cycles, kept out of this path so that a
+		// parked tick costs no call.
 		for i := 0; i < c.refused; i++ {
 			c.alloc()
 		}
@@ -180,6 +183,31 @@ func (c *Core) Tick(now uint64) {
 	if c.parked && len(c.window) > 0 && c.window[0].status == stDone {
 		c.wakeAt = c.window[0].completion
 	}
+}
+
+// WakeAt returns a lower bound on the first cycle at or after now at which
+// Tick does more than replay a parked tick: now unless the core is parked
+// and its port refuses the refused offers again, else the window head's
+// completion cycle (^0 when none is due). Only a response or port room,
+// which only the memory side's events change, can make it earlier.
+func (c *Core) WakeAt(now uint64) uint64 {
+	if !c.parked || (c.refused > 0 && c.port.Room(now)) {
+		return now
+	}
+	return c.wakeAt
+}
+
+// SkipParked replays k parked ticks, the cycles before WakeAt, at once:
+// what Tick's parked path does k times, except that it returns the
+// request IDs those ticks draw, one per refused offer per cycle, for the
+// caller to draw in bulk from the shared allocator. No other producer
+// draws during such cycles, so the order cannot matter.
+func (c *Core) SkipParked(k uint64) (ids uint64) {
+	c.stats.Cycles += k
+	c.stats.StallCycles += k
+	c.mx.ObserveN(obs.HistMLP, int(c.domain), uint64(c.outstanding), k)
+	c.mx.Add(obs.CtrROBStallCycles, int(c.domain), k)
+	return k * uint64(c.refused)
 }
 
 // offer hands req to the port, recording whether the tick changed state
@@ -247,9 +275,25 @@ func (c *Core) fill() {
 			c.exhausted = true
 			return
 		}
-		c.window = append(c.window, slot{op: op, seq: c.nextSeq, status: stWaitDep, gapLeft: op.Gap})
+		c.push(slot{op: op, seq: c.nextSeq, status: stWaitDep, gapLeft: op.Gap})
 		c.nextSeq++
 		c.instCount += op.Gap + 1
+	}
+}
+
+// push appends s to the window. Retirement advances the window through
+// its backing array, so when the window reaches the array's end and fills
+// at most half of it, push moves it back to the front instead of letting
+// append copy it into a fresh array. Each move copies at most half the
+// array and follows at least as many retirements, so the window stops
+// allocating once the array is twice its longest length.
+func (c *Core) push(s slot) {
+	if len(c.window) == cap(c.window) && 2*len(c.window) <= cap(c.buf) {
+		c.window = append(c.buf[:0], c.window...)
+	}
+	c.window = append(c.window, s)
+	if cap(c.window) > cap(c.buf) {
+		c.buf = c.window[:0]
 	}
 }
 

@@ -141,9 +141,9 @@ func (c *Core) RestoreState(st CoreState) error {
 		}
 		c.pf.clock = st.Prefetch.Clock
 	}
-	c.window = c.window[:0]
+	c.window = c.buf[:0]
 	for _, s := range st.Window {
-		c.window = append(c.window, slot{
+		c.push(slot{
 			op: s.Op, seq: s.Seq, status: opStatus(s.Status),
 			completion: s.Completion, reqID: s.ReqID, gapLeft: s.GapLeft,
 		})

@@ -21,6 +21,8 @@ package fault
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"dagguise/internal/mem"
@@ -145,6 +147,7 @@ func (s Schedule) Validate() error {
 // no mutable state, so one injector may serve concurrent simulations.
 type Injector struct {
 	byKind map[Kind][]Event
+	edges  []uint64 // every window's start and end, ascending, unique
 }
 
 // NewInjector validates the schedule and builds an injector over it.
@@ -160,6 +163,11 @@ func NewInjector(s Schedule) (*Injector, error) {
 		evs := in.byKind[k]
 		sort.SliceStable(evs, func(i, j int) bool { return evs[i].Start < evs[j].Start })
 	}
+	for _, e := range s.Events {
+		in.edges = append(in.edges, e.Start, e.End())
+	}
+	sort.Slice(in.edges, func(i, j int) bool { return in.edges[i] < in.edges[j] })
+	in.edges = slices.Compact(in.edges)
 	return in, nil
 }
 
@@ -212,6 +220,18 @@ func (in *Injector) DeferResponse(dom mem.Domain, now uint64) (uint64, bool) {
 		}
 	}
 	return until, until > now
+}
+
+// NextEdge returns the first cycle after now at which any fault window
+// opens or closes (math.MaxUint64 when none does). Every cycle before it
+// sees the same set of active windows as now, so a machine may treat the
+// cycles in between alike.
+func (in *Injector) NextEdge(now uint64) uint64 {
+	i := sort.Search(len(in.edges), func(i int) bool { return in.edges[i] > now })
+	if i == len(in.edges) {
+		return math.MaxUint64
+	}
+	return in.edges[i]
 }
 
 func (in *Injector) anyActive(k Kind, dom mem.Domain, now uint64) bool {

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -100,5 +101,45 @@ func TestEventEndSaturates(t *testing.T) {
 	}
 	if e.active(1, Forever) {
 		t.Fatal("cycle Forever must be outside every window")
+	}
+}
+
+// TestNextEdge checks the window-edge lookup against a scan: the edge is
+// the first cycle after now whose active-window set differs from now's.
+func TestNextEdge(t *testing.T) {
+	in := MustInjector(Schedule{Events: []Event{
+		{Kind: EgressStall, Domain: 2, Start: 100, Duration: 50},
+		{Kind: ShaperBackpressure, Domain: AllDomains, Start: 10, Duration: 5},
+		{Kind: RespDrop, Domain: 1, Start: 100, Duration: Forever, Delay: 3},
+	}})
+	for _, c := range []struct{ now, want uint64 }{
+		{0, 10}, {9, 10}, {10, 15}, {14, 15}, {15, 100}, {100, 150}, {149, 150}, {150, Forever}, {Forever, math.MaxUint64},
+	} {
+		if got := in.NextEdge(c.now); got != c.want {
+			t.Errorf("NextEdge(%d) = %d, want %d", c.now, got, c.want)
+		}
+	}
+	camp := MustInjector(Campaign(7, CampaignConfig{Horizon: 5_000, Domains: []mem.Domain{1, 3}}))
+	active := func(now uint64) []bool {
+		var out []bool
+		for k := DRAMStall; k <= EgressStall; k++ {
+			for _, e := range camp.byKind[k] {
+				out = append(out, e.active(e.Domain, now))
+			}
+		}
+		return out
+	}
+	for now := uint64(0); now < 6_000; {
+		edge := camp.NextEdge(now)
+		want := active(now)
+		for c := now + 1; c < edge && c < 6_000; c++ {
+			if !reflect.DeepEqual(active(c), want) {
+				t.Fatalf("active windows change at %d, before NextEdge(%d) = %d", c, now, edge)
+			}
+		}
+		if edge <= now || edge < 6_000 && reflect.DeepEqual(active(edge), want) {
+			t.Fatalf("NextEdge(%d) = %d is no window edge", now, edge)
+		}
+		now = edge
 	}
 }

@@ -12,6 +12,7 @@ package memctrl
 import (
 	"container/heap"
 	"fmt"
+	"math"
 
 	"dagguise/internal/dram"
 	"dagguise/internal/mem"
@@ -34,6 +35,14 @@ type Scheduler interface {
 	// now, or -1 if none may issue this cycle. q is the current global
 	// transaction queue in arrival order; dev exposes bank/row state.
 	Pick(q []Entry, now uint64, dev *dram.Device) int
+	// NextPick returns a lower bound on the first cycle at or after now at
+	// which Pick could return an entry or change the policy's state, for
+	// as long as q and the device stay as they are (returning now is
+	// always safe). It stands in for a Pick at now: a policy whose -1
+	// picks keep bookkeeping updates it as that Pick would, so the
+	// controller calls it only with a non-empty queue, at a cycle it has
+	// not ticked yet.
+	NextPick(q []Entry, now uint64, dev *dram.Device) uint64
 	// Name identifies the policy in stats output.
 	Name() string
 }
@@ -313,17 +322,28 @@ func (c *Controller) drain(now uint64) []mem.Response {
 	return out
 }
 
-// NextEvent returns the earliest cycle at which the controller has work to
-// do: the next in-flight completion, or now if transactions are queued.
-// Simulation drivers can use it to skip idle cycles.
+// NextEvent returns a lower bound on the first cycle at or after now at
+// which Tick does more than sample the queue-depth histogram: the earlier
+// of the next in-flight completion and, while transactions are queued,
+// the scheduler's NextPick. It reports false when nothing is queued or in
+// flight. Like NextPick it stands in for the scheduler's pick at now, so
+// call it only at a cycle the controller has not ticked yet; SkipTicks
+// then replays the ticks before the bound.
 func (c *Controller) NextEvent(now uint64) (uint64, bool) {
-	if len(c.queue) > 0 {
-		return now, true
-	}
+	at, ok := uint64(math.MaxUint64), false
 	if len(c.inflight) > 0 {
-		return c.inflight[0].at, true
+		at, ok = c.inflight[0].at, true
 	}
-	return 0, false
+	if len(c.queue) > 0 && at > now {
+		at, ok = min(at, c.sched.NextPick(c.queue, now, c.dev)), true
+	}
+	return max(at, now), ok
+}
+
+// SkipTicks replays k ticks that issue and complete nothing, the cycles
+// before NextEvent's bound: each samples the unchanged queue depth.
+func (c *Controller) SkipTicks(k uint64) {
+	c.mx.ObserveN(obs.HistQueueDepth, 0, uint64(len(c.queue)), k)
 }
 
 // Stats returns the cumulative counters.

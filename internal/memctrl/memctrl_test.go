@@ -149,20 +149,31 @@ func TestPendingForDomain(t *testing.T) {
 	}
 }
 
+// TestNextEvent checks the controller's bound: now while a queued
+// transaction's bank is free, and otherwise the earlier of the bank-free
+// cycle and the next completion, even with transactions queued.
 func TestNextEvent(t *testing.T) {
 	c, m := testRig(FCFS{}, false)
 	if _, ok := c.NextEvent(0); ok {
 		t.Fatal("idle controller reported work")
 	}
 	c.Enqueue(mem.Request{ID: 0, Addr: m.AddrForBank(0, 0, 0)}, 5)
+	c.Enqueue(mem.Request{ID: 1, Addr: m.AddrForBank(0, 1, 0)}, 5)
 	at, ok := c.NextEvent(5)
 	if !ok || at != 5 {
 		t.Fatalf("NextEvent = %d,%v; want 5,true", at, ok)
 	}
 	c.Tick(5)
+	done, _ := c.NextCompletion()
+	free := c.Device().BankBusyUntil(m.FlatBank(m.Decode(m.AddrForBank(0, 1, 0))))
 	at, ok = c.NextEvent(6)
-	if !ok || at <= 5 {
-		t.Fatalf("NextEvent after commit = %d,%v; want completion cycle", at, ok)
+	if !ok || at <= 6 || at != min(done, free) {
+		t.Fatalf("NextEvent with the bank busy = %d,%v; want min(completion %d, bank free %d)", at, ok, done, free)
+	}
+	for now := uint64(6); now < at; now++ {
+		if resps := c.Tick(now); len(resps) > 0 || c.QueueLen() != 1 {
+			t.Fatalf("cycle %d before the bound: %d responses, queue %d", now, len(resps), c.QueueLen())
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package memctrl
 
 import (
+	"math"
+
 	"dagguise/internal/dram"
 	"dagguise/internal/mem"
 )
@@ -22,6 +24,11 @@ func (FCFS) Pick(q []Entry, now uint64, dev *dram.Device) int {
 		return -1
 	}
 	return 0
+}
+
+// NextPick implements Scheduler: the oldest transaction's bank-free cycle.
+func (FCFS) NextPick(q []Entry, now uint64, dev *dram.Device) uint64 {
+	return dev.BankBusyUntil(q[0].FlatBank)
 }
 
 // FRFCFS is first-ready FCFS, the insecure baseline policy: among
@@ -97,4 +104,29 @@ func (p FRFCFS) Pick(q []Entry, now uint64, dev *dram.Device) int {
 		}
 	}
 	return best
+}
+
+// NextPick implements Scheduler: the earliest bank-free cycle among the
+// queued transactions, since Pick issues only to a free bank. As in Pick,
+// a deep queue usually finds every bank busy, and then the earliest bank
+// to free bounds every entry without a queue scan; otherwise the scan
+// stops at the first queued bank already free.
+func (FRFCFS) NextPick(q []Entry, now uint64, dev *dram.Device) uint64 {
+	at := uint64(math.MaxUint64)
+	for b := 0; b < dev.Banks(); b++ {
+		at = min(at, dev.BankBusyUntil(b))
+	}
+	if at > now {
+		return at
+	}
+	at = math.MaxUint64
+	for i := range q {
+		if free := dev.BankBusyUntil(q[i].FlatBank); free < at {
+			if free <= now {
+				return now
+			}
+			at = free
+		}
+	}
+	return at
 }

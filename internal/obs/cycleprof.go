@@ -84,9 +84,13 @@ const NumProfBuckets = int(numProfBuckets)
 // for concurrent use: one profiler belongs to one simulation thread.
 type CycleProfile struct {
 	base time.Time
-	last int64
-	ns   [numProfBuckets]int64
-	laps [numProfBuckets]uint64
+	// clock, when set, replaces the wall clock as the lap time source
+	// (nanoseconds since the start), so a test can drive attribution
+	// without depending on how the host schedules it.
+	clock func() int64
+	last  int64
+	ns    [numProfBuckets]int64
+	laps  [numProfBuckets]uint64
 }
 
 // NewCycleProfile starts a profiler; the lap clock begins at the call.
@@ -104,10 +108,18 @@ func (p *CycleProfile) Lap(b ProfBucket) {
 }
 
 func (p *CycleProfile) lap(b ProfBucket) {
-	now := int64(time.Since(p.base))
+	now := p.elapsed()
 	p.ns[b] += now - p.last
 	p.laps[b]++
 	p.last = now
+}
+
+// elapsed reads the lap clock: nanoseconds since the profile started.
+func (p *CycleProfile) elapsed() int64 {
+	if p.clock != nil {
+		return p.clock()
+	}
+	return int64(time.Since(p.base))
 }
 
 // Ns returns the nanoseconds attributed to bucket b so far.
@@ -131,7 +143,8 @@ func (p *CycleProfile) Reset() {
 	if p == nil {
 		return
 	}
-	*p = CycleProfile{base: time.Now()}
+	*p = CycleProfile{base: time.Now(), clock: p.clock}
+	p.last = p.elapsed()
 }
 
 // ProfReport is the cycle-attribution evidence file: per-bucket wall

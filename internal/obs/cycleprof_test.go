@@ -18,18 +18,22 @@ func spin(d time.Duration) {
 
 // TestCycleProfileTelescopes pins the core invariant of the lap design:
 // every nanosecond between the first and last lap lands in exactly one
-// bucket, so the attributed total explains (almost all of) wall time.
+// bucket, so the attributed total explains (almost all of) wall time. The
+// test drives the profile's clock, so preemption of the test process
+// cannot make a 50 µs section outweigh a 100 µs one.
 func TestCycleProfileTelescopes(t *testing.T) {
-	start := time.Now()
+	var clock int64
+	work := func(d time.Duration) { clock += int64(d) }
 	p := NewCycleProfile()
+	p.clock = func() int64 { return clock }
 	for i := 0; i < 50; i++ {
-		spin(100 * time.Microsecond)
+		work(100 * time.Microsecond)
 		p.Lap(PBCPU)
-		spin(50 * time.Microsecond)
+		work(50 * time.Microsecond)
 		p.Lap(PBDRAM)
 		p.Lap(PBHarness)
 	}
-	wall := time.Since(start)
+	wall := time.Duration(clock)
 
 	r := p.Report(wall, 50)
 	if r.Coverage < 0.95 {

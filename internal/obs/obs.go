@@ -314,6 +314,17 @@ func (r *Registry) Observe(h Hist, d int, v uint64) {
 	atomic.AddUint64(&r.hists[base+Bucket(v)], 1)
 }
 
+// ObserveN records n samples of value v into histogram h of domain d,
+// exactly as n Observe calls would. The machine uses it to replay the
+// per-cycle samples of a run of quiet cycles at once. No-op on nil.
+func (r *Registry) ObserveN(h Hist, d int, v, n uint64) {
+	if r == nil {
+		return
+	}
+	base := (int(h)*r.domains + r.clamp(d)) * NumBuckets
+	atomic.AddUint64(&r.hists[base+Bucket(v)], n)
+}
+
 // Counter returns the current value of counter c for domain d.
 func (r *Registry) Counter(c Counter, d int) uint64 {
 	if r == nil {

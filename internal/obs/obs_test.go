@@ -97,6 +97,42 @@ func TestNilRegistryAndTracerAreNoOps(t *testing.T) {
 	}
 }
 
+// TestObserveN checks that n samples recorded at once land exactly where
+// n Observe calls put them, that n = 0 records nothing, that an
+// out-of-range domain clamps to slot 0 like Observe and that a nil
+// registry ignores the call.
+func TestObserveN(t *testing.T) {
+	one, bulk := NewRegistry(3), NewRegistry(3)
+	for _, v := range []uint64{0, 3, 100, 1 << 40} {
+		for i := 0; i < 5; i++ {
+			one.Observe(HistQueueDepth, 2, v)
+		}
+		bulk.ObserveN(HistQueueDepth, 2, v, 5)
+	}
+	one.Observe(HistMLP, 99, 7)
+	bulk.ObserveN(HistMLP, 99, 7, 1)
+	bulk.ObserveN(HistMLP, 1, 7, 0)
+	a, b := one.Snapshot(), bulk.Snapshot()
+	for _, h := range []Hist{HistQueueDepth, HistMLP} {
+		for d := 0; d < 3; d++ {
+			ba, bb := a.HistBuckets(h, d), b.HistBuckets(h, d)
+			for i := range ba {
+				if ba[i] != bb[i] {
+					t.Fatalf("%s domain %d bucket %d: ObserveN %d, Observe %d", h, d, i, bb[i], ba[i])
+				}
+			}
+		}
+	}
+	if got := b.HistTotal(HistQueueDepth, 2); got != 20 {
+		t.Fatalf("queue-depth samples = %d, want 20", got)
+	}
+	if got := b.HistTotal(HistMLP, 0); got != 1 {
+		t.Fatalf("clamped samples = %d, want 1", got)
+	}
+	var r *Registry
+	r.ObserveN(HistMLP, 1, 7, 3)
+}
+
 func TestSnapshotSub(t *testing.T) {
 	r := NewRegistry(2)
 	r.Add(CtrRetired, 1, 10)

@@ -2,6 +2,7 @@ package rdag
 
 import (
 	"fmt"
+	"math"
 
 	"dagguise/internal/mem"
 )
@@ -38,6 +39,10 @@ type Slot struct {
 // Complete with the slot's token when the request's response returns.
 type Driver interface {
 	Poll(now uint64) []Slot
+	// NextPoll returns the earliest cycle at which Poll could return a
+	// slot (math.MaxUint64 while every slot awaits a completion). Only
+	// Complete can make it earlier.
+	NextPoll() uint64
 	Complete(token int, now uint64)
 	// Outstanding reports how many emitted slots have not completed.
 	Outstanding() int
@@ -112,6 +117,18 @@ func (d *PatternDriver) Poll(now uint64) []Slot {
 		out = append(out, Slot{Token: i, Bank: bank, Kind: kind, Row: row})
 	}
 	return out
+}
+
+// NextPoll implements Driver: the earliest due cycle among the sequences
+// not waiting on a response.
+func (d *PatternDriver) NextPoll() uint64 {
+	at := uint64(math.MaxUint64)
+	for i := range d.seqs {
+		if s := &d.seqs[i]; !s.waiting {
+			at = min(at, s.nextAt)
+		}
+	}
+	return at
 }
 
 // Complete implements Driver: the response for sequence token returned at
@@ -205,6 +222,18 @@ func (d *GraphDriver) Poll(now uint64) []Slot {
 		out = append(out, Slot{Token: i, Bank: v.Bank, Kind: v.Kind})
 	}
 	return out
+}
+
+// NextPoll implements Driver: the earliest ready cycle among the vertices
+// whose predecessors have all completed and that are not yet emitted.
+func (d *GraphDriver) NextPoll() uint64 {
+	at := uint64(math.MaxUint64)
+	for i := range d.g.Vertices {
+		if !d.emitted[i] && d.indeg[i] == 0 {
+			at = min(at, d.readyAt[i])
+		}
+	}
+	return at
 }
 
 // Complete implements Driver.

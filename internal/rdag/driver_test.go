@@ -1,6 +1,7 @@
 package rdag
 
 import (
+	"math/rand"
 	"testing"
 
 	"dagguise/internal/mem"
@@ -219,6 +220,41 @@ func TestDriversAreDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("slot %d differs: %v vs %v", i, a[i], b[i])
+		}
+	}
+}
+
+// TestNextPollPredictsPoll drives both drivers through a schedule of
+// random response latencies and checks, at every cycle, that Poll returns
+// a slot exactly when NextPoll has come.
+func TestNextPollPredictsPoll(t *testing.T) {
+	tpl := Template{Sequences: 3, Weight: 40, WriteRatio: 0.25, Banks: 8}
+	g, err := tpl.Unroll(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drivers := map[string]Driver{"pattern": MustPatternDriver(tpl)}
+	if drivers["graph"], err = NewGraphDriver(g, 25); err != nil {
+		t.Fatal(err)
+	}
+	for name, d := range drivers {
+		rnd := rand.New(rand.NewSource(3))
+		due := map[int]uint64{} // token -> completion cycle
+		for now := uint64(0); now < 5_000; now++ {
+			for tok := range g.Vertices {
+				if at, ok := due[tok]; ok && at == now {
+					d.Complete(tok, now)
+					delete(due, tok)
+				}
+			}
+			next := d.NextPoll()
+			slots := d.Poll(now)
+			if (len(slots) > 0) != (next <= now) {
+				t.Fatalf("%s: cycle %d: NextPoll %d but Poll returned %d slots", name, now, next, len(slots))
+			}
+			for _, s := range slots {
+				due[s.Token] = now + 1 + uint64(rnd.Intn(90))
+			}
 		}
 	}
 }

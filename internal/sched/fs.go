@@ -168,11 +168,7 @@ func (f *FixedService) slotBlockedByRefresh(slotStart uint64) bool {
 // Pick implements memctrl.Scheduler. Only the cycle at the slot boundary
 // can issue, guaranteeing an input-independent command schedule.
 func (f *FixedService) Pick(q []memctrl.Entry, now uint64, dev *dram.Device) int {
-	slot := now / f.stride
-	if slot != f.curSlot {
-		f.curSlot = slot
-		f.issued = false
-	}
+	slot := f.roll(now)
 	if now%f.stride != 0 || f.issued {
 		return -1
 	}
@@ -202,6 +198,29 @@ func (f *FixedService) Pick(q []memctrl.Entry, now uint64, dev *dram.Device) int
 	f.stats.SlotsWasted++
 	f.mx.Inc(obs.CtrSlotsWasted, 0)
 	return -1
+}
+
+// roll enters the slot holding now, clearing the issued flag when it is a
+// new slot, and returns the slot index.
+func (f *FixedService) roll(now uint64) uint64 {
+	slot := now / f.stride
+	if slot != f.curSlot {
+		f.curSlot = slot
+		f.issued = false
+	}
+	return slot
+}
+
+// NextPick implements memctrl.Scheduler: the next slot boundary Pick has
+// not yet served, since only a boundary can count or issue. It enters
+// now's slot as Pick at now would; every later cycle before the boundary
+// lies in the same slot, so their picks would change nothing more.
+func (f *FixedService) NextPick(q []memctrl.Entry, now uint64, dev *dram.Device) uint64 {
+	slot := f.roll(now)
+	if now%f.stride == 0 && !f.issued {
+		return now
+	}
+	return (slot + 1) * f.stride
 }
 
 // String describes the arbiter.

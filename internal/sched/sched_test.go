@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"dagguise/internal/config"
@@ -451,5 +452,92 @@ func TestTPPickMatchesFilteredPick(t *testing.T) {
 	t.Logf("picks: %d guarded, %d none eligible, %d picked", guarded, none, picked)
 	if guarded == 0 || none == 0 || picked == 0 {
 		t.Fatalf("a path went untested: %d guarded, %d none eligible, %d picked", guarded, none, picked)
+	}
+}
+
+// TestNextPickMatchesPick checks every scheduler's NextPick against its
+// Pick: a controller that jumps from each cycle to the next enqueue or
+// its NextEvent bound, replaying the cycles in between with SkipTicks,
+// must return the same responses at the same cycles, and leave the same
+// controller and arbiter state, as one ticked on every cycle.
+func TestNextPickMatchesPick(t *testing.T) {
+	tm := config.DDR31600()
+	groups := []Group{{1}, {2}, {3, 4}, {3, 4}}
+	policies := map[string]func() memctrl.Scheduler{
+		"fr-fcfs": func() memctrl.Scheduler { return memctrl.FRFCFS{} },
+		"fcfs":    func() memctrl.Scheduler { return memctrl.FCFS{} },
+		"fs":      func() memctrl.Scheduler { return NewFixedService(tm, groups) },
+		"fs-bta":  func() memctrl.Scheduler { return NewFSBTA(tm, groups) },
+		"tp":      func() memctrl.Scheduler { return NewTemporalPartitioning(tm, groups, 96) },
+	}
+	type event struct {
+		at  uint64
+		req mem.Request
+	}
+	const horizon = 60_000
+	for name, mk := range policies {
+		ref, m := rig(mk())
+		jump, _ := rig(mk())
+		rnd := rand.New(rand.NewSource(5))
+		var arrivals []event
+		// Bursts of arrivals in one cycle, then gaps: queues build up
+		// behind busy banks and drain again.
+		for at := uint64(0); at < horizon; at += uint64(rnd.Intn(3)) * uint64(rnd.Intn(150)) {
+			arrivals = append(arrivals, event{at, mem.Request{
+				ID:     uint64(len(arrivals)),
+				Addr:   m.AddrForBank(rnd.Intn(8), uint64(rnd.Intn(64)), rnd.Intn(16)),
+				Kind:   mem.Kind(rnd.Intn(2)),
+				Domain: mem.Domain(1 + rnd.Intn(4)),
+			}})
+		}
+		// run drives c to the horizon, jumping quiet cycles when asked,
+		// and returns the responses as (cycle, ID) pairs plus the count
+		// of cycles it ticked.
+		run := func(c *memctrl.Controller, jumps bool) (out [][2]uint64, ticks int) {
+			next := 0
+			for now := uint64(0); now < horizon; {
+				for next < len(arrivals) && arrivals[next].at == now {
+					c.Enqueue(arrivals[next].req, now) // a refusal drops it on both sides
+					next++
+				}
+				if jumps {
+					limit := uint64(horizon)
+					if next < len(arrivals) {
+						limit = arrivals[next].at
+					}
+					if at, ok := c.NextEvent(now); !ok || at > now {
+						if ok {
+							limit = min(limit, at)
+						}
+						c.SkipTicks(limit - now)
+						now = limit
+						continue
+					}
+				}
+				for _, r := range c.Tick(now) {
+					out = append(out, [2]uint64{now, r.ID})
+				}
+				ticks++
+				now++
+			}
+			return out, ticks
+		}
+		want, all := run(ref, false)
+		got, ticked := run(jump, true)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: responses with jumps differ from the tick loop (%d vs %d)", name, len(got), len(want))
+		}
+		if ref.Stats() != jump.Stats() || !reflect.DeepEqual(ref.SaveState(), jump.SaveState()) {
+			t.Fatalf("%s: controller state differs after the run", name)
+		}
+		if sr, ok := ref.Scheduler().(StatefulScheduler); ok {
+			if a, b := sr.SaveState(), jump.Scheduler().(StatefulScheduler).SaveState(); a != b {
+				t.Fatalf("%s: arbiter state %+v, tick loop %+v", name, b, a)
+			}
+		}
+		t.Logf("%s: %d responses, %d of %d cycles ticked", name, len(want), ticked, all)
+		if len(want) < 100 || ticked > all/2 {
+			t.Fatalf("%s: %d responses, %d of %d cycles ticked; the run should be busy yet mostly quiet", name, len(want), ticked, all)
+		}
 	}
 }

@@ -114,6 +114,28 @@ func (tp *TemporalPartitioning) Pick(q []memctrl.Entry, now uint64, dev *dram.De
 	return tp.idx[pick]
 }
 
+// NextPick implements memctrl.Scheduler with a lower bound that needs no
+// pick: the next turn start during dead time or when the owner has nothing
+// queued, now near a refresh, and otherwise the earliest cycle a bank of
+// one of the owner's transactions frees, capped at the next turn start. A
+// pick that returns -1 changes nothing, so there is nothing to keep.
+func (tp *TemporalPartitioning) NextPick(q []memctrl.Entry, now uint64, dev *dram.Device) uint64 {
+	next := (now/tp.turn + 1) * tp.turn
+	if now%tp.turn >= tp.turn-tp.dead {
+		return next
+	}
+	if tp.nearRefresh(now) {
+		return now
+	}
+	owner := tp.groups[(now/tp.turn)%uint64(len(tp.groups))]
+	for i := range q {
+		if owner.contains(q[i].Req.Domain) {
+			next = min(next, max(now, dev.BankBusyUntil(q[i].FlatBank)))
+		}
+	}
+	return next
+}
+
 // String describes the arbiter.
 func (tp *TemporalPartitioning) String() string {
 	return fmt.Sprintf("tp{groups=%d turn=%d dead=%d}", len(tp.groups), tp.turn, tp.dead)

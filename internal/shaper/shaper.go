@@ -187,6 +187,17 @@ func (s *Shaper) Tick(now uint64) []mem.Request {
 	return out
 }
 
+// NextEmit returns the earliest cycle at which Tick could emit: the
+// driver's next due slot. Every earlier Tick only samples the private
+// queue's occupancy, which SkipTicks replays. A response can move it
+// earlier.
+func (s *Shaper) NextEmit() uint64 { return s.driver.NextPoll() }
+
+// SkipTicks replays k ticks before NextEmit at once.
+func (s *Shaper) SkipTicks(k uint64) {
+	s.mx.ObserveN(obs.HistShaperQueue, int(s.domain), uint64(len(s.queue)), k)
+}
+
 // rowOK checks a pending request against the slot's row relation, using
 // the row this shaper last opened in the slot's bank.
 func (s *Shaper) rowOK(slot rdag.Slot, row uint64) bool {

@@ -267,7 +267,11 @@ func (s *System) deliver(ch *channel, resp mem.Response, now uint64) error {
 		t.next = t.OnResponse(resp, now)
 		s.tenantWake = min(s.tenantWake, t.next)
 	default:
-		s.gens[i].complete()
+		g := s.gens[i]
+		g.complete()
+		if g.Pending == nil {
+			s.genWake = min(s.genWake, g.NextAt)
+		}
 	}
 	return nil
 }

@@ -130,6 +130,13 @@ func (g *generator) Tick(now uint64) {
 	g.step(now)
 }
 
+// port returns the local port a request routes to. Only a local request
+// can be refused, so a pending one always has one.
+func (g *generator) port(req mem.Request) *port {
+	ch := mem.RouteChannel(req.Domain, req.Addr, g.s.routeWidth) - g.s.chanLo
+	return g.s.chans[ch].ports[g.Index]
+}
+
 func (g *generator) step(now uint64) {
 	if g.Pending != nil {
 		if g.issue(*g.Pending, now) {

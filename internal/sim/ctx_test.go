@@ -50,33 +50,6 @@ func TestRunDeadlineStopsMidRun(t *testing.T) {
 	}
 }
 
-// TestRunMatchesTickLoop checks that Run's context polls are invisible to
-// the machine: a run of a cycle count that is no multiple of the poll
-// interval leaves the same shaped egress as ticking the machine directly.
-func TestRunMatchesTickLoop(t *testing.T) {
-	const cycles = 50_000
-	a := twoCore(t, config.DAGguise)
-	a.EnableEgressTrace()
-	for i := 0; i < cycles; i++ {
-		if err := a.Tick(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	b := twoCore(t, config.DAGguise)
-	b.EnableEgressTrace()
-	mustRun(t, b, cycles)
-	ta, tb := a.EgressTrace(1), b.EgressTrace(1)
-	if len(ta) == 0 || len(ta) != len(tb) {
-		t.Fatalf("egress traces differ: %d vs %d events", len(ta), len(tb))
-	}
-	for i := range ta {
-		if ta[i] != tb[i] {
-			t.Fatalf("event %d: %+v vs %+v", i, ta[i], tb[i])
-		}
-	}
-}
-
 func TestMeasureHonoursCancel(t *testing.T) {
 	sys := twoCore(t, config.Insecure)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -90,15 +63,32 @@ func TestMeasureHonoursCancel(t *testing.T) {
 // watchdog, so a machine stuck behind a permanent DRAM stall runs on
 // without error until SetWatchdog arms one, and Runs shorter than the
 // stall budget then keep the progress marks between calls and report the
-// deadlock.
+// deadlock: at the cycle, and with the message, that a Tick loop over
+// the same machine reports.
 func TestOnlySetWatchdogArms(t *testing.T) {
-	sys := twoCore(t, config.Insecure)
-	err := sys.AttachFaults(fault.Schedule{Events: []fault.Event{
-		{Kind: fault.DRAMStall, Start: 2_000, Duration: fault.Forever},
-	}})
-	if err != nil {
-		t.Fatal(err)
+	stalled := func() *System {
+		sys := twoCore(t, config.Insecure)
+		err := sys.AttachFaults(fault.Schedule{Events: []fault.Event{
+			{Kind: fault.DRAMStall, Start: 2_000, Duration: fault.Forever},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
 	}
+	ticked := stalled()
+	for i := 0; i < 60_000; i++ {
+		if err := ticked.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ticked.SetWatchdog(Watchdog{StallBudget: 5_000})
+	var want error
+	for i := 0; i < 10_000 && want == nil; i++ {
+		want = ticked.Tick()
+	}
+
+	sys := stalled()
 	mustRun(t, sys, 60_000) // stalled for longer than DefaultWatchdog's budget
 	sys.SetWatchdog(Watchdog{StallBudget: 5_000})
 	for i := 0; i < 10; i++ {
@@ -106,6 +96,9 @@ func TestOnlySetWatchdogArms(t *testing.T) {
 			var se *SimError
 			if !errors.As(err, &se) || se.Invariant != InvariantDeadlock {
 				t.Fatalf("got %v, want a deadlock SimError", err)
+			}
+			if want == nil || err.Error() != want.Error() || sys.now != ticked.now {
+				t.Fatalf("Run reported %q at cycle %d; the tick loop %v at cycle %d", err, sys.now, want, ticked.now)
 			}
 			return
 		}

@@ -99,8 +99,11 @@ type System struct {
 	chans   []*channel
 
 	// tenantWake is the earliest cycle a Tenant asked to be ticked at,
-	// so the tick loop tests one cycle, not every Tenant.
+	// so the tick loop tests one cycle, not every Tenant. genWake and
+	// refused do the same for the generators (see tickGens).
 	tenantWake uint64
+	genWake    uint64
+	refused    []*generator
 
 	// NewCluster's channel slice start, router width, seed and secret
 	// (zero for New, whose single channel is index 0).
@@ -337,8 +340,8 @@ func (s *System) Tick() error {
 	if now >= s.tenantWake {
 		s.tickTenants(now)
 	}
-	for _, g := range s.gens {
-		g.Tick(now)
+	if now >= s.genWake || len(s.refused) > 0 {
+		s.tickGens(now)
 	}
 	s.prof.Lap(obs.PBCPU)
 	if err := s.portErr; err != nil {
@@ -387,6 +390,26 @@ func (s *System) tickTenants(now uint64) {
 		wake = min(wake, t.next)
 	}
 	s.tenantWake = wake
+}
+
+// tickGens ticks the generators in index order. It lists those left
+// holding a refused request, which retry on every cycle, and notes in
+// genWake the earliest NextAt among the others below the outstanding
+// limit: the exact cycle the next of them is due, since only a
+// completion can change it, and deliver lowers genWake for one.
+func (s *System) tickGens(now uint64) {
+	wake := uint64(math.MaxUint64)
+	s.refused = s.refused[:0]
+	for _, g := range s.gens {
+		g.Tick(now)
+		switch {
+		case g.Pending != nil:
+			s.refused = append(s.refused, g)
+		case g.Outstanding < clusterMaxOutstanding:
+			wake = min(wake, g.NextAt)
+		}
+	}
+	s.genWake = wake
 }
 
 // checkProgress enforces the deadlock invariant of an armed watchdog: with
@@ -458,18 +481,119 @@ const ctxCheckInterval = 4096
 // (use errors.Is with context.Canceled / context.DeadlineExceeded). Either
 // way the machine stops at a cycle boundary in a consistent state, so a
 // caller may checkpoint it with SaveState and resume later.
+//
+// Run leaves the machine exactly as the same number of Ticks would, but
+// it does not step through quiet cycles: from each cycle it asks every
+// component for the earliest cycle it could act (quietUntil) and replays
+// the cycles before that in bulk (skip).
 func (s *System) Run(ctx context.Context, cycles uint64) error {
 	for end := s.now + cycles; s.now < end; {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		for stop := min(end, s.now+ctxCheckInterval); s.now < stop; {
+			if next := s.quietUntil(stop); next > s.now {
+				s.skip(next - s.now)
+				continue
+			}
 			if err := s.Tick(); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
+}
+
+// quietUntil returns the first cycle, capped at limit, at which some
+// component could do more in a Tick than skip replays, or s.now when the
+// current cycle is not quiet. Each component's answer is a lower bound on
+// when it next acts, which only another component acting can lower (a
+// response unparks a core, an issue frees port room). No component acts
+// before the earliest answer, so every cycle before it is quiet. Cores
+// are asked first because they are the component most often busy.
+func (s *System) quietUntil(limit uint64) uint64 {
+	now, next := s.now, limit
+	for _, c := range s.cores {
+		if next = min(next, c.WakeAt(now)); next <= now {
+			return now
+		}
+	}
+	if now >= s.genWake {
+		return now // a generator is due
+	}
+	next = min(next, s.tenantWake, s.genWake)
+	for _, g := range s.refused {
+		// A refused request waits for room, which only the memory
+		// side's events give back.
+		if g.port(*g.Pending).Room(now) {
+			return now
+		}
+	}
+	if s.faults != nil {
+		// A window edge changes port room (backpressure) or what a
+		// response or staged request meets on its way.
+		next = min(next, s.faults.NextEdge(now))
+	}
+	if s.wd.StallBudget > 0 {
+		// The first cycle whose tick finds the stall budget exhausted.
+		next = min(next, s.lastProgress+s.wd.StallBudget)
+	}
+	if next <= now {
+		return now
+	}
+	for _, ch := range s.chans {
+		for _, p := range ch.shaped {
+			if len(p.egress) > 0 {
+				return now
+			}
+			if p.dag != nil {
+				next = min(next, p.dag.NextEmit())
+			} else {
+				next = min(next, p.camo.NextEmit(now))
+			}
+		}
+		for _, d := range ch.deferred {
+			next = min(next, d.Until)
+		}
+		if next <= now {
+			return now
+		}
+		// Asked last: for a slotted arbiter it stands in for the pick at
+		// now, which the Tick a non-quiet answer leads to repeats alike.
+		if at, ok := ch.ctrl.NextEvent(now); ok && at < next {
+			if at <= now {
+				return now
+			}
+			next = at
+		}
+	}
+	return next
+}
+
+// skip replays the k quiet cycles from s.now that quietUntil found. In
+// each, Tick would only have advanced the parked cores' counters and
+// drawn their refused offers' request IDs, counted a stall for each
+// generator still holding a refused request, and sampled the per-cycle
+// histograms of every core, shaper, egress queue and controller.
+func (s *System) skip(k uint64) {
+	for _, c := range s.cores {
+		s.nextID += c.SkipParked(k)
+	}
+	for _, g := range s.refused {
+		g.Stalls += k
+	}
+	for _, ch := range s.chans {
+		for _, p := range ch.shaped {
+			if p.dag != nil {
+				p.dag.SkipTicks(k)
+			} else {
+				p.camo.SkipTicks(k)
+			}
+			s.mx.ObserveN(obs.HistEgressQueue, int(p.dom), 0, k)
+		}
+		ch.ctrl.SkipTicks(k)
+	}
+	s.now += k
 }
 
 // SetWatchdog arms the forward-progress invariants every later tick

@@ -82,17 +82,20 @@ func (l *Loop) Reset() {
 // Recorder collects ops emitted by an instrumented application (the victim
 // implementations in internal/victim record through one of these).
 type Recorder struct {
-	ops      []Op
-	gap      int
-	lastLine map[uint64]int // line -> op index, for dependency inference
-	inferDep bool
+	ops []Op
+	gap int
 }
 
-// NewRecorder builds a recorder. When inferDeps is true, an access to a
-// line that was previously accessed records a dependency on the earlier
-// op, modelling data-dependent address generation (hash-table chains).
-func NewRecorder(inferDeps bool) *Recorder {
-	return &Recorder{lastLine: make(map[uint64]int), inferDep: inferDeps}
+// NewRecorder builds an empty recorder. Dependencies are recorded only
+// where the application says so (LoadDep).
+func NewRecorder() *Recorder { return &Recorder{} }
+
+// Grow reserves room for n more ops, so an application that knows how
+// many it records appends them without growth copies.
+func (r *Recorder) Grow(n int) {
+	if cap(r.ops)-len(r.ops) < n {
+		r.ops = append(make([]Op, 0, len(r.ops)+n), r.ops...)
+	}
 }
 
 // Compute records n non-memory instructions.

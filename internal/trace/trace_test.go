@@ -57,7 +57,7 @@ func TestLoopEmptyInner(t *testing.T) {
 }
 
 func TestRecorderGapsAndKinds(t *testing.T) {
-	r := NewRecorder(false)
+	r := NewRecorder()
 	r.Compute(10)
 	r.Load(0x100)
 	r.Compute(3)

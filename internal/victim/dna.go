@@ -113,7 +113,7 @@ func (idx *dnaIndex) Align(private string) (*trace.Slice, int, error) {
 	if len(private) < cfg.K {
 		return nil, 0, fmt.Errorf("victim: private sequence shorter than k")
 	}
-	rec := trace.NewRecorder(false)
+	rec := trace.NewRecorder()
 	matches := 0
 	for i := 0; i+cfg.K <= len(private); i++ {
 		kmer := private[i : i+cfg.K]

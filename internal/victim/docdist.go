@@ -90,7 +90,7 @@ func DocDist(input []int, refVec []float64, cfg DocDistConfig) (*trace.Slice, fl
 	if len(refVec) != cfg.Vocabulary {
 		return nil, 0, fmt.Errorf("victim: reference vector length %d != vocabulary %d", len(refVec), cfg.Vocabulary)
 	}
-	rec := trace.NewRecorder(false)
+	rec := trace.NewRecorder()
 	inBase := cfg.Base
 	refBase := cfg.Base + uint64(cfg.Vocabulary*cfg.EntryBytes)
 	dist, err := docDistInto(rec, input, refVec, cfg, inBase, refBase)
@@ -193,7 +193,15 @@ func DocDistTrace(secretSeed int64, cfg DocDistConfig) (*trace.Slice, error) {
 	refBase := cfg.Base
 	arena := cfg.Base + vecBytes // arena of input vectors after the reference
 	ref := ReferenceVector(1, 4*words, cfg.Vocabulary)
-	rec := trace.NewRecorder(false)
+	rec := trace.NewRecorder()
+	// docDistInto records, per document, a store per vector entry, two
+	// loads per entry in the distance phase and, per word, the counter's
+	// load and store after the dictionary probe.
+	probe := 0
+	if cfg.DictBuckets > 0 {
+		probe = 1
+	}
+	rec.Grow(docs * (3*cfg.Vocabulary + words*(2+probe)))
 	for d := 0; d < docs; d++ {
 		doc := RandomDoc(secretSeed+int64(d)*257, words, cfg.Vocabulary)
 		inBase := arena + uint64(d%slots)*vecBytes

@@ -78,6 +78,19 @@ func TestDocDistTraceHasWritesAndReads(t *testing.T) {
 	}
 }
 
+// TestDocDistTraceReservesExactly checks that DocDistTrace reserves its
+// op count exactly, so the recording makes one allocation and no growth
+// copies: 8 documents of 3 ops per vocabulary entry plus 3 per word.
+func TestDocDistTraceReservesExactly(t *testing.T) {
+	tr, err := DocDistTrace(11, DefaultDocDist())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Ops) != 822_432 || cap(tr.Ops) != len(tr.Ops) {
+		t.Fatalf("recorded %d ops into a capacity of %d; want 822432 in exactly as many", len(tr.Ops), cap(tr.Ops))
+	}
+}
+
 func TestRandomDocZipfian(t *testing.T) {
 	doc := RandomDoc(1, 10000, 1000)
 	counts := map[int]int{}

@@ -22,9 +22,8 @@ func LoopTrace(inner TraceSource) TraceSource { return &trace.Loop{Inner: inner}
 // application into a trace (the victim implementations use one).
 type TraceRecorder = trace.Recorder
 
-// NewTraceRecorder builds a recorder; inferDeps adds dependencies between
-// repeated accesses to the same line.
-func NewTraceRecorder(inferDeps bool) *TraceRecorder { return trace.NewRecorder(inferDeps) }
+// NewTraceRecorder builds an empty recorder.
+func NewTraceRecorder() *TraceRecorder { return trace.NewRecorder() }
 
 // WorkloadProfile parameterises a synthetic SPEC-like co-runner.
 type WorkloadProfile = workload.Profile
