@@ -24,10 +24,12 @@ import (
 	"dagguise/internal/mem"
 	"dagguise/internal/memctrl"
 	"dagguise/internal/rdag"
+	"dagguise/internal/rng"
 	"dagguise/internal/sat"
 	"dagguise/internal/shaper"
 	"dagguise/internal/sim"
 	"dagguise/internal/smt"
+	"dagguise/internal/stats"
 	"dagguise/internal/trace"
 	"dagguise/internal/verify"
 	"dagguise/internal/victim"
@@ -742,5 +744,84 @@ func BenchmarkAttackRig(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cycles), "ns/cycle")
 		})
+	}
+}
+
+// BenchmarkAuditWindow measures one window of the streaming audit. The
+// insecure scheme's Figure 5 tap streams (1000 probes, shaper seed 1) are
+// recorded once; one op pushes the next DefaultConfig window of both into
+// an auditor, which evaluates it, then takes the report and compacts, as
+// dagauditd does per window. Each window draws its own calibration stream.
+func BenchmarkAuditWindow(b *testing.B) {
+	s0, s1, err := eval.AuditStreams(config.Insecure, 1000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := audit.DefaultConfig()
+	windows := min(len(s0), len(s1)) / cfg.Window
+	if windows == 0 {
+		b.Fatalf("streams of %d and %d samples hold no %d-sample window", len(s0), len(s1), cfg.Window)
+	}
+	a, err := audit.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := (i % windows) * cfg.Window
+		for _, s := range s0[w : w+cfg.Window] {
+			if err := a.Push(ctx, 0, s); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, s := range s1[w : w+cfg.Window] {
+			if err := a.Push(ctx, 1, s); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if n := len(a.TakeWindows()); n != 1 {
+			b.Fatalf("op %d evaluated %d windows, want 1", i, n)
+		}
+		a.Compact()
+	}
+}
+
+// calibrationSink keeps BenchmarkTable1Calibration's results live.
+var calibrationSink float64
+
+// BenchmarkTable1Calibration measures Table 1's calibration without its
+// simulations. The MeasureLeakageOpts results of all six schemes, at 100
+// probes and 2 trials per secret (the security benchmark's Table 1), are
+// recorded once; one op computes every row's aggregate MI threshold,
+// sequence MI threshold and aggregate MI interval with Table1Observed's
+// seeds and constants (200 shuffles and resamples, alpha 0.01, 95%).
+func BenchmarkTable1Calibration(b *testing.B) {
+	s0 := attack.Pattern{Gaps: []uint64{100}, Banks: []int{0, 1, 2, 3}}
+	s1 := attack.Pattern{Gaps: []uint64{200}, Banks: []int{0, 1, 2, 3}}
+	probe := attack.Probe{Bank: 0, Row: 0, Gap: 120}
+	dist := camouflage.Distribution{Intervals: []uint64{200, 400}}
+	schemes := []config.Scheme{
+		config.Insecure, config.Camouflage, config.FixedService,
+		config.FSBTA, config.TemporalPartitioning, config.DAGguise,
+	}
+	results := make([]attack.LeakageResult, len(schemes))
+	for i, scheme := range schemes {
+		res, err := attack.MeasureLeakageOpts(scheme, eval.DefaultDefense(), dist, s0, s1, probe, 100, 2, attack.MeasureOpts{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		results[i] = res
+	}
+	miStat := func(x, y []uint64) float64 { return stats.BinaryMI(x, y, attack.LeakageBinWidth) }
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, res := range results {
+			rnd := rng.New(4243 + int64(schemes[j]))
+			agg := audit.PermutationThreshold(res.Raw0, res.Raw1, miStat, 200, 0.01, rnd)
+			seq := audit.SequencePermutationThreshold(res.Seq0, res.Seq1, attack.LeakageBinWidth, 200, 0.01, rnd)
+			lo, hi := audit.BootstrapCI(res.Raw0, res.Raw1, miStat, 200, 0.95, rnd)
+			calibrationSink += agg + seq + lo + hi
+		}
 	}
 }
