@@ -84,8 +84,11 @@ func main() {
 		fmt.Println("Table 1: leakage of the Figure-5 secret pair per scheme")
 		fmt.Print(eval.FormatTable1(rows))
 		fmt.Println("\nMI in bits per probe position with permutation-calibrated thresholds (1% FPR);")
-		fmt.Println("accuracy is a nearest-neighbour secret guesser (0.5 = chance); secure is the")
-		fmt.Println("measured verdict, claimed the paper's classification")
+		fmt.Println("accuracy is a leave-one-out nearest-neighbour secret guesser (0.5 = chance).")
+		fmt.Println("Where every trial's probe latencies are identical, each guess is a tie broken")
+		fmt.Println("by a coin seeded with 1, which hits 2 of the 6 guesses at the default 3 trials")
+		fmt.Println("per secret: the 0.333 of such rows is that coin, not a distinction. secure is")
+		fmt.Println("the measured verdict, claimed the paper's classification")
 	default:
 		fmt.Fprintln(os.Stderr, "dagattack: pass -fig 1 or -table 1")
 		os.Exit(2)

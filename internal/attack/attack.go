@@ -188,7 +188,11 @@ type LeakageResult struct {
 	// also captures ordering leaks (Figure 2).
 	SequenceMI float64
 	// Accuracy is a nearest-neighbour classifier's secret-guessing
-	// accuracy over held-out trials (0.5 = chance, 1.0 = broken).
+	// accuracy over held-out trials (0.5 = chance, 1.0 = broken). When
+	// every trial's latency vector is identical, as on the schemes that
+	// close the channel, every guess is a tie broken by a coin seeded with
+	// 1, and the value is that coin's hit rate over the 2·trials guesses:
+	// 2 of 6 (0.333) at 3 trials per secret, 2 of 4 (0.5) at 2.
 	Accuracy float64
 	// Raw0 / Raw1 are the pooled per-secret latency samples behind
 	// AggregateMI, kept so callers can calibrate thresholds (permutation
@@ -268,7 +272,8 @@ func MeasureLeakageOpts(scheme config.Scheme, defense rdag.Template, dist camouf
 }
 
 // classifierAccuracy does leave-one-out nearest-neighbour classification
-// of trials by L1 distance between latency vectors.
+// of trials by L1 distance between latency vectors. A guess whose nearest
+// trials carry both secrets is a tie, decided by a coin seeded with 1.
 func classifierAccuracy(all0, all1 [][]uint64) float64 {
 	type sample struct {
 		vec    []uint64

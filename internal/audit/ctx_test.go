@@ -67,6 +67,42 @@ func TestCtxVariantsReturnTypedErrCanceled(t *testing.T) {
 	if _, err := SequencePermutationThresholdCtx(ctx, seq0, seq1, 8, 50, 0.05, rng.New(1)); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("SequencePermutationThresholdCtx: got %v, want ErrCanceled", err)
 	}
+	if _, err := MIPermutationThresholdCtx(ctx, a, b, 8, 100, 0.05, rng.New(1)); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("MIPermutationThresholdCtx: got %v, want ErrCanceled", err)
+	}
+	if _, err := KSPermutationThresholdCtx(ctx, a, b, 100, 0.05, rng.New(1)); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("KSPermutationThresholdCtx: got %v, want ErrCanceled", err)
+	}
+	if _, _, err := MIBootstrapCICtx(ctx, a, b, 8, 100, 0.95, rng.New(1)); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("MIBootstrapCICtx: got %v, want ErrCanceled", err)
+	}
+}
+
+// TestRankedFormsRejectStarvedSides checks that the ranked MI and KS
+// calibrations share the generic forms' input check: a side of one
+// sample is ErrInsufficientSamples, and nothing to calibrate is 0.
+func TestRankedFormsRejectStarvedSides(t *testing.T) {
+	ctx := context.Background()
+	one, many := []uint64{5}, []uint64{5, 6, 7}
+	if _, err := MIPermutationThresholdCtx(ctx, one, many, 8, 10, 0.05, rng.New(1)); !errors.Is(err, ErrInsufficientSamples) {
+		t.Errorf("MIPermutationThresholdCtx: got %v, want ErrInsufficientSamples", err)
+	}
+	if _, err := KSPermutationThresholdCtx(ctx, many, one, 10, 0.05, rng.New(1)); !errors.Is(err, ErrInsufficientSamples) {
+		t.Errorf("KSPermutationThresholdCtx: got %v, want ErrInsufficientSamples", err)
+	}
+	if _, _, err := MIBootstrapCICtx(ctx, one, many, 8, 10, 0.95, rng.New(1)); !errors.Is(err, ErrInsufficientSamples) {
+		t.Errorf("MIBootstrapCICtx: got %v, want ErrInsufficientSamples", err)
+	}
+	r := rng.New(1)
+	if v, err := MIPermutationThresholdCtx(ctx, nil, nil, 8, 10, 0.05, r); v != 0 || err != nil {
+		t.Errorf("empty MI calibration = %v, %v; want 0, nil", v, err)
+	}
+	if v, err := KSPermutationThresholdCtx(ctx, many, many, 0, 0.05, r); v != 0 || err != nil {
+		t.Errorf("zero-permutation KS calibration = %v, %v; want 0, nil", v, err)
+	}
+	if r.State().Draws != 0 {
+		t.Errorf("calibrations with nothing to do drew %d values", r.State().Draws)
+	}
 }
 
 func TestAuditorPushHonoursCancel(t *testing.T) {

@@ -510,7 +510,7 @@ func figure5Pair() (attack.Pattern, attack.Pattern, attack.Probe, camouflage.Dis
 // non-nil, is called on every harness before it runs.
 func Table1Observed(probes, trials int, attach func(*attack.Harness)) ([]Table1Row, error) {
 	s0, s1, probe, dist := figure5Pair()
-	miStat := func(a, b []uint64) float64 { return stats.BinaryMI(a, b, attack.LeakageBinWidth) }
+	ctx := context.Background()
 	var rows []Table1Row
 	for _, scheme := range []config.Scheme{
 		config.Insecure, config.Camouflage, config.FixedService,
@@ -531,11 +531,14 @@ func Table1Observed(probes, trials int, attach func(*attack.Harness)) ([]Table1R
 			Accuracy:    res.Accuracy,
 			Claimed:     scheme.Secure(),
 		}
-		row.AggThreshold = audit.PermutationThreshold(res.Raw0, res.Raw1, miStat,
+		// Under a context that never fires, the only error is a side too
+		// small to calibrate; it leaves the threshold or interval at 0, as
+		// the context-free forms do.
+		row.AggThreshold, _ = audit.MIPermutationThresholdCtx(ctx, res.Raw0, res.Raw1, attack.LeakageBinWidth,
 			table1Permutations, table1Alpha, rnd)
 		row.SeqThreshold = audit.SequencePermutationThreshold(res.Seq0, res.Seq1, attack.LeakageBinWidth,
 			table1Permutations, table1Alpha, rnd)
-		row.AggMILo, row.AggMIHi = audit.BootstrapCI(res.Raw0, res.Raw1, miStat,
+		row.AggMILo, row.AggMIHi, _ = audit.MIBootstrapCICtx(ctx, res.Raw0, res.Raw1, attack.LeakageBinWidth,
 			table1Bootstrap, table1Confidence, rnd)
 		row.Secure = row.AggregateMI <= row.AggThreshold && row.SequenceMI <= row.SeqThreshold
 		rows = append(rows, row)

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"sync"
 
 	"dagguise/internal/audit"
 	"dagguise/internal/config"
@@ -22,6 +23,11 @@ import (
 type TwoCore struct {
 	// App is the co-runner's workload profile (workload.ByName).
 	App string `json:"app"`
+
+	// traces records each secret's victim trace once for the sweep; the
+	// pool's workers build machines concurrently, hence the lock.
+	mu     sync.Mutex
+	traces map[int64]*trace.Slice
 }
 
 // twoCoreMaxStorm keeps every injected DRAM storm well under the default
@@ -55,6 +61,12 @@ func NewTwoCore(scheme config.Scheme, app string, secret int64) (*sim.System, er
 	if err != nil {
 		return nil, err
 	}
+	return newTwoCore(scheme, app, tr)
+}
+
+// newTwoCore is NewTwoCore over a recorded victim trace, which the machine
+// takes as its own.
+func newTwoCore(scheme config.Scheme, app string, tr *trace.Slice) (*sim.System, error) {
 	prog, err := workload.ByName(app)
 	if err != nil {
 		return nil, err
@@ -98,6 +110,30 @@ func (m *TwoCore) machine(sh Shard) (func(secret int) (*sim.System, error), bool
 		return nil, false, err
 	}
 	return func(secret int) (*sim.System, error) {
-		return NewTwoCore(scheme, m.App, int64(secret))
+		tr, err := m.trace(int64(secret))
+		if err != nil {
+			return nil, err
+		}
+		return newTwoCore(scheme, m.App, tr)
 	}, scheme == config.DAGguise, nil
+}
+
+// trace returns a fresh position over the secret's victim trace, recording
+// it on first use. Every machine shares the recorded ops, which nothing
+// writes, and reads them through its own Slice.
+func (m *TwoCore) trace(secret int64) (*trace.Slice, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	tr, ok := m.traces[secret]
+	if !ok {
+		var err error
+		if tr, err = victim.DocDistTrace(secret, victim.DefaultDocDist()); err != nil {
+			return nil, err
+		}
+		if m.traces == nil {
+			m.traces = map[int64]*trace.Slice{}
+		}
+		m.traces[secret] = tr
+	}
+	return &trace.Slice{Ops: tr.Ops}, nil
 }

@@ -5,12 +5,16 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"dagguise/internal/fault"
 	"dagguise/internal/sim"
+	"dagguise/internal/trace"
+	"dagguise/internal/victim"
 )
 
 // allSchemes is every evaluation scheme, in dagchaos's order.
@@ -212,5 +216,41 @@ func TestTwoCoreSweepResumesAfterCancel(t *testing.T) {
 	}
 	if interrupted != 1 {
 		t.Fatalf("%d shards were claimed twice, want exactly the interrupted one", interrupted)
+	}
+}
+
+// TestTwoCoreRecordsEachTraceOnce checks the sweep's victim trace cache
+// under concurrent workers: every machine of a secret reads the one
+// recording of its ops, the one NewTwoCore would make, through a position
+// of its own.
+func TestTwoCoreRecordsEachTraceOnce(t *testing.T) {
+	m := &TwoCore{App: "lbm"}
+	got := make([]*trace.Slice, 8)
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = m.trace(11 + int64(i%2))
+		}(i)
+	}
+	wg.Wait()
+	for i, tr := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if first := got[i%2]; &tr.Ops[0] != &first.Ops[0] || (i >= 2 && tr == first) {
+			t.Errorf("machine %d does not read the shared recording through its own position", i)
+		}
+	}
+	for i, secret := range []int64{11, 12} {
+		ref, err := victim.DocDistTrace(secret, victim.DefaultDocDist())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got[i].Ops, ref.Ops) {
+			t.Errorf("secret %d: cached trace differs from a fresh recording", secret)
+		}
 	}
 }

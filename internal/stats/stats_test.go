@@ -56,36 +56,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []uint64{5, 9, 15, 100} {
-		h.Add(v)
-	}
-	if h.Total != 4 {
-		t.Fatalf("total = %d", h.Total)
-	}
-	if h.P(7) != 0.5 { // bin 0 holds 5 and 9
-		t.Fatalf("P(7) = %f, want 0.5", h.P(7))
-	}
-	bins := h.Bins()
-	if len(bins) != 3 || bins[0] != 0 || bins[2] != 10 {
-		t.Fatalf("bins = %v", bins)
-	}
-	if _, err := NewHistogram(0); !errors.As(err, new(*ZeroBinWidthError)) {
-		t.Fatalf("zero bin width accepted: %v", err)
-	}
-	fresh, err := NewHistogram(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fresh.P(1) != 0 {
-		t.Fatal("empty histogram P != 0")
-	}
-}
-
 func TestBinaryMIPerfectlyDistinguishable(t *testing.T) {
 	obs0 := []uint64{100, 100, 100}
 	obs1 := []uint64{500, 500, 500}
@@ -231,32 +201,6 @@ func TestBinaryMIZeroBinWidth(t *testing.T) {
 	}
 	if mi := SequenceMI([][]uint64{obs0}, [][]uint64{obs1}, 0); math.Abs(mi-1) > 1e-9 {
 		t.Fatalf("sequence MI with zero bin width = %f, want 1", mi)
-	}
-}
-
-func TestHistogramBinsDeterministicOrder(t *testing.T) {
-	// Bins must come back sorted ascending regardless of insertion order —
-	// downstream float summation order (and golden-tested reports) depend
-	// on it.
-	values := []uint64{970, 10, 450, 300, 880, 20, 660, 110, 555, 5}
-	for trial := 0; trial < 20; trial++ {
-		h, err := NewHistogram(10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(int64(trial)))
-		for _, i := range rng.Perm(len(values)) {
-			h.Add(values[i])
-		}
-		bins := h.Bins()
-		if len(bins) != 10 {
-			t.Fatalf("bins = %v", bins)
-		}
-		for i := 1; i < len(bins); i++ {
-			if bins[i-1] >= bins[i] {
-				t.Fatalf("trial %d: bins not strictly ascending: %v", trial, bins)
-			}
-		}
 	}
 }
 
