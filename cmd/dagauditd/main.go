@@ -14,17 +14,15 @@
 // fed the same stream produces byte-identical verdicts to one that never
 // died; the CI soak job enforces exactly that with a mid-stream kill.
 //
-// With -alert-webhook, -alert-rules or -telem-dir the daemon also runs
-// the SLO alerting pipeline: every audited window, shard queue sample
-// and retry indicator feeds the in-process time-series store, and the
-// rule engine (the stock catalog, or a -alert-rules JSON file)
-// evaluates after each batch. Alert history, the firing set and the
-// active rules are readable at /v1/alerts, and both ride the service
-// checkpoint so a restart neither loses nor re-fires past edges.
-// -alert-webhook POSTs each deduplicated alert edge as one JSON body to
-// any HTTP receiver, with bounded retries. -telem-dir mirrors the
-// series onto a telemetry stream, so `dagtop -dir` shows the daemon's
-// firing alerts live.
+// With -alert-webhook or -alert-rules the daemon also runs the SLO
+// alerting pipeline: every audited window, shard queue sample and retry
+// indicator feeds the in-process time-series store, and the rule engine
+// (the stock catalog, or a -alert-rules JSON file) evaluates after each
+// batch. Alert history, the firing set and the active rules are
+// readable at /v1/alerts, and both ride the service checkpoint so a
+// restart neither loses nor re-fires past edges. -alert-webhook POSTs
+// each deduplicated alert edge as one JSON body to any HTTP receiver,
+// with bounded retries.
 //
 // Usage:
 //
@@ -32,7 +30,6 @@
 //	dagauditd -checkpoint state/auditd.ckpt -checkpoint-every 500
 //	dagauditd -window 50 -perms 100 -boot 100 -budget 0.05
 //	dagauditd -alert-webhook http://127.0.0.1:9801/ -alert-rules rules.json
-//	dagauditd -telem-dir auditd-telem    # then: dagtop -dir auditd-telem
 //
 // Endpoints:
 //
@@ -59,7 +56,6 @@ import (
 	"dagguise/internal/audit"
 	"dagguise/internal/auditd"
 	"dagguise/internal/obs"
-	"dagguise/internal/telem"
 )
 
 func main() {
@@ -90,7 +86,6 @@ func main() {
 
 	alertWebhook := flag.String("alert-webhook", "", "POST deduplicated alert edges as JSON to this URL (any HTTP receiver)")
 	alertRules := flag.String("alert-rules", "", "JSON file with the SLO rule list (default: the stock catalog when alerting is on)")
-	telemDir := flag.String("telem-dir", "", "turn alerting on and mirror the SLO feed series onto a telemetry stream (telem-worker-auditd.ndjson) in this directory, for dagtop -dir")
 	flag.Parse()
 
 	cfg := auditd.Config{
@@ -107,7 +102,7 @@ func main() {
 		CheckpointPath: *ckptPath, CheckpointEvery: *ckptEvery,
 	}
 	var notifier *obs.Notifier
-	if *alertWebhook != "" || *alertRules != "" || *telemDir != "" {
+	if *alertWebhook != "" || *alertRules != "" {
 		cfg.Rules = obs.DefaultRules()
 		if *alertRules != "" {
 			data, err := os.ReadFile(*alertRules)
@@ -127,15 +122,6 @@ func main() {
 			cfg.Notifier = notifier
 		}
 		fmt.Fprintf(os.Stderr, "dagauditd: alerting with %d rule(s)\n", len(cfg.Rules))
-	}
-	if *telemDir != "" {
-		em, err := telem.OpenEmitter(*telemDir, "auditd", "")
-		if err != nil {
-			fatal(err)
-		}
-		defer em.Close()
-		cfg.Telem = em
-		fmt.Fprintf(os.Stderr, "dagauditd: telemetry stream in %s\n", *telemDir)
 	}
 	svc, err := auditd.New(cfg)
 	if err != nil {

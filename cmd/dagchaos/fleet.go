@@ -10,7 +10,6 @@ import (
 	"dagguise/internal/ckpt"
 	"dagguise/internal/fleet"
 	"dagguise/internal/obs"
-	"dagguise/internal/telem"
 )
 
 // fleetFlags shape the fleet pool every sweep runs on, and with -shards
@@ -21,7 +20,6 @@ type fleetFlags struct {
 	workers     int
 	channels    int
 	domains     int
-	telemDir    string
 	promOut     string
 	faultEvents int
 }
@@ -32,7 +30,6 @@ func registerFleetFlags() *fleetFlags {
 	flag.IntVar(&f.workers, "workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	flag.IntVar(&f.channels, "channels", 4, "with -shards: memory channels in the multi-channel machine")
 	flag.IntVar(&f.domains, "domains", 100, "with -shards: tenant security domains")
-	flag.StringVar(&f.telemDir, "telem-dir", "", "write per-worker telemetry streams here and a deterministic telem-report.json after the run (watch live with dagtop -dir)")
 	flag.StringVar(&f.promOut, "prom-out", "", "write fleet_* and per-shard counters in Prometheus text format to this path after the run")
 	flag.IntVar(&f.faultEvents, "fault-events", 0, "with -shards: derive a seeded per-shard fault campaign of this many events (DRAM stalls, shaper rejects, egress stalls, deferred responses) from the sweep fingerprint (0 = clean sweep)")
 	return f
@@ -75,39 +72,6 @@ func printVerdicts(sweep fleet.Sweep, rep *fleet.Report) {
 	}
 	fmt.Printf("fleet: %d shards, %d tenants x %d channels, %d cycles each, %d requests completed\n",
 		rep.Totals.Shards, sweep.Config.Domains, sweep.Config.Channels, sweep.Cycles, rep.Totals.Completed)
-}
-
-// writeTelemReport folds the run's telemetry streams into the
-// deterministic telem-report.json next to them (the byte-diffable
-// artifact the telem-soak CI job compares) and prints its alerts.
-func writeTelemReport(telemDir string) int {
-	col, err := telem.Collect(telemDir)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dagchaos: telem:", err)
-		return 1
-	}
-	trep, err := col.Report()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dagchaos: telem:", err)
-		return 1
-	}
-	blob, err := trep.Encode()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dagchaos: telem:", err)
-		return 1
-	}
-	path := filepath.Join(telemDir, "telem-report.json")
-	if err := ckpt.WriteFileAtomic(path, blob); err != nil {
-		fmt.Fprintln(os.Stderr, "dagchaos: telem:", err)
-		return 1
-	}
-	fmt.Fprintf(os.Stderr, "dagchaos: wrote telemetry report (%d series, %d spans, %d alerts) to %s\n",
-		len(trep.Series), len(trep.Spans), len(trep.Alerts), path)
-	for _, a := range trep.Alerts {
-		fmt.Fprintf(os.Stderr, "dagchaos: telem alert: %s %s %s (value %g %s %g)\n",
-			a.Severity, a.Rule, a.State, a.Value, a.Op, a.Threshold)
-	}
-	return 0
 }
 
 // writeFleetProm renders the fleet_* registry counters plus the

@@ -228,7 +228,6 @@ func runFleet(sweep fleet.Sweep, o runOpts) int {
 		Spans:           sp,
 		Mx:              mx,
 		Attach:          attach,
-		TelemDir:        f.telemDir,
 	})
 	switch {
 	case errors.Is(runErr, context.Canceled) || errors.Is(runErr, context.DeadlineExceeded):
@@ -280,11 +279,6 @@ func runFleet(sweep fleet.Sweep, o runOpts) int {
 			return fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "dagchaos: wrote %d trace events to %s\n", tr.Len(), o.traceOut)
-	}
-	if f.telemDir != "" {
-		if code := writeTelemReport(f.telemDir); code != 0 {
-			return code
-		}
 	}
 	if f.promOut != "" {
 		if code := writeFleetProm(f.promOut, dir, mx); code != 0 {

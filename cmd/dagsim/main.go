@@ -31,7 +31,6 @@ import (
 	"dagguise/internal/eval"
 	"dagguise/internal/obs"
 	"dagguise/internal/sim"
-	"dagguise/internal/telem"
 )
 
 func main() {
@@ -50,7 +49,6 @@ func main() {
 	resume := flag.Bool("resume", false, "resume a sweep from -checkpoint-dir, skipping measurements already done")
 	timeout := flag.Duration("timeout", 0, "stop the sweep after this long (0 = no deadline); combine with -checkpoint-dir to resume later")
 	workers := flag.Int("workers", 1, "parallel per-app figure rows (0 = GOMAXPROCS); output is identical at any worker count")
-	telemDir := flag.String("telem-dir", "", "append per-row lifecycle telemetry (telem-worker-dagsim.ndjson) to this fleet telemetry directory")
 	flag.Parse()
 
 	if *workers <= 0 {
@@ -95,21 +93,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "dagsim: resuming, %d measurements already cached\n", n)
 		}
 		opts.Cache = cache
-	}
-
-	if *telemDir != "" {
-		em, err := telem.OpenEmitter(*telemDir, "dagsim", "")
-		if err != nil {
-			fatal(err)
-		}
-		defer em.Close()
-		// Row events are ops-plane lifecycle records: a dagtop pointed at
-		// the directory shows sweep progress per co-runner app.
-		opts.Row = func(app, event string) {
-			em.Shard(app, event, "", 0)
-			_ = em.Sync()
-		}
-		fmt.Fprintf(os.Stderr, "dagsim: telemetry stream in %s\n", *telemDir)
 	}
 
 	if *pprofAddr != "" {

@@ -53,7 +53,6 @@ import (
 	"dagguise/internal/ckpt"
 	"dagguise/internal/obs"
 	"dagguise/internal/rng"
-	"dagguise/internal/telem"
 )
 
 // Observation is one wire-format timing sample. Seq numbers a tenant's
@@ -128,13 +127,6 @@ type Config struct {
 	// Spans, when non-nil, records one span per ingest request, parented
 	// on the client's X-Dag-Span context so cross-process traces nest.
 	Spans *obs.Spans
-	// Telem, when non-nil, mirrors the SLO feed series (leak_burn,
-	// queue_sat, retry_rate) onto a fleet telemetry stream, flushed after
-	// each batch, so a fleet collector folds a targeted audit daemon into
-	// the same campaign view as the simulation workers. The series exist
-	// only while Rules is non-empty (dagauditd -telem-dir turns the stock
-	// catalog on). Nil is a no-op.
-	Telem *telem.Emitter
 }
 
 // withDefaults fills the zero-value knobs.
@@ -393,10 +385,7 @@ func (s *Service) runShard(sh *shard) {
 				dup = 1
 			}
 			s.tsdb.Append(fmt.Sprintf("retry_rate/shard%d", sh.idx), sh.processed, dup)
-			s.cfg.Telem.Point(fmt.Sprintf("queue_sat/shard%d", sh.idx), sh.processed, sat)
-			s.cfg.Telem.Point(fmt.Sprintf("retry_rate/shard%d", sh.idx), sh.processed, dup)
 			s.evalAlerts(s.ctr.accepted.Load())
-			_ = s.cfg.Telem.Flush() // best-effort: the mirror is measurement-only
 		}
 		if s.cfg.CheckpointPath != "" && s.cfg.CheckpointEvery > 0 &&
 			s.sinceCkpt.Add(uint64(resp.accepted)) >= uint64(s.cfg.CheckpointEvery) {
@@ -420,7 +409,6 @@ func (s *Service) feedWindows(t *tenant, ws []audit.WindowReport) {
 			v = 1
 		}
 		s.tsdb.Append("leak_burn/"+t.name, uint64(w.Index), v)
-		s.cfg.Telem.Point("leak_burn/"+t.name, uint64(w.Index), v)
 	}
 }
 

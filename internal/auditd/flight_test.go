@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"dagguise/internal/obs"
-	"dagguise/internal/telem"
 )
 
 // alertSink is a test webhook: it records every alert edge dagauditd
@@ -138,43 +137,6 @@ func TestAlertingLeakyFiresCleanSilent(t *testing.T) {
 	}
 	if alertEvents != 1 {
 		t.Fatalf("tracer holds %d leaky alert events, want 1", alertEvents)
-	}
-}
-
-// TestTelemMirrorFeedsCollector pins the dagauditd -telem-dir path: the
-// daemon's series reach its telemetry stream while the stream is still
-// open, and the collector fires the daemon's own rule, from the same
-// stock catalog, on the leaky tenant only.
-func TestTelemMirrorFeedsCollector(t *testing.T) {
-	dir := t.TempDir()
-	em, err := telem.OpenEmitter(dir, "auditd", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer em.Close()
-	cfg := testCfg()
-	cfg.Rules = obs.DefaultRules()
-	cfg.Telem = em
-	svc, _, c := startServer(t, cfg)
-
-	mustStream(t, c, append(genObs("leaky", 60, 7, 100, 400), genObs("clean", 60, 8, 100, 100)...))
-	// Drain the shard queues; the emitter stays open, as in a live daemon.
-	if err := svc.Close(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-
-	col, err := telem.Collect(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var burn []obs.Alert
-	for _, a := range col.DetAlerts() {
-		if a.Rule == "leak-budget-burn" {
-			burn = append(burn, a)
-		}
-	}
-	if len(burn) != 1 || burn[0].Series != "leak_burn/leaky" || burn[0].State != "firing" {
-		t.Fatalf("collector leak-budget-burn edges = %+v, want one firing edge on leak_burn/leaky", burn)
 	}
 }
 

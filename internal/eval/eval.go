@@ -50,11 +50,6 @@ type Options struct {
 	// attaching a non-thread-safe observer (obs.CycleProfile) must keep
 	// this at 1.
 	Workers int
-	// Row, when non-nil, is called as each figure-sweep row starts and
-	// finishes (event "claim", "done" or "failed") — the hook dagsim uses
-	// to feed a fleet telemetry stream. Must be safe for concurrent use
-	// when Workers > 1.
-	Row func(app, event string)
 }
 
 // DefaultOptions returns windows long enough for stable IPCs: the window
@@ -139,24 +134,10 @@ func appMaker(name string, seed int64) specMaker {
 // into caller-owned slices at its index, so the assembled output never
 // depends on scheduling.
 func forEachApp(apps []string, opts Options, fn func(i int, app string) error) error {
-	run := func(i int, app string) error {
-		if opts.Row != nil {
-			opts.Row(app, "claim")
-		}
-		err := fn(i, app)
-		if opts.Row != nil {
-			if err != nil {
-				opts.Row(app, "failed")
-			} else {
-				opts.Row(app, "done")
-			}
-		}
-		return err
-	}
 	workers := opts.Workers
 	if workers <= 1 || len(apps) <= 1 {
 		for i, app := range apps {
-			if err := run(i, app); err != nil {
+			if err := fn(i, app); err != nil {
 				return err
 			}
 		}
@@ -173,7 +154,7 @@ func forEachApp(apps []string, opts Options, fn func(i int, app string) error) e
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				errs[i] = run(i, apps[i])
+				errs[i] = fn(i, apps[i])
 			}
 		}()
 	}

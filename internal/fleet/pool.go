@@ -8,14 +8,12 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strconv"
 	"sync"
 	"time"
 
 	"dagguise/internal/obs"
 	"dagguise/internal/rng"
 	"dagguise/internal/sim"
-	"dagguise/internal/telem"
 )
 
 // Options configures a fleet run.
@@ -54,12 +52,6 @@ type Options struct {
 	// Mx, when set, receives fleet counters (shards done/failed/retried,
 	// checkpoints, resumes) under domain 0.
 	Mx *obs.Registry
-	// TelemDir, when set, enables the fleet telemetry plane: every
-	// worker appends a durable telem stream there (plus a campaign-level
-	// "fleet" stream), for telem.Collect / dagtop to fold.
-	// Telemetry is measurement-only: manifest, checkpoints, report and
-	// log bytes are identical with it on or off.
-	TelemDir string
 }
 
 // pool executes a sweep's manifest over a worker pool. The manifest is
@@ -74,9 +66,6 @@ type pool struct {
 	manifest *Manifest
 	path     string
 	mu       sync.Mutex
-	// telem holds one emitter per worker (nil slice when telemetry is
-	// off; emitters themselves are nil-safe).
-	telem []*telem.Emitter
 }
 
 // Run executes the sweep: it creates or resumes the manifest in opts.Dir,
@@ -127,32 +116,6 @@ func Run(ctx context.Context, sweep Sweep, opts Options) (*Report, error) {
 	if len(requeued) > 0 {
 		logf(opts.Log, "fleet: re-queued %d shard(s) left running by an interrupted run\n", len(requeued))
 	}
-	var campaign *telem.Emitter
-	if opts.TelemDir != "" {
-		fp := m.Fingerprint
-		e, err := telem.OpenEmitter(opts.TelemDir, "fleet", fp)
-		if err != nil {
-			return nil, err
-		}
-		campaign = e
-		defer campaign.Close()
-		campaign.Campaign(len(m.Records), opts.Workers, sweep.Cycles)
-		for _, name := range requeued {
-			campaign.Shard(name, telem.EventRequeue, "", 0)
-		}
-		if err := campaign.Sync(); err != nil {
-			return nil, err
-		}
-		p.telem = make([]*telem.Emitter, opts.Workers)
-		for w := range p.telem {
-			we, err := telem.OpenEmitter(opts.TelemDir, strconv.Itoa(w), fp)
-			if err != nil {
-				return nil, err
-			}
-			p.telem[w] = we
-			defer we.Close()
-		}
-	}
 	if err := p.save(); err != nil {
 		return nil, err
 	}
@@ -167,34 +130,7 @@ func Run(ctx context.Context, sweep Sweep, opts Options) (*Report, error) {
 				p.work(ctx, worker)
 			}(w)
 		}
-		var mxWG sync.WaitGroup
-		stopMx := make(chan struct{})
-		if campaign != nil && opts.Mx != nil {
-			// Periodic fleet counter deltas onto the campaign stream (ops
-			// plane): one snapshot diff per tick, one final flush on stop.
-			mxWG.Add(1)
-			go func() {
-				defer mxWG.Done()
-				var prev *obs.Snapshot
-				tick := time.NewTicker(time.Second)
-				defer tick.Stop()
-				for {
-					select {
-					case <-stopMx:
-						campaign.Metrics(opts.Mx.Snapshot(), prev)
-						_ = campaign.Sync()
-						return
-					case <-tick.C:
-						snap := opts.Mx.Snapshot()
-						campaign.Metrics(snap, prev)
-						prev = snap
-					}
-				}
-			}()
-		}
 		wg.Wait()
-		close(stopMx)
-		mxWG.Wait()
 	}
 	if err := ctx.Err(); err != nil {
 		p.mu.Lock()
@@ -257,15 +193,6 @@ func (p *pool) bump(idx int, f func(*Record)) {
 	p.mu.Unlock()
 }
 
-// emitter returns the worker's telemetry emitter (nil when telemetry is
-// off — every emitter method is nil-safe).
-func (p *pool) emitter(worker int) *telem.Emitter {
-	if worker < len(p.telem) {
-		return p.telem[worker]
-	}
-	return nil
-}
-
 // work is one worker's loop: claim the next pending shard, execute it,
 // and repeat until none is pending or ctx ends.
 func (p *pool) work(ctx context.Context, worker int) {
@@ -291,10 +218,6 @@ func (p *pool) runClaimed(ctx context.Context, worker int, idx int) {
 		return p.manifest.Records[idx]
 	}()
 	sh := rec.Shard
-	e := p.emitter(worker)
-	e.Shard(sh.Name, telem.EventClaim, "", sh.Cycles)
-	_ = e.Sync()
-
 	var res *ShardResult
 	var cause error
 	for attempt := 0; ; attempt++ {
@@ -302,7 +225,7 @@ func (p *pool) runClaimed(ctx context.Context, worker int, idx int) {
 		if p.opts.Spans != nil {
 			span = p.opts.Spans.Begin("shard:"+sh.Name, obs.CompRunner, int32(idx), 0, 0, 0)
 		}
-		res, cause = p.runShard(ctx, idx, sh, e)
+		res, cause = p.runShard(ctx, idx, sh)
 		if p.opts.Spans != nil {
 			p.opts.Spans.End(span, sh.Cycles)
 		}
@@ -315,7 +238,6 @@ func (p *pool) runClaimed(ctx context.Context, worker int, idx int) {
 			r.BackoffNs += int64(delay)
 		})
 		p.opts.Mx.Inc(obs.CtrFleetRetries, 0)
-		e.Shard(sh.Name, telem.EventRetry, cause.Error(), 0)
 		logf(p.opts.Log, "fleet: worker %d shard %s attempt %d failed (%v); retrying in %s\n",
 			worker, sh.Name, attempt+1, cause, delay)
 		select {
@@ -326,33 +248,15 @@ func (p *pool) runClaimed(ctx context.Context, worker int, idx int) {
 	if cause == nil {
 		cause = commitResult(p.opts.Log, p.opts.Dir, res)
 	}
-
-	// Telemetry for a terminal state is emitted AND synced before the
-	// manifest transition is saved: the durable stream is never behind
-	// the durable manifest, so a resumed collector always sees every
-	// shard the manifest says finished.
 	switch {
 	case cause == nil:
-		e.SpanBegin(sh.Name, "shard:"+sh.Name, 0)
-		e.SpanEnd(sh.Name, "shard:"+sh.Name, 0, sh.Cycles)
-		leak := 0.0
-		if res.Interference {
-			leak = 1
-		}
-		e.Point("leak/"+sh.Scheme+"/"+sh.Name, sh.Cycles, leak)
-		e.Shard(sh.Name, telem.EventDone, "", sh.Cycles)
-		_ = e.Sync()
 		_ = p.finish(idx, StatusDone, res, nil)
 		p.opts.Mx.Inc(obs.CtrFleetShardsDone, 0)
 		logf(p.opts.Log, "fleet: worker %d shard %s done\n", worker, sh.Name)
 	case ctx.Err() != nil:
 		// Interrupted, not failed: park the shard for the resume.
-		e.Shard(sh.Name, telem.EventRequeue, "", 0)
-		_ = e.Sync()
 		_ = p.finish(idx, StatusPending, nil, nil)
 	default:
-		e.Shard(sh.Name, telem.EventFailed, cause.Error(), 0)
-		_ = e.Sync()
 		_ = writeFailed(p.opts.Dir, sh.Name, cause.Error(), rec.Attempts)
 		_ = p.finish(idx, StatusFailed, nil, cause)
 		p.opts.Mx.Inc(obs.CtrFleetShardsFailed, 0)
@@ -364,7 +268,7 @@ func (p *pool) runClaimed(ctx context.Context, worker int, idx int) {
 // violations come back from the chunk loop as errors; the recover is the
 // backstop for a model bug (or an Attach hook) that panics, which then
 // takes down its attempt, not the fleet.
-func (p *pool) runShard(ctx context.Context, idx int, sh Shard, e *telem.Emitter) (res *ShardResult, err error) {
+func (p *pool) runShard(ctx context.Context, idx int, sh Shard) (res *ShardResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, fmt.Errorf("fleet: shard %s panicked: %v", sh.Name, r)
@@ -398,23 +302,6 @@ func (p *pool) runShard(ctx context.Context, idx int, sh Shard, e *telem.Emitter
 		OnResume: func() {
 			p.bump(idx, func(r *Record) { r.Resumes++ })
 			p.opts.Mx.Inc(obs.CtrFleetResumes, 0)
-		},
-		OnChunk: func(lo, hi uint64, c sim.ClusterCounters) {
-			if e == nil {
-				return
-			}
-			// Chunk bounds are deterministic (multiples of the
-			// checkpoint interval), so a crash-replayed chunk re-emits
-			// byte-identical deterministic records and the collector's
-			// dedup collapses them. The Sync runs before the chunk loop cuts
-			// the chunk's checkpoint — see ShardOptions.OnChunk.
-			e.Heartbeat(sh.Name, hi)
-			e.SpanBegin(sh.Name, "chunk", lo)
-			e.SpanEnd(sh.Name, "chunk", lo, hi)
-			e.Point("completed/"+sh.Name, hi, float64(c.Completed))
-			e.Point("issued/"+sh.Name, hi, float64(c.Issued))
-			e.Point("stalls/"+sh.Name, hi, float64(c.Stalls))
-			_ = e.Sync()
 		},
 	}, build, twins)
 }

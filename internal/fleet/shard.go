@@ -63,13 +63,10 @@ type ShardOptions struct {
 	// OnResume, if set, is called when a checkpoint frame was restored.
 	OnResume func()
 	// OnChunk, if set, is called after every simulated chunk with the
-	// chunk's cycle bounds and the secret-A twin's counters — BEFORE the
-	// chunk's checkpoint is cut. That ordering is load-bearing for the
-	// telemetry plane: the pool emits (and fsyncs) the chunk's telemetry
-	// inside this hook, so by the time the checkpoint that lets a resume
-	// skip the chunk is durable, the chunk's records already are too —
-	// a SIGKILL can duplicate telemetry (the collector dedups) but can
-	// never leave a hole in it.
+	// chunk's cycle bounds and the secret-A twin's counters, BEFORE the
+	// chunk's checkpoint is cut and OnCheckpoint runs. A caller timing
+	// both hooks can therefore split each chunk's simulation time from
+	// its checkpoint time.
 	OnChunk func(lo, hi uint64, counters sim.ClusterCounters)
 }
 

@@ -180,12 +180,10 @@ func TestRuleSeverity(t *testing.T) {
 	}
 }
 
-// TestDefaultRulesCatalog pins the one stock catalog's shape: every rule
+// TestDefaultRulesCatalog pins the stock catalog's shape: every rule
 // validates, names are unique, and no two series patterns can match the
-// same series name. The last property is what lets dagauditd, the
-// deterministic fleet report and the ops plane all evaluate the whole
-// catalog against their own stores without one feeder's series firing
-// another feeder's rule.
+// same series name, so each of dagauditd's series families (leak_burn,
+// queue_sat, retry_rate) fires only its own rule.
 func TestDefaultRulesCatalog(t *testing.T) {
 	rules := DefaultRules()
 	names := make(map[string]bool)

@@ -51,11 +51,13 @@ func NewTSDB(capPerSeries int) *TSDB {
 // retained exactly as given — an out-of-order timestamp is NOT
 // re-sorted into place, and duplicate timestamps are all kept as
 // distinct points. Window/Last therefore mean "most recently appended",
-// not "largest T". Producers that feed a TSDB from multiple merged
-// sources (the fleet telemetry collector folding per-worker streams)
-// must canonicalize first — sort by (series, T) and collapse duplicate
-// timestamps — before appending, or derived values (burn rates,
-// last-point thresholds) silently depend on arrival order. Pinned by
+// not "largest T". dagauditd keeps every series on one axis in order by
+// construction (each shard series is written by its one shard goroutine,
+// each tenant series in window order under the tenant lock). A producer
+// that merges several sources into one series must canonicalize first —
+// sort by (series, T) and collapse duplicate timestamps — before
+// appending, or derived values (burn rates, last-point thresholds)
+// silently depend on arrival order. Pinned by
 // TestTSDBAppendOrderContract.
 func (db *TSDB) Append(name string, t uint64, v float64) {
 	if db == nil {

@@ -30,12 +30,12 @@ func TestTSDBAppendAndWindow(t *testing.T) {
 	}
 }
 
-// TestTSDBAppendOrderContract pins the Append contract the fleet
-// telemetry collector depends on: insertion order is preserved verbatim
-// — an out-of-order timestamp is not re-sorted into place, duplicate
-// timestamps are all kept as distinct points, and Last means "most
-// recently appended", not "largest T". Merging producers must
-// canonicalize before appending.
+// TestTSDBAppendOrderContract pins the Append contract: insertion order
+// is preserved verbatim — an out-of-order timestamp is not re-sorted
+// into place, duplicate timestamps are all kept as distinct points, and
+// Last means "most recently appended", not "largest T". A producer that
+// merges several sources into one series must canonicalize before
+// appending.
 func TestTSDBAppendOrderContract(t *testing.T) {
 	db := NewTSDB(8)
 	db.Append("s", 10, 1)
