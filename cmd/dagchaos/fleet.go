@@ -35,25 +35,17 @@ func registerFleetFlags() *fleetFlags {
 	return f
 }
 
-// clusterSweep builds the -shards sweep over the multi-channel machine;
-// ok is false (after printing why) on a usage error.
-func clusterSweep(f *fleetFlags, schemeFlag string, seeds []int64, cycles uint64) (sweep fleet.Sweep, ok bool) {
-	sweep = fleet.DefaultSweep(f.channels, f.domains, seeds, cycles)
+// clusterSweep builds the -shards sweep over the multi-channel machine,
+// under fleet.DefaultSweep's insecure and DAGguise schemes.
+func clusterSweep(f *fleetFlags, seeds []int64, cycles uint64) fleet.Sweep {
+	sweep := fleet.DefaultSweep(f.channels, f.domains, seeds, cycles)
 	sweep.FaultEvents = f.faultEvents
-	switch schemeFlag {
-	case "all":
-	case "insecure", "dagguise":
-		sweep.Schemes = []string{schemeFlag}
-	default:
-		fmt.Fprintf(os.Stderr, "dagchaos: -shards simulates only -scheme all, insecure or dagguise (got %q)\n", schemeFlag)
-		return sweep, false
-	}
 	// -shards is the slice count per cell; the sweep wants the slice width.
 	if f.shards > f.channels {
 		f.shards = f.channels
 	}
 	sweep.SliceChannels = (f.channels + f.shards - 1) / f.shards
-	return sweep, true
+	return sweep
 }
 
 // printVerdicts prints the per-scheme non-interference verdicts and the

@@ -31,11 +31,14 @@
 //
 // With -shards it instead sweeps the multi-channel machine: a
 // many-tenant non-interference sweep split into (scheme x seed x
-// channel-slice) shards on the same pool. A SIGKILL'd fleet resumes from
-// its manifest and merges to identical bytes:
+// channel-slice) shards on the same pool. -scheme all sweeps insecure and
+// DAGguise; any other -scheme sweeps that scheme alone. A SIGKILL'd fleet
+// resumes from its manifest and merges to identical bytes:
 //
 //	dagchaos -shards 4 -workers 8 -channels 4 -domains 100 \
 //	    -cycles 20000 -checkpoint-dir fleetdir -out report.json
+//	dagchaos -shards 2 -channels 2 -domains 12 -campaigns 4 \
+//	    -cycles 400000 -scheme fs-bta
 //
 // With -target it instead becomes a traffic generator against a running
 // dagauditd leakage-audit service: deterministic tenant streams (real
@@ -91,7 +94,7 @@ func main() {
 	baseSeed := flag.Int64("seed", 1, "base campaign seed")
 	cycles := flag.Uint64("cycles", 120_000, "cycles per run")
 	events := flag.Int("events", 12, "fault events per two-core campaign (0 = clean runs)")
-	schemeFlag := flag.String("scheme", "all", "scheme to torture: all, "+strings.Join(schemes, ", "))
+	schemeFlag := flag.String("scheme", "all", "scheme to torture: all, "+strings.Join(schemes, ", ")+" (with -shards, all means insecure and dagguise)")
 	app := flag.String("app", "lbm", "co-runner workload of the two-core machine")
 	var o runOpts
 	flag.BoolVar(&o.metrics, "metrics", false, "print the observability metrics table after the sweep")
@@ -122,23 +125,23 @@ func main() {
 	for i := range seeds {
 		seeds[i] = *baseSeed + int64(i)
 	}
-	var sweep fleet.Sweep
-	if o.fleetFlags.shards > 0 {
-		// -shards switches to the multi-channel, many-tenant machine
-		// (see fleet.go).
-		var ok bool
-		if sweep, ok = clusterSweep(o.fleetFlags, *schemeFlag, seeds, *cycles); !ok {
+	names := schemes
+	if *schemeFlag != "all" {
+		if _, err := config.ParseScheme(*schemeFlag); err != nil {
+			fmt.Fprintf(os.Stderr, "dagchaos: unknown scheme %q (use all, %s)\n", *schemeFlag, strings.Join(schemes, ", "))
 			os.Exit(2)
 		}
-	} else {
-		names := schemes
+		names = []string{*schemeFlag}
+	}
+	var sweep fleet.Sweep
+	if o.fleetFlags.shards > 0 {
+		// -shards switches to the multi-channel, many-tenant machine (see
+		// fleet.go), where -scheme all keeps fleet.DefaultSweep's schemes.
+		sweep = clusterSweep(o.fleetFlags, seeds, *cycles)
 		if *schemeFlag != "all" {
-			if _, err := config.ParseScheme(*schemeFlag); err != nil {
-				fmt.Fprintf(os.Stderr, "dagchaos: unknown scheme %q (use all, %s)\n", *schemeFlag, strings.Join(schemes, ", "))
-				os.Exit(2)
-			}
-			names = []string{*schemeFlag}
+			sweep.Schemes = names
 		}
+	} else {
 		sweep = fleet.TwoCoreSweep(names, seeds, *cycles, *events, *app)
 	}
 	if err := sweep.Validate(); err != nil {

@@ -25,7 +25,7 @@ var (
 
 // MultiChannelConfig describes the datacenter-scale machine the fleet
 // simulates: N independent memory channels (each with its own controller,
-// DRAM device and — under DAGguise — one request shaper per protected
+// DRAM device and, under DAGguise or Camouflage, one shaper per protected
 // tenant), shared by hundreds of mutually distrusting security domains. A
 // domain's requests hash deterministically across the channels via
 // mem.RouteChannel, so every shard of a sweep agrees on the placement.
@@ -37,13 +37,13 @@ type MultiChannelConfig struct {
 	// Domains is the number of concurrent security domains (tenants).
 	// Tenant i occupies mem.Domain(i+1); domain 0 stays reserved.
 	Domains int
-	// Protected is how many leading tenants are protected victims whose
-	// traffic is shaped (DAGguise) and whose intensity carries the secret
-	// in non-interference twin runs.
+	// Protected is how many leading tenants are protected victims, shaped
+	// under DAGguise and Camouflage and each given its own slot group under
+	// FS, FS-BTA and TP, whose intensity carries the secret in twin runs.
 	Protected int
 	// QueueDepth is the per-domain transaction-queue partition depth on
-	// each controller (secure schemes); it also sizes the shared queue for
-	// the insecure baseline (QueueDepth entries per domain, capped).
+	// each controller (every scheme but insecure); it also sizes the shared
+	// queue for the insecure baseline (QueueDepth entries per domain).
 	QueueDepth int
 	// ShaperDepth is the private shaper queue depth per (channel,
 	// protected tenant) pair.

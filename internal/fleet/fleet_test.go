@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"dagguise/internal/ckpt"
-	"dagguise/internal/config"
 	"dagguise/internal/mem"
 	"dagguise/internal/shaper"
 	"dagguise/internal/sim"
@@ -350,12 +349,13 @@ func TestManifestRoundTripAndRequeue(t *testing.T) {
 
 func TestPoolFailurePathRetriesThenFails(t *testing.T) {
 	s := testSweep(2, 4, 1000)
-	// FS-BTA passes sweep validation but the cluster rejects it, so every
-	// attempt fails — exercising retry, backoff accounting and the failed
-	// terminal state.
-	s.Schemes = []string{config.FSBTA.String()}
+	// An Attach hook that always panics fails every attempt, exercising
+	// retry, backoff accounting and the failed terminal state.
 	dir := t.TempDir()
-	_, err := Run(context.Background(), s, Options{Workers: 2, Dir: dir, Retries: 2, Backoff: 1, MaxBackoff: 2})
+	_, err := Run(context.Background(), s, Options{
+		Workers: 2, Dir: dir, Retries: 2, Backoff: 1, MaxBackoff: 2,
+		Attach: func(*sim.System) { panic("observer bug") },
+	})
 	if !errors.Is(err, ErrShardsIncomplete) {
 		t.Fatalf("got %v, want ErrShardsIncomplete", err)
 	}

@@ -246,3 +246,40 @@ func TestPinnedTwoCoreCampaignOnFleet(t *testing.T) {
 		}
 	}
 }
+
+// TestPinnedFleetSchemeReports pins one clean report for each scheme the
+// multi-channel machine builds beyond the default sweep's two: the
+// default four-channel, 100-tenant machine, seed 1, 20k cycles, swept
+// under that scheme alone. The hashes were recorded when the machine
+// first built these schemes through sim.New's policy, slot-group and
+// shaper builders.
+func TestPinnedFleetSchemeReports(t *testing.T) {
+	for _, tc := range []struct {
+		scheme string
+		sum    string
+	}{
+		{"fs", "17353a33744a818be1fa6b074643678d3ed556aaf784df9ddce9e77b9b95812b"},
+		{"fs-bta", "1f7c26fcd751f426fc65481cda8a46bb1d3e1799037f1039e4e461ce792290d1"},
+		{"tp", "8b562980ff737c7dc193d9ad740147c25566a1d9de50c2b1e44198f9218cea27"},
+		{"camouflage", "dfb9925619e8ca4e32f221d4e822eb1e8012c3a1da6320bf13b9f7965a9692ff"},
+	} {
+		sweep := DefaultSweep(4, 100, []int64{1}, 20_000)
+		sweep.Schemes = []string{tc.scheme}
+		rep, err := Run(context.Background(), sweep, Options{
+			Workers:         2,
+			Dir:             t.TempDir(),
+			CheckpointEvery: 5_000,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := rep.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(blob)
+		if got := hex.EncodeToString(sum[:]); got != tc.sum {
+			t.Errorf("%s: report hashes to %s, pinned %s", tc.scheme, got, tc.sum)
+		}
+	}
+}

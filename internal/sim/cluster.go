@@ -7,12 +7,11 @@ import (
 	"fmt"
 
 	"dagguise/internal/audit"
+	"dagguise/internal/camouflage"
 	"dagguise/internal/config"
 	"dagguise/internal/mem"
-	"dagguise/internal/memctrl"
 	"dagguise/internal/rdag"
 	"dagguise/internal/rng"
-	"dagguise/internal/shaper"
 )
 
 // clusterMaxOutstanding bounds each tenant's in-flight requests, standing in
@@ -22,9 +21,10 @@ const clusterMaxOutstanding = 4
 // NewCluster builds the datacenter-scale machine of the fleet fabric: N
 // memory channels, each with its own controller and DRAM device, shared by
 // up to hundreds of concurrent security domains. Tenant requests hash
-// across the channels via mem.RouteChannel; under DAGguise every protected
-// tenant gets one request shaper per channel, driven by that channel's
-// defense rDAG. Only the insecure and DAGguise schemes are supported.
+// across the channels via mem.RouteChannel. The scheme is built as New
+// builds it (buildPolicy, shapePort): the first cfg.Protected tenants get
+// their own slot groups or one shaper per channel, and every scheme but
+// the insecure baseline partitions each transaction queue per domain.
 //
 // The machine owns only the channel slice [chanLo, chanHi) of the
 // configured channels — the unit of fleet sharding. Requests the router
@@ -44,11 +44,6 @@ func NewCluster(cfg config.MultiChannelConfig, chanLo, chanHi int, seed int64, s
 	if chanLo < 0 || chanHi > cfg.Channels || chanLo >= chanHi {
 		return nil, fmt.Errorf("sim: channel slice [%d, %d) outside [0, %d)", chanLo, chanHi, cfg.Channels)
 	}
-	switch cfg.Scheme {
-	case config.Insecure, config.DAGguise:
-	default:
-		return nil, fmt.Errorf("sim: cluster supports the insecure and dagguise schemes, got %s", cfg.Scheme)
-	}
 	s := &System{scheme: cfg.Scheme, chanLo: chanLo, routeWidth: cfg.Channels, seed: seed, secret: secret}
 	geo := cfg.Geometry
 	capBytes := uint64(geo.CapacityGiB)
@@ -56,12 +51,14 @@ func NewCluster(cfg config.MultiChannelConfig, chanLo, chanHi int, seed int64, s
 		capBytes = 4
 	}
 	s.taps = make([]tapSlot, cfg.Domains+1)
+	protected := make([]bool, cfg.Domains)
 	for i := 0; i < cfg.Domains; i++ {
+		protected[i] = i < cfg.Protected
 		g := &generator{
 			GeneratorState: GeneratorState{Index: i},
 			s:              s,
 			dom:            domainOf(i),
-			protected:      i < cfg.Protected,
+			protected:      protected[i],
 			rng:            rng.New(rng.Derive(seed, fmt.Sprintf("tenant-%05d", i))),
 			lineBytes:      uint64(geo.LineBytes),
 			lines:          (capBytes << 30) / uint64(geo.LineBytes),
@@ -77,28 +74,31 @@ func NewCluster(cfg config.MultiChannelConfig, chanLo, chanHi int, seed int64, s
 		s.gens = append(s.gens, g)
 	}
 	partition := 0
-	if cfg.Scheme == config.DAGguise {
+	if cfg.Scheme != config.Insecure {
 		partition = cfg.QueueDepth
 	}
 	for ch := chanLo; ch < chanHi; ch++ {
+		policy, err := buildPolicy(cfg.Scheme, cfg.Timing, 0, protected)
+		if err != nil {
+			return nil, err
+		}
 		// The capacity must cover the per-domain partitions in full, or a
 		// checkpoint cut at high occupancy could fail queue validation on
 		// restore.
-		u, err := s.addChannel(ch, geo, cfg.Timing, cfg.ClosedRow(), memctrl.FRFCFS{},
+		u, err := s.addChannel(ch, geo, cfg.Timing, cfg.ClosedRow(), policy,
 			cfg.QueueDepth*cfg.Domains, partition, cfg.Domains)
 		if err != nil {
 			return nil, err
 		}
-		if cfg.Scheme != config.DAGguise {
-			continue
+		var tpl rdag.Template
+		if len(cfg.ChannelDefenses) > 0 {
+			tpl = cfg.ChannelDefenses[ch]
 		}
 		for _, p := range u.ports[:cfg.Protected] {
-			drv, err := rdag.NewPatternDriver(cfg.ChannelDefenses[ch])
-			if err != nil {
+			sseed := rng.Derive(seed, fmt.Sprintf("shaper-ch%04d-dom%05d", ch, int(p.dom)))
+			if err := s.shapePort(u, p, tpl, camouflage.Distribution{}, cfg.ShaperDepth, sseed, sseed); err != nil {
 				return nil, err
 			}
-			sseed := rng.Derive(seed, fmt.Sprintf("shaper-ch%04d-dom%05d", ch, int(p.dom)))
-			u.shape(p, shaper.New(p.dom, drv, u.mapper, cfg.ShaperDepth, s.alloc, sseed), nil)
 		}
 	}
 	return s, nil

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"dagguise/internal/config"
@@ -17,7 +18,7 @@ func clusterCfg(t *testing.T, channels, domains int, scheme config.Scheme) confi
 }
 
 func TestClusterDeterministic(t *testing.T) {
-	for _, scheme := range []config.Scheme{config.Insecure, config.DAGguise} {
+	for _, scheme := range allSchemes {
 		cfg := clusterCfg(t, 2, 12, scheme)
 		run := func() (string, ClusterCounters) {
 			c, err := NewCluster(cfg, 0, 2, 42, 11)
@@ -45,24 +46,45 @@ func TestClusterDeterministic(t *testing.T) {
 
 // TestClusterNonInterference is the headline security property at cluster
 // scale: twin runs differing only in the protected tenants' secret must be
-// indistinguishable to the unprotected tenants under DAGguise, and
-// distinguishable under the insecure baseline (otherwise the observable is
-// too weak to mean anything).
+// indistinguishable to the unprotected tenants under FS-BTA and DAGguise,
+// and distinguishable under the insecure baseline and Camouflage
+// (otherwise the observable is too weak to mean anything). The window is
+// long because a short one hides leaks: FS and TP are left out because
+// their twins diverge here, FS on every seed and TP on seed 1234, yet
+// neither does on seed 1234 within 20k cycles. Fixing them, and gating
+// every secure scheme here, is ROADMAP item 1 ("Fix TP from the device's
+// own timing, and gate full-machine NI for every secure scheme").
 func TestClusterNonInterference(t *testing.T) {
-	digest := func(scheme config.Scheme, secret int) string {
-		cfg := clusterCfg(t, 2, 12, scheme)
-		c, err := NewCluster(cfg, 0, 2, 1234, secret)
-		if err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		scheme config.Scheme
+		leaks  bool
+	}{
+		{config.Insecure, true},
+		{config.Camouflage, true},
+		{config.FSBTA, false},
+		{config.DAGguise, false},
+	} {
+		cfg := clusterCfg(t, 2, 12, tc.scheme)
+		for _, seed := range []int64{1234, 1, 2, 3} {
+			t.Run(fmt.Sprintf("%s/seed%d", tc.scheme, seed), func(t *testing.T) {
+				t.Parallel()
+				digest := func(secret int) string {
+					c, err := NewCluster(cfg, 0, 2, seed, secret)
+					if err != nil {
+						t.Fatal(err)
+					}
+					mustRun(t, c, 400_000)
+					return c.AuditDigest()
+				}
+				a, b := digest(11), digest(12)
+				switch {
+				case tc.leaks && a == b:
+					t.Errorf("%s did not leak; the attacker observable is too coarse", tc.scheme)
+				case !tc.leaks && a != b:
+					t.Errorf("%s leaks: secret 11 digest %s != secret 12 digest %s", tc.scheme, a, b)
+				}
+			})
 		}
-		mustRun(t, c, 20000)
-		return c.AuditDigest()
-	}
-	if a, b := digest(config.DAGguise, 11), digest(config.DAGguise, 12); a != b {
-		t.Errorf("DAGguise leaks: secret 11 digest %s != secret 12 digest %s", a, b)
-	}
-	if a, b := digest(config.Insecure, 11), digest(config.Insecure, 12); a == b {
-		t.Errorf("insecure baseline did not leak; the attacker observable is too coarse")
 	}
 }
 
@@ -88,7 +110,7 @@ func TestClusterVictimStreamSecretIndependent(t *testing.T) {
 }
 
 func TestClusterCheckpointRoundTrip(t *testing.T) {
-	for _, scheme := range []config.Scheme{config.Insecure, config.DAGguise} {
+	for _, scheme := range allSchemes {
 		cfg := clusterCfg(t, 2, 10, scheme)
 		ref, err := NewCluster(cfg, 0, 2, 99, 11)
 		if err != nil {
@@ -189,12 +211,5 @@ func TestClusterChannelSlice(t *testing.T) {
 	}
 	if _, err := NewCluster(cfg, 0, 5, 21, 11); err == nil {
 		t.Fatal("out-of-range channel slice accepted")
-	}
-}
-
-func TestClusterRejectsUnsupportedScheme(t *testing.T) {
-	cfg := clusterCfg(t, 2, 8, config.FSBTA)
-	if _, err := NewCluster(cfg, 0, 2, 1, 11); err == nil {
-		t.Fatal("cluster accepted a scheme it does not implement")
 	}
 }

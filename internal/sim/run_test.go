@@ -260,7 +260,7 @@ func TestRunMatchesTickLoop(t *testing.T) {
 	for _, scheme := range []config.Scheme{config.DAGguise, config.Camouflage, config.FSBTA} {
 		cases = append(cases, runCase{"eight-core-faults/" + scheme.String(), eightCore(scheme, 1), []uint64{25_013}, false})
 	}
-	for _, scheme := range []config.Scheme{config.Insecure, config.DAGguise} {
+	for _, scheme := range allSchemes {
 		cases = append(cases,
 			runCase{"cluster/" + scheme.String(), cluster(scheme, 0, false), []uint64{12_007}, false},
 			runCase{"cluster-faults/" + scheme.String(), watched(cluster(scheme, 2, false), Watchdog{StallBudget: 3_000, EgressHighWater: 64}), []uint64{5_000, 7_007}, false},
@@ -327,9 +327,6 @@ func FuzzRunMatchesTickLoop(f *testing.F) {
 			apps[i], seeds[i], protected[i] = names[rnd.Intn(len(names))], rnd.Int63n(100), rnd.Intn(2) == 0
 		}
 		cluster := rnd.Intn(3) == 0
-		if cluster && scheme != config.Insecure {
-			scheme = config.DAGguise
-		}
 		clusterCfg := config.DefaultMultiChannel(2, 4+rnd.Intn(40), scheme)
 		clusterCfg.QueueDepth, clusterCfg.ShaperDepth = 1+rnd.Intn(8), 1+rnd.Intn(8)
 		build := func(t testing.TB) *System {

@@ -170,10 +170,12 @@ func New(cfg config.SystemConfig, specs []CoreSpec) (*System, error) {
 	if len(specs) != cfg.Cores {
 		return nil, fmt.Errorf("sim: %d core specs for %d cores", len(specs), cfg.Cores)
 	}
-	for _, spec := range specs {
+	protected := make([]bool, len(specs))
+	for i, spec := range specs {
 		if (spec.Tenant == nil) != (specs[0].Tenant == nil) {
 			return nil, fmt.Errorf("sim: a system takes all tenants or all cores")
 		}
+		protected[i] = spec.Protected
 	}
 	// The row-buffer-aware extension (§4.4): when every protected
 	// domain's defense rDAG encodes its own row-hit pattern, the
@@ -194,7 +196,7 @@ func New(cfg config.SystemConfig, specs []CoreSpec) (*System, error) {
 		}
 	}
 	s := &System{scheme: cfg.Scheme, specs: specs}
-	policy, err := buildPolicy(cfg, specs)
+	policy, err := buildPolicy(cfg.Scheme, cfg.Timing, cfg.FSBTAStrideDRAM, protected)
 	if err != nil {
 		return nil, err
 	}
@@ -212,7 +214,11 @@ func New(cfg config.SystemConfig, specs []CoreSpec) (*System, error) {
 	for i, spec := range specs {
 		p := ch.ports[i]
 		if spec.Protected {
-			if err := s.shapeCore(ch, p, spec); err != nil {
+			dagSeed, camoSeed := int64(p.dom)*7919, int64(p.dom)*104729
+			if spec.Tenant != nil {
+				dagSeed, camoSeed = spec.ShaperSeed, spec.ShaperSeed
+			}
+			if err := s.shapePort(ch, p, spec.Defense, spec.Distribution, privateQueueDepth, dagSeed, camoSeed); err != nil {
 				return nil, err
 			}
 		}
@@ -235,48 +241,44 @@ func (s *System) alloc() uint64 {
 	return s.nextID
 }
 
-// buildPolicy selects the scheduling policy for the configured scheme.
-func buildPolicy(cfg config.SystemConfig, specs []CoreSpec) (memctrl.Scheduler, error) {
-	switch cfg.Scheme {
-	case config.Insecure, config.Camouflage:
-		return memctrl.FRFCFS{}, nil
-	case config.DAGguise:
+// buildPolicy selects either machine's scheduling policy for the scheme.
+// protected[i] marks domain i+1 as protected; fsbtaStride > 0 overrides
+// the FS-BTA slot stride.
+func buildPolicy(scheme config.Scheme, timing config.DRAMTiming, fsbtaStride int, protected []bool) (memctrl.Scheduler, error) {
+	switch scheme {
+	case config.Insecure, config.Camouflage, config.DAGguise:
 		// DAGguise keeps the high-performance scheduler: dynamic
 		// contention is safe because the shaped stream is already
 		// secret-independent.
 		return memctrl.FRFCFS{}, nil
-	case config.FixedService, config.FSBTA, config.TemporalPartitioning:
-		groups := buildGroups(specs)
-		switch cfg.Scheme {
-		case config.FixedService:
-			return sched.NewFixedService(cfg.Timing, groups), nil
-		case config.FSBTA:
-			if cfg.FSBTAStrideDRAM > 0 {
-				return sched.NewFSBTAWithStride(cfg.Timing, groups, cfg.FSBTAStrideDRAM), nil
-			}
-			return sched.NewFSBTA(cfg.Timing, groups), nil
-		default:
-			return sched.NewTemporalPartitioning(cfg.Timing, groups, 96), nil
+	case config.FixedService:
+		return sched.NewFixedService(timing, buildGroups(protected)), nil
+	case config.FSBTA:
+		if fsbtaStride > 0 {
+			return sched.NewFSBTAWithStride(timing, buildGroups(protected), fsbtaStride), nil
 		}
+		return sched.NewFSBTA(timing, buildGroups(protected)), nil
+	case config.TemporalPartitioning:
+		return sched.NewTemporalPartitioning(timing, buildGroups(protected), 96), nil
 	default:
-		return nil, fmt.Errorf("sim: unsupported scheme %v", cfg.Scheme)
+		return nil, fmt.Errorf("sim: unsupported scheme %v", scheme)
 	}
 }
 
 // buildGroups constructs the slot rotation for FS-family arbiters: each
-// protected core alone in its group, all unprotected cores sharing one
-// group that appears once per unprotected core. On the paper's eight-core
+// protected domain alone in its group, all unprotected domains sharing one
+// group that appears once per unprotected domain. On the paper's 8-core
 // setup this yields the 4 x 1/8 victim slots + 4/8 shared SPEC slots.
-func buildGroups(specs []CoreSpec) []sched.Group {
+func buildGroups(protected []bool) []sched.Group {
 	var unprotected sched.Group
-	for i, spec := range specs {
-		if !spec.Protected {
+	for i, prot := range protected {
+		if !prot {
 			unprotected = append(unprotected, domainOf(i))
 		}
 	}
 	var groups []sched.Group
-	for i, spec := range specs {
-		if spec.Protected {
+	for i, prot := range protected {
+		if prot {
 			groups = append(groups, sched.Group{domainOf(i)})
 		} else {
 			groups = append(groups, unprotected)
@@ -285,17 +287,14 @@ func buildGroups(specs []CoreSpec) []sched.Group {
 	return groups
 }
 
-// shapeCore puts a protected domain's shaper in front of its port.
+// shapePort puts a protected domain's shaper in front of its port: a
+// DAGguise shaper over tpl or a Camouflage shaper over dist (a zero value
+// selects the evaluation default), with a private queue depth entries deep.
 // FS-family schemes protect at the scheduler and insecure runs unshaped by
 // definition, so both leave the port direct.
-func (s *System) shapeCore(ch *channel, p *port, spec CoreSpec) error {
-	dagSeed, camoSeed := int64(p.dom)*7919, int64(p.dom)*104729
-	if spec.Tenant != nil {
-		dagSeed, camoSeed = spec.ShaperSeed, spec.ShaperSeed
-	}
+func (s *System) shapePort(ch *channel, p *port, tpl rdag.Template, dist camouflage.Distribution, depth int, dagSeed, camoSeed int64) error {
 	switch s.scheme {
 	case config.DAGguise:
-		tpl := spec.Defense
 		if tpl.Sequences == 0 {
 			tpl = rdag.Template{Sequences: 4, Weight: 300, WriteRatio: 0.001, Banks: ch.mapper.BankCount()}
 		}
@@ -303,13 +302,12 @@ func (s *System) shapeCore(ch *channel, p *port, spec CoreSpec) error {
 		if err != nil {
 			return err
 		}
-		ch.shape(p, shaper.New(p.dom, driver, ch.mapper, privateQueueDepth, s.alloc, dagSeed), nil)
+		ch.shape(p, shaper.New(p.dom, driver, ch.mapper, depth, s.alloc, dagSeed), nil)
 	case config.Camouflage:
-		dist := spec.Distribution
 		if len(dist.Intervals) == 0 {
 			dist = camouflage.Distribution{Intervals: []uint64{200, 300, 400, 600}}
 		}
-		sh, err := camouflage.New(p.dom, dist, ch.mapper, privateQueueDepth, s.alloc, camoSeed)
+		sh, err := camouflage.New(p.dom, dist, ch.mapper, depth, s.alloc, camoSeed)
 		if err != nil {
 			return err
 		}
