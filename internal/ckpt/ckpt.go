@@ -57,7 +57,7 @@ var (
 
 // Frame wraps an arbitrary payload in the versioned, checksummed snapshot
 // framing (magic, version, length, payload, SHA-256). Fleet shard
-// checkpoints and results, the dagauditd tenant-auditor checkpoint and
+// checkpoints, the dagauditd tenant-auditor checkpoint and
 // fault schedules under test all use it, so every on-disk artifact gets
 // the same truncation/corruption detection.
 func Frame(payload []byte) []byte {

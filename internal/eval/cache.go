@@ -15,10 +15,11 @@ import (
 const runCacheVersion = 1
 
 // RunCache is dagsim's campaign-level resume store: every completed
-// (figure, app, scheme) measurement is persisted as soon as it finishes, so
-// an interrupted figure sweep rerun with the same options skips straight to
-// the first unmeasured configuration. Simulations are deterministic, so a
-// cached entry is exactly what rerunning the simulation would produce.
+// (figure, app, scheme, warmup, window) measurement is persisted as soon
+// as it finishes, so an interrupted figure sweep rerun with the same
+// options skips straight to the first unmeasured configuration.
+// Simulations are deterministic, so a cached entry is exactly what
+// rerunning the simulation would produce.
 // RunCache is safe for concurrent use: parallel figure sweeps (Options.
 // Workers > 1) share one cache.
 type RunCache struct {

@@ -41,7 +41,8 @@ type Options struct {
 	// between cycles and surfaces as a context error.
 	Ctx context.Context
 	// Cache, when non-nil, resumes figure sweeps: completed (figure, app,
-	// scheme) measurements are persisted immediately and skipped on rerun.
+	// scheme, warmup, window) measurements are persisted immediately and
+	// skipped on rerun.
 	Cache *RunCache
 	// Workers parallelizes the per-app rows of the figure sweeps over a
 	// bounded goroutine pool (<= 1 = sequential). Rows are independent
@@ -178,10 +179,12 @@ type SchemeIPCs struct {
 }
 
 // runSystem builds and measures one configuration. key names the run for
-// the resume cache ("" = never cached); a cached measurement short-circuits
-// the simulation entirely.
+// the resume cache ("" = never cached); the cache stores it under the
+// warmup and window too, and a cached measurement short-circuits the
+// simulation entirely.
 func runSystem(key string, scheme config.Scheme, specs []sim.CoreSpec, opts Options) (SchemeIPCs, error) {
 	if opts.Cache != nil && key != "" {
+		key = fmt.Sprintf("%s/warmup%d/window%d", key, opts.Warmup, opts.Window)
 		if out, ok := opts.Cache.get(key); ok {
 			return out, nil
 		}

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -186,5 +187,41 @@ func TestFigure9WorkerCountInvariant(t *testing.T) {
 	}
 	if !reflect.DeepEqual(solo, many) {
 		t.Fatalf("Figure9 depends on worker count:\n1 worker:  %+v\n3 workers: %+v", solo, many)
+	}
+}
+
+// TestRunCacheKeysWindow pins that the resume cache holds a measurement
+// under its warmup and window: a Figure 9 sweep resumed from a cache
+// filled at another window measures afresh instead of reporting the other
+// window's IPCs.
+func TestRunCacheKeysWindow(t *testing.T) {
+	opts := quickOpts()
+	opts.Apps = []string{"lbm"}
+	opts.Window = 60_000
+	fresh, err := Figure9(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache, err := OpenRunCache(filepath.Join(t.TempDir(), "results-cache.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := opts
+	short.Window = 20_000
+	short.Cache = cache
+	if _, err := Figure9(short); err != nil {
+		t.Fatal(err)
+	}
+	opts.Cache = cache
+	resumed, err := Figure9(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fresh, resumed) {
+		t.Fatalf("Figure 9 resumed from a %d-cycle window's cache differs from a fresh run:\nfresh:   %+v\nresumed: %+v",
+			short.Window, fresh, resumed)
+	}
+	if n := cache.Len(); n != 6 {
+		t.Fatalf("cache holds %d measurements, want 3 per window", n)
 	}
 }

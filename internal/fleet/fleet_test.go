@@ -5,7 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 
 	"dagguise/internal/ckpt"
@@ -336,8 +339,8 @@ func TestManifestRoundTripAndRequeue(t *testing.T) {
 	if err := loaded.Matches(other); !errors.Is(err, ErrManifestMismatch) {
 		t.Fatalf("got %v, want ErrManifestMismatch", err)
 	}
-	if got := Reconcile(loaded, dir, nil); len(got) != 1 || got[0] != m.Records[0].Shard.Name {
-		t.Fatalf("requeued %v, want exactly the running shard", got)
+	if n := loaded.requeue(); n != 1 {
+		t.Fatalf("requeued %d shards, want exactly the running one", n)
 	}
 	if loaded.Records[0].Status != StatusPending || loaded.Records[0].Resumes != 1 {
 		t.Fatalf("crashed shard not re-queued: %+v", loaded.Records[0])
@@ -370,5 +373,43 @@ func TestPoolFailurePathRetriesThenFails(t *testing.T) {
 		if rec.Retries != 2 || rec.Error == "" {
 			t.Fatalf("shard %s retried %d times (want 2), error %q", rec.Shard.Name, rec.Retries, rec.Error)
 		}
+	}
+}
+
+// TestPoolLogsFailedManifestSave pins that a shard's terminal manifest
+// save does not fail silently, since the manifest is the shard's only
+// record, and that the line reporting it does not end in " done", the
+// suffix of a shard completion line.
+func TestPoolLogsFailedManifestSave(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, ManifestName)
+	var once sync.Once
+	var log bytes.Buffer
+	_, err := Run(context.Background(), testSweep(2, 4, 1000), Options{
+		Workers: 1, Dir: dir, Log: &log,
+		// Once the first shard is claimed, a directory takes the
+		// manifest's place, so every later save fails to rename over it.
+		Attach: func(*sim.System) {
+			once.Do(func() {
+				if err := os.Remove(path); err != nil {
+					t.Error(err)
+				}
+				if err := os.Mkdir(path, 0o755); err != nil {
+					t.Error(err)
+				}
+			})
+		},
+	})
+	if err == nil {
+		t.Fatal("Run succeeded though no manifest save after the first claim could succeed")
+	}
+	var failed []string
+	for _, line := range strings.SplitAfter(log.String(), "\n") {
+		if strings.Contains(line, "manifest save failed") {
+			failed = append(failed, line)
+		}
+	}
+	if len(failed) != 1 || strings.HasSuffix(failed[0], " done\n") {
+		t.Fatalf("want one manifest-save failure line not ending in \" done\", got %q; log:\n%s", failed, log.String())
 	}
 }

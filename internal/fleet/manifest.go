@@ -32,8 +32,7 @@ const (
 	// StatusPending marks a shard no worker has claimed.
 	StatusPending Status = "pending"
 	// StatusRunning marks a claimed shard. A manifest loaded with running
-	// shards belonged to a killed fleet; Reconcile re-queues them on
-	// resume.
+	// shards belonged to a killed fleet; Run re-queues them on resume.
 	StatusRunning Status = "running"
 	// StatusDone marks a completed shard with a recorded result.
 	StatusDone Status = "done"
@@ -125,6 +124,20 @@ func (m *Manifest) Matches(s Sweep) error {
 		return fmt.Errorf("%w: manifest fingerprint %.12s…, sweep %.12s…", ErrManifestMismatch, m.Fingerprint, fp)
 	}
 	return nil
+}
+
+// requeue returns every record a killed fleet left running to pending,
+// counting the resume, and returns how many it re-queued.
+func (m *Manifest) requeue() int {
+	n := 0
+	for i := range m.Records {
+		if rec := &m.Records[i]; rec.Status == StatusRunning {
+			rec.Status = StatusPending
+			rec.Resumes++
+			n++
+		}
+	}
+	return n
 }
 
 // Counts returns the number of records in each state.

@@ -5,12 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"runtime"
 	"sync"
 	"time"
 
+	"dagguise/internal/ckpt"
 	"dagguise/internal/obs"
 	"dagguise/internal/rng"
 	"dagguise/internal/sim"
@@ -20,9 +22,8 @@ import (
 type Options struct {
 	// Workers is the pool size; <= 0 selects GOMAXPROCS.
 	Workers int
-	// Dir holds the manifest, the per-shard checkpoint frames, and the
-	// committed result and failure-marker files. One process at a time
-	// may run a fleet in a directory.
+	// Dir holds the manifest and the per-shard checkpoint frames. One
+	// process at a time may run a fleet in a directory.
 	Dir string
 	// CheckpointEvery is the per-shard checkpoint interval in simulated
 	// cycles (0 = no mid-shard checkpoints; shards still resume at shard
@@ -55,11 +56,11 @@ type Options struct {
 }
 
 // pool executes a sweep's manifest over a worker pool. The manifest is
-// the claim table: a worker takes the lowest-index pending record under
-// mu, marks it running and saves the manifest before it starts work, so
-// the fsync'd manifest always names every shard in flight. Committed
-// result files and failure markers are the durable terminal state that
-// Reconcile folds back into the manifest on every start.
+// the claim table and the only durable record of a shard's progress: a
+// worker takes the lowest-index pending record under mu, marks it running
+// and saves the manifest before it starts work, so the fsync'd manifest
+// always names every shard in flight, and saves it again with the
+// shard's result or error when the shard ends.
 type pool struct {
 	opts     Options
 	sweep    Sweep
@@ -96,25 +97,29 @@ func Run(ctx context.Context, sweep Sweep, opts Options) (*Report, error) {
 		case errors.Is(err, ErrManifestMismatch):
 			return nil, err
 		default:
-			// A torn or hand-mangled manifest is quarantined and rebuilt:
-			// the per-shard result and failure files are the durable
-			// terminal state, and Reconcile below re-derives the queue
-			// from them.
+			// A torn or hand-mangled manifest is quarantined, and the
+			// sweep starts over under a fresh one.
 			quarantine(opts.Log, path, err)
 			m = nil
 		}
 	}
 	if m == nil {
 		var err error
-		m, err = NewManifest(sweep)
-		if err != nil {
+		if m, err = NewManifest(sweep); err != nil {
 			return nil, err
+		}
+		// Nothing ties a checkpoint frame to a sweep, so a fresh manifest
+		// starts every shard at cycle 0: frames left under its shard names
+		// are removed before any claim.
+		for _, rec := range m.Records {
+			if err := os.Remove(CheckpointName(opts.Dir, rec.Shard.Name)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+				return nil, err
+			}
 		}
 	}
 	p := &pool{opts: opts, sweep: sweep, manifest: m, path: path}
-	requeued := Reconcile(m, opts.Dir, opts.Log)
-	if len(requeued) > 0 {
-		logf(opts.Log, "fleet: re-queued %d shard(s) left running by an interrupted run\n", len(requeued))
+	if n := m.requeue(); n > 0 {
+		logf(opts.Log, "fleet: re-queued %d shard(s) left running by an interrupted run\n", n)
 	}
 	if err := p.save(); err != nil {
 		return nil, err
@@ -172,10 +177,12 @@ func (p *pool) claim(worker int) (idx int, ok bool, err error) {
 	return 0, false, nil
 }
 
-// finish records a terminal (or parked) state for a claimed shard.
-func (p *pool) finish(idx int, status Status, res *ShardResult, cause error) error {
+// finish records a terminal (or parked) state for a claimed shard and
+// saves the manifest. A failed save is logged: the record stays in memory
+// for the next save, and until one succeeds the manifest on disk shows
+// the shard running, so a killed run re-queues it.
+func (p *pool) finish(worker, idx int, status Status, res *ShardResult, cause error) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	rec := &p.manifest.Records[idx]
 	rec.Status = status
 	rec.Result = res
@@ -183,7 +190,11 @@ func (p *pool) finish(idx int, status Status, res *ShardResult, cause error) err
 	if cause != nil {
 		rec.Error = cause.Error()
 	}
-	return p.save()
+	name, err := rec.Shard.Name, p.save()
+	p.mu.Unlock()
+	if err != nil {
+		logf(p.opts.Log, "fleet: worker %d shard %s manifest save failed: %v\n", worker, name, err)
+	}
 }
 
 // bump applies a counter mutation to a record under the pool lock.
@@ -212,12 +223,11 @@ func (p *pool) work(ctx context.Context, worker int) {
 // runClaimed executes one claimed shard, retried with deterministic
 // backoff, and records its terminal state.
 func (p *pool) runClaimed(ctx context.Context, worker int, idx int) {
-	rec := func() Record {
+	sh := func() Shard {
 		p.mu.Lock()
 		defer p.mu.Unlock()
-		return p.manifest.Records[idx]
+		return p.manifest.Records[idx].Shard
 	}()
-	sh := rec.Shard
 	var res *ShardResult
 	var cause error
 	for attempt := 0; ; attempt++ {
@@ -245,20 +255,16 @@ func (p *pool) runClaimed(ctx context.Context, worker int, idx int) {
 		case <-time.After(delay):
 		}
 	}
-	if cause == nil {
-		cause = commitResult(p.opts.Log, p.opts.Dir, res)
-	}
 	switch {
 	case cause == nil:
-		_ = p.finish(idx, StatusDone, res, nil)
+		p.finish(worker, idx, StatusDone, res, nil)
 		p.opts.Mx.Inc(obs.CtrFleetShardsDone, 0)
 		logf(p.opts.Log, "fleet: worker %d shard %s done\n", worker, sh.Name)
 	case ctx.Err() != nil:
 		// Interrupted, not failed: park the shard for the resume.
-		_ = p.finish(idx, StatusPending, nil, nil)
+		p.finish(worker, idx, StatusPending, nil, nil)
 	default:
-		_ = writeFailed(p.opts.Dir, sh.Name, cause.Error(), rec.Attempts)
-		_ = p.finish(idx, StatusFailed, nil, cause)
+		p.finish(worker, idx, StatusFailed, nil, cause)
 		p.opts.Mx.Inc(obs.CtrFleetShardsFailed, 0)
 		logf(p.opts.Log, "fleet: worker %d shard %s FAILED: %v\n", worker, sh.Name, cause)
 	}
@@ -304,6 +310,32 @@ func (p *pool) runShard(ctx context.Context, idx int, sh Shard) (res *ShardResul
 			p.opts.Mx.Inc(obs.CtrFleetResumes, 0)
 		},
 	}, build, twins)
+}
+
+// CorruptSuffix is appended to a quarantined file: a torn or
+// checksum-failed manifest or checkpoint is renamed aside (never deleted,
+// so a post-mortem can inspect it) and treated as absent.
+const CorruptSuffix = ".corrupt"
+
+// quarantine renames a corrupt file aside and logs it.
+func quarantine(log io.Writer, path string, cause error) {
+	if err := os.Rename(path, path+CorruptSuffix); err != nil {
+		_ = os.Remove(path)
+	}
+	logf(log, "fleet: quarantined corrupt %s (%v)\n", filepath.Base(path), cause)
+}
+
+// loadFrame reads a shard's checkpoint frame. An absent file returns
+// fs.ErrNotExist untouched; a corrupt one (torn write, checksum failure)
+// is quarantined and reported as absent, so the shard starts over instead
+// of aborting.
+func loadFrame(log io.Writer, path string) ([]byte, error) {
+	payload, err := ckpt.LoadFrame(path)
+	if err == nil || errors.Is(err, fs.ErrNotExist) {
+		return payload, err
+	}
+	quarantine(log, path, err)
+	return nil, fmt.Errorf("fleet: quarantined corrupt %s: %w", path, fs.ErrNotExist)
 }
 
 // logMu serializes fleet log lines: logf formats first and issues one

@@ -138,11 +138,11 @@ func TestFleetKillResume(t *testing.T) {
 	if done == len(m.Records) {
 		t.Fatalf("fleet finished before the kill; enlarge killSweep (child output:\n%s)", childOut.String())
 	}
-	// The shards the kill left running, minus any whose result landed
-	// just before the kill (Reconcile adopts those instead).
+	// The shards the kill left running, including any that finished
+	// before their manifest save: the manifest is their only record.
 	leftRunning := map[string]bool{}
 	for _, r := range m.Records {
-		if r.Status == StatusRunning && !fileExists(ResultName(killDir, r.Shard.Name)) {
+		if r.Status == StatusRunning {
 			leftRunning[r.Shard.Name] = true
 		}
 	}
@@ -157,7 +157,7 @@ func TestFleetKillResume(t *testing.T) {
 	// The resume re-queues every shard the killed run left running as
 	// soon as it starts, instead of waiting for the dead process. Only a
 	// claim bumps Attempts, so exactly those shards were claimed twice:
-	// once by the killed run and once by the resume after Reconcile.
+	// once by the killed run and once by the resume.
 	m, err = LoadManifest(filepath.Join(killDir, ManifestName))
 	if err != nil {
 		t.Fatal(err)
