@@ -625,12 +625,12 @@ func BenchmarkSystemTick(b *testing.B) {
 	}
 }
 
-// clusterChannel builds channel 1 of the 4-channel, 100-tenant DAGguise
-// cluster, warmed for 20k cycles so its partitioned transaction queue is
-// deep (several hundred entries in front of 8 banks).
-func clusterChannel(b *testing.B) *sim.System {
+// clusterChannel builds channel 1 of the 4-channel, 100-tenant cluster
+// under the scheme, warmed for 20k cycles so its partitioned transaction
+// queue is deep (several hundred entries in front of 8 banks).
+func clusterChannel(b *testing.B, scheme config.Scheme) *sim.System {
 	b.Helper()
-	sys, err := sim.NewCluster(config.DefaultMultiChannel(4, 100, config.DAGguise), 1, 2, 1, 11)
+	sys, err := sim.NewCluster(config.DefaultMultiChannel(4, 100, scheme), 1, 2, 1, 11)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -666,10 +666,10 @@ func eightCoreMachine(b *testing.B) *sim.System {
 	return sys
 }
 
-// BenchmarkClusterTick measures the per-cycle cost of one fleet channel
-// (clusterChannel) stepped through Tick.
+// BenchmarkClusterTick measures the per-cycle cost of one DAGguise fleet
+// channel (clusterChannel) stepped through Tick.
 func BenchmarkClusterTick(b *testing.B) {
-	sys := clusterChannel(b)
+	sys := clusterChannel(b, config.DAGguise)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := sys.Tick(); err != nil {
@@ -694,7 +694,18 @@ func BenchmarkEightCoreTick(b *testing.B) {
 // advanced through Run, the path the fleet's chunk loop takes. One op is
 // one simulated cycle, so ns/op is the cost per cycle.
 func BenchmarkClusterRun(b *testing.B) {
-	sys := clusterChannel(b)
+	sys := clusterChannel(b, config.DAGguise)
+	b.ResetTimer()
+	if err := sys.Run(context.Background(), uint64(b.N)); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkClusterRunTP is BenchmarkClusterRun under Temporal
+// Partitioning, whose picks test every queue entry's domain against the
+// turn owner's group (96 unprotected tenants share one).
+func BenchmarkClusterRunTP(b *testing.B) {
+	sys := clusterChannel(b, config.TemporalPartitioning)
 	b.ResetTimer()
 	if err := sys.Run(context.Background(), uint64(b.N)); err != nil {
 		b.Fatal(err)

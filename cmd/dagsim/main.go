@@ -89,7 +89,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if n := cache.Len(); n > 0 {
+		if n := cache.Cached(map[int]int{2: 9, 8: 10}[*cores], opts); n > 0 {
 			fmt.Fprintf(os.Stderr, "dagsim: resuming, %d measurements already cached\n", n)
 		}
 		opts.Cache = cache

@@ -7,6 +7,7 @@
 package attack
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -108,7 +109,9 @@ func (h *Harness) SetAuditTap(t *audit.Tap) { h.attacker.tap = t }
 func (h *Harness) Observe(mx *obs.Registry, tr *obs.Tracer) { h.sys.Observe(mx, tr) }
 
 // Run simulates until the attacker collects nProbes latencies (or the
-// cycle budget runs out) and returns them in probe order. A harness runs
+// cycle budget runs out) and returns them in probe order. The machine
+// runs through sim.System.Run, which skips the quiet cycles between
+// memory events; the attacker's last probe ends the run. A harness runs
 // once.
 func (h *Harness) Run(victim Pattern, probe Probe, nProbes int, maxCycles uint64) ([]uint64, error) {
 	if err := victim.Validate(); err != nil {
@@ -119,8 +122,9 @@ func (h *Harness) Run(victim Pattern, probe Probe, nProbes int, maxCycles uint64
 	}
 	h.victim.pat = victim
 	h.attacker.pat = Pattern{Gaps: []uint64{probe.Gap}, Banks: []int{probe.Bank}, Rows: []uint64{probe.Row}}
-	for h.sys.Now() < maxCycles && len(h.attacker.lats) < nProbes {
-		if err := h.sys.Tick(); err != nil {
+	h.attacker.stopAt = nProbes
+	if now := h.sys.Now(); now < maxCycles && nProbes > 0 {
+		if err := h.sys.Run(context.Background(), maxCycles-now); err != nil {
 			return nil, err
 		}
 	}
@@ -135,7 +139,8 @@ func (h *Harness) Run(victim Pattern, probe Probe, nProbes int, maxCycles uint64
 // one read outstanding: request k reads the bank and row of pattern entry
 // k at column (k+col0) mod cols, and request k+1 issues gap k cycles after
 // request k completes. Every completion's latency is kept, and recorded
-// on the tap when one is set.
+// on the tap when one is set. The completion that brings the count to
+// stopAt ends the run (0: none does).
 type party struct {
 	mapper     *mem.Mapper
 	dom        mem.Domain
@@ -144,6 +149,7 @@ type party struct {
 	tap        *audit.Tap
 	lats       []uint64
 	issued     uint64 // cycle the outstanding request issued
+	stopAt     int
 }
 
 // Tick implements sim.Tenant: it offers request k, whose index is the
@@ -167,11 +173,11 @@ func (p *party) Tick(now uint64, port cpu.Port, alloc cpu.IDAlloc) uint64 {
 // OnResponse implements sim.Tenant. The shaper has already swallowed the
 // domain's fakes, so every response delivered here is the outstanding
 // request's.
-func (p *party) OnResponse(_ mem.Response, now uint64) uint64 {
+func (p *party) OnResponse(_ mem.Response, now uint64) (uint64, bool) {
 	k := len(p.lats)
 	p.lats = append(p.lats, now-p.issued)
 	p.tap.Record(now, now-p.issued)
-	return now + p.pat.Gaps[k%len(p.pat.Gaps)]
+	return now + p.pat.Gaps[k%len(p.pat.Gaps)], k+1 == p.stopAt
 }
 
 // LeakageBinWidth is the latency-histogram bin width (cycles) every MI

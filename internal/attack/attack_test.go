@@ -5,6 +5,7 @@ import (
 
 	"dagguise/internal/camouflage"
 	"dagguise/internal/config"
+	"dagguise/internal/obs"
 	"dagguise/internal/rdag"
 )
 
@@ -184,5 +185,35 @@ func TestRunBudgetExceeded(t *testing.T) {
 	_, err = h.Run(Pattern{Gaps: []uint64{100}, Banks: []int{0}}, defaultProbe(), 1_000_000, 10_000)
 	if err == nil {
 		t.Fatal("expected cycle-budget error")
+	}
+}
+
+// TestRigSkipsQuietCycles pins the premise of running the rig through
+// sim.System.Run: under every scheme, a 1000-probe run of the Table 1
+// set-up ticks on under a tenth of its cycles and replays the rest.
+// TestRigMatchesHarnessLoop checks that it still ends where a tick loop
+// would.
+func TestRigSkipsQuietCycles(t *testing.T) {
+	s0, _ := figure5Secrets()
+	defense := rdag.Template{Sequences: 8, Weight: 150, WriteRatio: 0.25, Banks: 8} // eval.DefaultDefense
+	dist := camouflage.Distribution{Intervals: []uint64{200, 400}}
+	for _, scheme := range []config.Scheme{
+		config.Insecure, config.Camouflage, config.FixedService,
+		config.FSBTA, config.TemporalPartitioning, config.DAGguise,
+	} {
+		h, err := NewHarness(scheme, defense, dist, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prof := obs.NewCycleProfile()
+		h.sys.Profile(prof)
+		if _, err := h.Run(s0, defaultProbe(), 1000, 0); err != nil {
+			t.Fatal(err)
+		}
+		ticks, cycles := prof.Laps(obs.PBHarness), h.sys.Now()
+		t.Logf("%s: %d ticks over %d cycles", scheme, ticks, cycles)
+		if 10*ticks >= cycles {
+			t.Errorf("%s: the rig ticked %d of its %d cycles", scheme, ticks, cycles)
+		}
 	}
 }

@@ -21,7 +21,7 @@ package camouflage
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"dagguise/internal/mem"
 	"dagguise/internal/obs"
@@ -70,7 +70,8 @@ type Shaper struct {
 	rng      *rng.Rand
 
 	queue    []mem.Request
-	pool     []uint64 // remaining intervals of the current epoch
+	emitted  [1]mem.Request // Tick's result, reused
+	pool     []uint64       // remaining intervals of the current epoch
 	lastEmit uint64
 	nextAt   uint64
 	started  bool
@@ -143,7 +144,7 @@ func (s *Shaper) Enqueue(req mem.Request, now uint64) (bool, error) {
 // refill starts a new epoch with a fresh copy of the distribution.
 func (s *Shaper) refill() {
 	s.pool = append(s.pool[:0], s.dist.Intervals...)
-	sort.Slice(s.pool, func(i, j int) bool { return s.pool[i] < s.pool[j] })
+	slices.Sort(s.pool)
 }
 
 // pickInterval removes and returns the next interval: the smallest one
@@ -164,7 +165,9 @@ func (s *Shaper) pickInterval(havePending bool) uint64 {
 	return v
 }
 
-// Tick returns the requests to inject this cycle.
+// Tick returns the requests to inject this cycle: at most one, in a slice
+// that is the shaper's own and stays valid until the next Tick. A tick
+// that injects nothing returns nil.
 func (s *Shaper) Tick(now uint64) []mem.Request {
 	s.mx.Observe(obs.HistShaperQueue, int(s.domain), uint64(len(s.queue)))
 	if !s.started {
@@ -178,7 +181,7 @@ func (s *Shaper) Tick(now uint64) []mem.Request {
 	var req mem.Request
 	if len(s.queue) > 0 {
 		req = s.queue[0]
-		s.queue = s.queue[1:]
+		s.queue = s.queue[:copy(s.queue, s.queue[1:])]
 		s.stats.Forwarded++
 		s.mx.Inc(obs.CtrShaperForwarded, int(s.domain))
 		s.tr.Emit(obs.Event{Cycle: now, Comp: obs.CompShaper, Kind: obs.EvReal, Index: int32(s.domain), Domain: int32(s.domain)})
@@ -197,7 +200,8 @@ func (s *Shaper) Tick(now uint64) []mem.Request {
 	req.Issue = now
 	s.lastEmit = now
 	s.nextAt = now + s.pickInterval(len(s.queue) > 0)
-	return []mem.Request{req}
+	s.emitted[0] = req
+	return s.emitted[:]
 }
 
 // NextEmit returns the earliest cycle at or after now at which Tick does

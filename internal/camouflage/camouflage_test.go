@@ -177,3 +177,31 @@ func TestReset(t *testing.T) {
 		t.Fatal("reset incomplete")
 	}
 }
+
+// TestTickAllocatesNothing pins Camouflage's injection path
+// allocation-free once warmed: intervals drawn, epochs refilled, real
+// requests forwarded and fakes built, each returned through Tick's reused
+// slice.
+func TestTickAllocatesNothing(t *testing.T) {
+	m := testMapper()
+	s, err := New(1, Distribution{Intervals: []uint64{20, 40, 10, 30}}, m, 8, alloc(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now, id := uint64(0), uint64(0)
+	inject := func() {
+		id++
+		if id%2 == 0 && !s.Full() {
+			s.Enqueue(mem.Request{ID: id, Addr: m.AddrForBank(int(id%8), 0, 0), Kind: mem.Read, Domain: 1}, now)
+		}
+		for injected := 0; injected == 0; now++ {
+			injected = len(s.Tick(now))
+		}
+	}
+	for i := 0; i < 64; i++ {
+		inject()
+	}
+	if allocs := testing.AllocsPerRun(200, inject); allocs != 0 {
+		t.Fatalf("a tick that injects allocates %v times", allocs)
+	}
+}

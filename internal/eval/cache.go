@@ -9,6 +9,8 @@ import (
 	"sync"
 
 	"dagguise/internal/ckpt"
+	"dagguise/internal/config"
+	"dagguise/internal/workload"
 )
 
 // runCacheVersion guards the cache schema.
@@ -57,11 +59,29 @@ func OpenRunCache(path string) (*RunCache, error) {
 	return c, nil
 }
 
-// Len returns the number of cached measurements.
-func (c *RunCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
+// figureSchemes are the schemes every figure row measures.
+var figureSchemes = []config.Scheme{config.Insecure, config.FSBTA, config.DAGguise}
+
+// cacheKey names one measurement in the cache: the figure (9 or 10), the
+// row's app, the scheme, and opts' warmup and window.
+func cacheKey(figure int, app string, scheme config.Scheme, opts Options) string {
+	return fmt.Sprintf("fig%d/%s/%s/warmup%d/window%d", figure, app, scheme, opts.Warmup, opts.Window)
+}
+
+// Cached counts the measurements a sweep of the figure (9 or 10) under
+// opts would take from the cache instead of simulating: those of its
+// apps and schemes at its warmup and window. Entries from other figures,
+// apps or windows are not counted.
+func (c *RunCache) Cached(figure int, opts Options) int {
+	n := 0
+	for _, app := range opts.apps() {
+		for _, scheme := range figureSchemes {
+			if _, ok := c.get(cacheKey(figure, app, scheme, opts)); ok {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 func (c *RunCache) get(key string) (SchemeIPCs, bool) {
@@ -82,6 +102,14 @@ func (c *RunCache) put(key string, v SchemeIPCs) error {
 		return err
 	}
 	return ckpt.WriteFileAtomic(c.path, append(data, '\n'))
+}
+
+// apps returns the figure rows' apps: opts.Apps, or every workload.
+func (o Options) apps() []string {
+	if len(o.Apps) == 0 {
+		return workload.Names()
+	}
+	return o.Apps
 }
 
 // ctxOf returns the Options context, defaulting to Background.

@@ -178,13 +178,12 @@ type SchemeIPCs struct {
 	TotalGBps float64
 }
 
-// runSystem builds and measures one configuration. key names the run for
-// the resume cache ("" = never cached); the cache stores it under the
-// warmup and window too, and a cached measurement short-circuits the
-// simulation entirely.
-func runSystem(key string, scheme config.Scheme, specs []sim.CoreSpec, opts Options) (SchemeIPCs, error) {
-	if opts.Cache != nil && key != "" {
-		key = fmt.Sprintf("%s/warmup%d/window%d", key, opts.Warmup, opts.Window)
+// runSystem builds and measures one configuration of a figure's row for
+// app, unless the resume cache already holds it (see cacheKey), in which
+// case the cached measurement short-circuits the simulation entirely.
+func runSystem(figure int, app string, scheme config.Scheme, specs []sim.CoreSpec, opts Options) (SchemeIPCs, error) {
+	key := cacheKey(figure, app, scheme, opts)
+	if opts.Cache != nil {
 		if out, ok := opts.Cache.get(key); ok {
 			return out, nil
 		}
@@ -205,7 +204,7 @@ func runSystem(key string, scheme config.Scheme, specs []sim.CoreSpec, opts Opti
 	for _, c := range res.Cores {
 		out.IPCs = append(out.IPCs, c.IPC)
 	}
-	if opts.Cache != nil && key != "" {
+	if opts.Cache != nil {
 		if err := opts.Cache.put(key, out); err != nil {
 			return SchemeIPCs{}, err
 		}
@@ -233,10 +232,7 @@ type Figure9Result struct {
 // Figure9 reproduces the two-core experiment: DocDist protected by each
 // scheme, co-located with each SPEC-like application.
 func Figure9(opts Options) (*Figure9Result, error) {
-	apps := opts.Apps
-	if len(apps) == 0 {
-		apps = workload.Names()
-	}
+	apps := opts.apps()
 	res := &Figure9Result{Rows: make([]Figure9Row, len(apps))}
 	mkVic, err := docdistMaker(11)
 	if err != nil {
@@ -260,7 +256,7 @@ func Figure9(opts Options) (*Figure9Result, error) {
 		if err != nil {
 			return err
 		}
-		base, err := runSystem("fig9/"+app+"/insecure", config.Insecure, insSpecs, opts)
+		base, err := runSystem(9, app, config.Insecure, insSpecs, opts)
 		if err != nil {
 			return err
 		}
@@ -268,7 +264,7 @@ func Figure9(opts Options) (*Figure9Result, error) {
 		if err != nil {
 			return err
 		}
-		fs, err := runSystem("fig9/"+app+"/fs-bta", config.FSBTA, fsSpecs, opts)
+		fs, err := runSystem(9, app, config.FSBTA, fsSpecs, opts)
 		if err != nil {
 			return err
 		}
@@ -276,7 +272,7 @@ func Figure9(opts Options) (*Figure9Result, error) {
 		if err != nil {
 			return err
 		}
-		dag, err := runSystem("fig9/"+app+"/dagguise", config.DAGguise, dagSpecs, opts)
+		dag, err := runSystem(9, app, config.DAGguise, dagSpecs, opts)
 		if err != nil {
 			return err
 		}
@@ -326,10 +322,7 @@ type Figure10Result struct {
 // Figure10 reproduces the eight-core experiment: two DocDist and two DNA
 // victims protected, four identical SPEC co-runners unprotected.
 func Figure10(opts Options) (*Figure10Result, error) {
-	apps := opts.Apps
-	if len(apps) == 0 {
-		apps = workload.Names()
-	}
+	apps := opts.apps()
 	res := &Figure10Result{Rows: make([]Figure10Row, len(apps))}
 	d1, err := docdistMaker(11)
 	if err != nil {
@@ -371,7 +364,7 @@ func Figure10(opts Options) (*Figure10Result, error) {
 		if err != nil {
 			return err
 		}
-		base, err := runSystem("fig10/"+app+"/insecure", config.Insecure, insSpecs, opts)
+		base, err := runSystem(10, app, config.Insecure, insSpecs, opts)
 		if err != nil {
 			return err
 		}
@@ -379,7 +372,7 @@ func Figure10(opts Options) (*Figure10Result, error) {
 		if err != nil {
 			return err
 		}
-		fs, err := runSystem("fig10/"+app+"/fs-bta", config.FSBTA, fsSpecs, opts)
+		fs, err := runSystem(10, app, config.FSBTA, fsSpecs, opts)
 		if err != nil {
 			return err
 		}
@@ -387,7 +380,7 @@ func Figure10(opts Options) (*Figure10Result, error) {
 		if err != nil {
 			return err
 		}
-		dag, err := runSystem("fig10/"+app+"/dagguise", config.DAGguise, dagSpecs, opts)
+		dag, err := runSystem(10, app, config.DAGguise, dagSpecs, opts)
 		if err != nil {
 			return err
 		}

@@ -212,6 +212,9 @@ func TestRunCacheKeysWindow(t *testing.T) {
 	if _, err := Figure9(short); err != nil {
 		t.Fatal(err)
 	}
+	if n := cache.Cached(9, opts); n != 0 {
+		t.Fatalf("a %d-cycle window's cache offers %d measurements to a %d-cycle sweep, want 0", short.Window, n, opts.Window)
+	}
 	opts.Cache = cache
 	resumed, err := Figure9(opts)
 	if err != nil {
@@ -221,7 +224,12 @@ func TestRunCacheKeysWindow(t *testing.T) {
 		t.Fatalf("Figure 9 resumed from a %d-cycle window's cache differs from a fresh run:\nfresh:   %+v\nresumed: %+v",
 			short.Window, fresh, resumed)
 	}
-	if n := cache.Len(); n != 6 {
-		t.Fatalf("cache holds %d measurements, want 3 per window", n)
+	for _, o := range []Options{short, opts} {
+		if n := cache.Cached(9, o); n != 3 {
+			t.Fatalf("cache holds %d measurements at window %d, want 3", n, o.Window)
+		}
+	}
+	if n := cache.Cached(10, opts); n != 0 {
+		t.Fatalf("cache offers %d Figure 9 measurements to Figure 10, want 0", n)
 	}
 }

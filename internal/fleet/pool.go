@@ -180,7 +180,9 @@ func (p *pool) claim(worker int) (idx int, ok bool, err error) {
 // finish records a terminal (or parked) state for a claimed shard and
 // saves the manifest. A failed save is logged: the record stays in memory
 // for the next save, and until one succeeds the manifest on disk shows
-// the shard running, so a killed run re-queues it.
+// the shard running, so a killed run re-queues it. Once a save records
+// the shard done, nothing reads its checkpoint frame again, so the frame
+// is removed; a failed removal is logged and leaves the shard done.
 func (p *pool) finish(worker, idx int, status Status, res *ShardResult, cause error) {
 	p.mu.Lock()
 	rec := &p.manifest.Records[idx]
@@ -194,6 +196,12 @@ func (p *pool) finish(worker, idx int, status Status, res *ShardResult, cause er
 	p.mu.Unlock()
 	if err != nil {
 		logf(p.opts.Log, "fleet: worker %d shard %s manifest save failed: %v\n", worker, name, err)
+		return
+	}
+	if status == StatusDone {
+		if err := os.Remove(CheckpointName(p.opts.Dir, name)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			logf(p.opts.Log, "fleet: worker %d shard %s checkpoint removal failed: %v\n", worker, name, err)
+		}
 	}
 }
 

@@ -41,6 +41,26 @@ func TestFleetWorkerCountInvariant(t *testing.T) {
 	}
 }
 
+// TestFleetDoneShardsLeaveNoFrame pins that a finished sweep leaves no
+// checkpoint frame behind: every shard cut mid-shard frames, and each was
+// removed once the manifest recorded its shard done.
+func TestFleetDoneShardsLeaveNoFrame(t *testing.T) {
+	dir := t.TempDir()
+	runSweep(t, testSweep(2, 8, 6000), Options{Workers: 2, Dir: dir, CheckpointEvery: 2500})
+	if frames, err := filepath.Glob(filepath.Join(dir, "*.ckpt")); err != nil || len(frames) > 0 {
+		t.Fatalf("finished sweep left frames %v (%v)", frames, err)
+	}
+	m, err := LoadManifest(filepath.Join(dir, ManifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range m.Records {
+		if r.Status != StatusDone || r.Checkpoints == 0 {
+			t.Fatalf("shard %s: %s after %d checkpoint(s); want done after at least one", r.Shard.Name, r.Status, r.Checkpoints)
+		}
+	}
+}
+
 func TestFleetResumeRejectsChangedSweep(t *testing.T) {
 	s := testSweep(2, 4, 1000)
 	dir := t.TempDir()
@@ -149,6 +169,18 @@ func TestFleetKillResume(t *testing.T) {
 	if len(leftRunning) == 0 {
 		t.Fatalf("killed manifest left no shard running (child output:\n%s)", childOut.String())
 	}
+	// Only a done shard's frame is removed, so the shards the kill left
+	// running keep theirs: the one that cut the frame the kill waited for,
+	// at least.
+	framed := map[string]bool{}
+	for name := range leftRunning {
+		if fileExists(CheckpointName(killDir, name)) {
+			framed[name] = true
+		}
+	}
+	if len(framed) == 0 {
+		t.Fatalf("no shard the kill left running kept a checkpoint frame (child output:\n%s)", childOut.String())
+	}
 
 	got := runSweep(t, s, Options{Workers: 3, Dir: killDir, CheckpointEvery: 2000})
 	if !bytes.Equal(ref, got) {
@@ -170,6 +202,15 @@ func TestFleetKillResume(t *testing.T) {
 	}
 	if !reflect.DeepEqual(requeued, leftRunning) {
 		t.Fatalf("resume re-queued %v, want the shards the kill left running %v", requeued, leftRunning)
+	}
+	// A re-queue counts one resume and a restore from a frame another.
+	for _, r := range m.Records {
+		if framed[r.Shard.Name] && r.Resumes != 2 {
+			t.Fatalf("re-queued shard %s counts %d resumes, want 2: the re-queue and the restore from its frame", r.Shard.Name, r.Resumes)
+		}
+	}
+	if frames, err := filepath.Glob(filepath.Join(killDir, "*.ckpt")); err != nil || len(frames) > 0 {
+		t.Fatalf("resumed sweep left frames %v (%v)", frames, err)
 	}
 }
 

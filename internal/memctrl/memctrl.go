@@ -10,7 +10,6 @@
 package memctrl
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -52,18 +51,46 @@ type completion struct {
 	resp mem.Response
 }
 
+// completionHeap is a min-heap of in-flight completions by cycle. push
+// and pop repeat container/heap's sift-up and sift-down step for step, so
+// completions due in the same cycle pop in container/heap's order and a
+// checkpoint holds its backing-array order, without boxing an element
+// per operation.
 type completionHeap []completion
 
-func (h completionHeap) Len() int            { return len(h) }
-func (h completionHeap) Less(i, j int) bool  { return h[i].at < h[j].at }
-func (h completionHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *completionHeap) Push(x interface{}) { *h = append(*h, x.(completion)) }
-func (h *completionHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+func (h *completionHeap) push(c completion) {
+	q := append(*h, c)
+	for j := len(q) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || q[j].at >= q[i].at {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+	*h = q
+}
+
+func (h *completionHeap) pop() completion {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && q[r].at < q[j].at {
+			j = r
+		}
+		if q[j].at >= q[i].at {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	*h = q[:n]
+	return q[n]
 }
 
 // Stats aggregates controller-level counters.
@@ -88,6 +115,7 @@ type Controller struct {
 	domainCap int   // per-domain queue partition; 0 = shared queue
 	perDomain []int // queued entries per domain, when partitioned
 	inflight  completionHeap
+	resps     []mem.Response // Tick's result, reused
 	stats     Stats
 	byDomain  []uint64 // real bytes served per domain
 	lineSize  uint64
@@ -202,7 +230,9 @@ func (c *Controller) Enqueue(req mem.Request, now uint64) bool {
 
 // Tick advances the controller one cycle: it lets the scheduling policy
 // commit at most one transaction to the device and returns all responses
-// that complete at or before now.
+// that complete at or before now. The slice is the controller's own and
+// stays valid until the next Tick; a tick that completes nothing returns
+// nil.
 func (c *Controller) Tick(now uint64) []mem.Response {
 	c.mx.Observe(obs.HistQueueDepth, 0, uint64(len(c.queue)))
 	if len(c.queue) > 0 {
@@ -249,7 +279,7 @@ func (c *Controller) issue(idx int, now uint64) {
 	if c.mx != nil || c.tr != nil {
 		c.record(e, idx, res)
 	}
-	heap.Push(&c.inflight, completion{
+	c.inflight.push(completion{
 		at: res.DataDone,
 		resp: mem.Response{
 			ID: e.Req.ID, Addr: e.Req.Addr, Kind: e.Req.Kind,
@@ -314,11 +344,14 @@ func (c *Controller) record(e Entry, idx int, res dram.Result) {
 	}
 }
 
+// drain pops every completion due at or before now into the controller's
+// response buffer and returns it.
 func (c *Controller) drain(now uint64) []mem.Response {
-	var out []mem.Response
+	out := c.resps[:0]
 	for len(c.inflight) > 0 && c.inflight[0].at <= now {
-		out = append(out, heap.Pop(&c.inflight).(completion).resp)
+		out = append(out, c.inflight.pop().resp)
 	}
+	c.resps = out
 	return out
 }
 

@@ -37,6 +37,8 @@ type Slot struct {
 // dependencies are satisfied at cycle now; the shaper emits one request per
 // slot (real if a matching one is queued, fake otherwise) and must call
 // Complete with the slot's token when the request's response returns.
+// Poll's slice is the driver's own and stays valid until the next Poll; a
+// poll with nothing due returns nil.
 type Driver interface {
 	Poll(now uint64) []Slot
 	// NextPoll returns the earliest cycle at which Poll could return a
@@ -64,6 +66,7 @@ type PatternDriver struct {
 	tpl         Template
 	writePeriod int
 	seqs        []seqState
+	due         []Slot // Poll's result, reused
 	outstanding int
 	emitted     uint64
 }
@@ -92,7 +95,7 @@ func (d *PatternDriver) Template() Template { return d.tpl }
 
 // Poll implements Driver. The token is the sequence index.
 func (d *PatternDriver) Poll(now uint64) []Slot {
-	var out []Slot
+	out := d.due[:0]
 	for i := range d.seqs {
 		s := &d.seqs[i]
 		if s.waiting || now < s.nextAt {
@@ -116,6 +119,10 @@ func (d *PatternDriver) Poll(now uint64) []Slot {
 		d.emitted++
 		out = append(out, Slot{Token: i, Bank: bank, Kind: kind, Row: row})
 	}
+	if len(out) == 0 {
+		return nil
+	}
+	d.due = out
 	return out
 }
 
@@ -176,6 +183,7 @@ type GraphDriver struct {
 	readyAt     []uint64
 	emitted     []bool
 	done        []bool
+	due         []Slot // Poll's result, reused
 	remaining   int
 	outstanding int
 }
@@ -212,7 +220,7 @@ func (d *GraphDriver) restart(at uint64) {
 
 // Poll implements Driver. The token is the vertex ID.
 func (d *GraphDriver) Poll(now uint64) []Slot {
-	var out []Slot
+	out := d.due[:0]
 	for i, v := range d.g.Vertices {
 		if d.emitted[i] || d.indeg[i] > 0 || now < d.readyAt[i] {
 			continue
@@ -221,6 +229,10 @@ func (d *GraphDriver) Poll(now uint64) []Slot {
 		d.outstanding++
 		out = append(out, Slot{Token: i, Bank: v.Bank, Kind: v.Kind})
 	}
+	if len(out) == 0 {
+		return nil
+	}
+	d.due = out
 	return out
 }
 

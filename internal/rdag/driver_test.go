@@ -69,11 +69,13 @@ func TestPatternDriverParallelSequences(t *testing.T) {
 	if len(banks) != 4 {
 		t.Fatalf("parallel slots share banks: %v", slots)
 	}
-	// Completing one sequence only re-arms that sequence.
-	d.Complete(slots[0].Token, 50)
+	// Completing one sequence only re-arms that sequence. The next Poll
+	// reuses the slice, so the token is read out first.
+	first := slots[0].Token
+	d.Complete(first, 50)
 	next := d.Poll(150)
-	if len(next) != 1 || next[0].Token != slots[0].Token {
-		t.Fatalf("expected only sequence %d to re-arm, got %v", slots[0].Token, next)
+	if len(next) != 1 || next[0].Token != first {
+		t.Fatalf("expected only sequence %d to re-arm, got %v", first, next)
 	}
 }
 
@@ -256,5 +258,27 @@ func TestNextPollPredictsPoll(t *testing.T) {
 				due[s.Token] = now + 1 + uint64(rnd.Intn(90))
 			}
 		}
+	}
+}
+
+// TestPatternDriverPollAllocatesNothing pins Poll allocation-free once
+// warmed: the due slots come back in the driver's reused slice.
+func TestPatternDriverPollAllocatesNothing(t *testing.T) {
+	d := MustPatternDriver(Template{Sequences: 4, Weight: 30, WriteRatio: 0.25, Banks: 8, RowHitRatio: 0.5})
+	now := uint64(0)
+	poll := func() {
+		for due := 0; due == 0; now++ {
+			slots := d.Poll(now)
+			for _, s := range slots {
+				d.Complete(s.Token, now)
+			}
+			due = len(slots)
+		}
+	}
+	for i := 0; i < 16; i++ {
+		poll()
+	}
+	if allocs := testing.AllocsPerRun(200, poll); allocs != 0 {
+		t.Fatalf("a poll with slots due allocates %v times", allocs)
 	}
 }

@@ -8,6 +8,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 
 	"dagguise/internal/config"
 	"dagguise/internal/dram"
@@ -22,13 +23,37 @@ import (
 // flexibly use the group's slots (§6.3).
 type Group []mem.Domain
 
-func (g Group) contains(d mem.Domain) bool {
-	for _, x := range g {
-		if x == d {
-			return true
+// members is a group as a domain-indexed membership table, so a pick
+// tests each queue entry's domain in O(1).
+type members []bool
+
+func (m members) has(d mem.Domain) bool { return int(d) < len(m) && m[d] }
+
+// membership builds the table of each rotation position's group, once per
+// arbiter. Positions holding equal groups share one table: buildGroups
+// repeats the unprotected domains' group once per unprotected domain.
+func membership(groups []Group) []members {
+	out := make([]members, len(groups))
+	for i, g := range groups {
+		for j := range i {
+			if slices.Equal(groups[j], g) {
+				out[i] = out[j]
+				break
+			}
+		}
+		if out[i] != nil {
+			continue
+		}
+		width := 0
+		for _, d := range g {
+			width = max(width, int(d)+1)
+		}
+		out[i] = make(members, width)
+		for _, d := range g {
+			out[i][d] = true
 		}
 	}
-	return false
+	return out
 }
 
 // FixedService implements FS and FS-BTA slotted arbitration. Time is
@@ -44,7 +69,8 @@ func (g Group) contains(d mem.Domain) bool {
 // only be used every third slot.
 type FixedService struct {
 	groups     []Group
-	stride     uint64 // CPU cycles per slot
+	owners     []members // membership of groups[s], by rotation position s
+	stride     uint64    // CPU cycles per slot
 	bankGroups int
 
 	// Refresh avoidance: slots whose transaction could collide with a
@@ -114,6 +140,7 @@ func newFS(t config.DRAMTiming, groups []Group, bankGroups int) *FixedService {
 	}
 	f := &FixedService{
 		groups:     groups,
+		owners:     membership(groups),
 		stride:     strideFor(t, bankGroups),
 		bankGroups: bankGroups,
 		refi:       uint64(t.TREFI * t.ClockRatio),
@@ -177,11 +204,11 @@ func (f *FixedService) Pick(q []memctrl.Entry, now uint64, dev *dram.Device) int
 	if f.slotBlockedByRefresh(now) {
 		return -1
 	}
-	owner := f.groups[slot%uint64(len(f.groups))]
+	owner := f.owners[slot%uint64(len(f.owners))]
 	bankGroup := int(slot % uint64(f.bankGroups))
 	for i := range q {
 		e := &q[i]
-		if !owner.contains(e.Req.Domain) {
+		if !owner.has(e.Req.Domain) {
 			continue
 		}
 		if f.bankGroups > 1 && e.Coord.Bank%f.bankGroups != bankGroup {

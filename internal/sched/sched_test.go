@@ -308,10 +308,49 @@ func TestTPTurnExclusivity(t *testing.T) {
 	}
 }
 
+// contains is group membership by linear scan, the definition the
+// arbiters' membership tables must agree with.
+func (g Group) contains(d mem.Domain) bool {
+	for _, x := range g {
+		if x == d {
+			return true
+		}
+	}
+	return false
+}
+
+// TestGroupContains checks the membership tables against the linear scan
+// over random rotations: groups overlapping, empty, repeated by content
+// and by slice, and domains beyond every group.
 func TestGroupContains(t *testing.T) {
 	g := Group{3, 5}
-	if !g.contains(3) || !g.contains(5) || g.contains(4) {
-		t.Fatal("Group.contains broken")
+	if m := membership([]Group{g})[0]; !m.has(3) || !m.has(5) || m.has(4) || m.has(9) {
+		t.Fatal("membership table broken")
+	}
+	r := rand.New(rand.NewSource(5))
+	for c := 0; c < 500; c++ {
+		var groups []Group
+		for n := 1 + r.Intn(8); len(groups) < n; {
+			if len(groups) > 0 && r.Intn(3) == 0 {
+				groups = append(groups, groups[r.Intn(len(groups))])
+				continue
+			}
+			var grp Group
+			for d := 1; d <= 12; d++ {
+				if r.Intn(4) == 0 {
+					grp = append(grp, mem.Domain(d))
+				}
+			}
+			groups = append(groups, grp)
+		}
+		tables := membership(groups)
+		for i, grp := range groups {
+			for d := mem.Domain(0); d <= 14; d++ {
+				if tables[i].has(d) != grp.contains(d) {
+					t.Fatalf("rotation %v position %d: table says domain %d is in %v: %v", groups, i, d, grp, tables[i].has(d))
+				}
+			}
+		}
 	}
 }
 

@@ -17,8 +17,9 @@ import (
 // turn boundary.
 type TemporalPartitioning struct {
 	groups []Group
-	turn   uint64 // CPU cycles per turn
-	dead   uint64 // no-issue window at the end of each turn
+	owners []members // membership of groups[k], by turn k mod len(groups)
+	turn   uint64    // CPU cycles per turn
+	dead   uint64    // no-issue window at the end of each turn
 	inner  memctrl.FRFCFS
 	stats  Stats
 	mx     *obs.Registry // observability (nil = off); measurement only
@@ -47,7 +48,7 @@ func NewTemporalPartitioning(t config.DRAMTiming, groups []Group, turnDRAMCycles
 		turn = dead * 2
 	}
 	return &TemporalPartitioning{
-		groups: groups, turn: turn, dead: dead,
+		groups: groups, owners: membership(groups), turn: turn, dead: dead,
 		refi: uint64(t.TREFI * t.ClockRatio),
 		rfc:  uint64(t.TRFC * t.ClockRatio),
 	}
@@ -94,10 +95,10 @@ func (tp *TemporalPartitioning) Pick(q []memctrl.Entry, now uint64, dev *dram.De
 		return -1
 	}
 	// Within the turn, FR-FCFS picks among the owner's entries only.
-	owner := tp.groups[(now/tp.turn)%uint64(len(tp.groups))]
+	owner := tp.owners[(now/tp.turn)%uint64(len(tp.owners))]
 	tp.sub, tp.idx = tp.sub[:0], tp.idx[:0]
 	for i := range q {
-		if owner.contains(q[i].Req.Domain) {
+		if owner.has(q[i].Req.Domain) {
 			tp.sub = append(tp.sub, q[i])
 			tp.idx = append(tp.idx, i)
 		}
@@ -127,9 +128,9 @@ func (tp *TemporalPartitioning) NextPick(q []memctrl.Entry, now uint64, dev *dra
 	if tp.nearRefresh(now) {
 		return now
 	}
-	owner := tp.groups[(now/tp.turn)%uint64(len(tp.groups))]
+	owner := tp.owners[(now/tp.turn)%uint64(len(tp.owners))]
 	for i := range q {
-		if owner.contains(q[i].Req.Domain) {
+		if owner.has(q[i].Req.Domain) {
 			next = min(next, max(now, dev.BankBusyUntil(q[i].FlatBank)))
 		}
 	}

@@ -60,6 +60,7 @@ type Shaper struct {
 
 	queue  []pending
 	tokens map[uint64]int // emitted request ID -> driver token
+	out    []mem.Request  // Tick's result, reused
 	stats  Stats
 
 	// Observability (nil = off). emitAt tracks emission cycles per
@@ -151,14 +152,16 @@ func (s *Shaper) Enqueue(req mem.Request, now uint64) (bool, error) {
 }
 
 // Tick polls the defense rDAG and returns the requests (real or fake) to
-// forward to the global transaction queue this cycle.
+// forward to the global transaction queue this cycle. The slice is the
+// shaper's own and stays valid until the next Tick; a tick that emits
+// nothing returns nil.
 func (s *Shaper) Tick(now uint64) []mem.Request {
 	s.mx.Observe(obs.HistShaperQueue, int(s.domain), uint64(len(s.queue)))
 	slots := s.driver.Poll(now)
 	if len(slots) == 0 {
 		return nil
 	}
-	out := make([]mem.Request, 0, len(slots))
+	out := s.out[:0]
 	for _, slot := range slots {
 		req, real := s.match(slot)
 		if !real {
@@ -184,6 +187,7 @@ func (s *Shaper) Tick(now uint64) []mem.Request {
 		s.tokens[req.ID] = slot.Token
 		out = append(out, req)
 	}
+	s.out = out
 	return out
 }
 

@@ -281,3 +281,33 @@ func TestShaperFakeAddressesDeterministic(t *testing.T) {
 		t.Fatal("same seed should give same fake address stream")
 	}
 }
+
+// TestTickAllocatesNothing pins the shaper's emission path
+// allocation-free once warmed: a real request forwarded or a fake built,
+// recorded for its response, returned through Tick's reused slice and
+// completed.
+func TestTickAllocatesNothing(t *testing.T) {
+	m := testMapper()
+	d := rdag.MustPatternDriver(rdag.Template{Sequences: 4, Weight: 30, WriteRatio: 0.25, Banks: 8})
+	s := New(1, d, m, 8, allocator(), 42)
+	now, id := uint64(0), uint64(0)
+	emit := func() {
+		id++
+		mustEnqueue(t, s, mem.Request{ID: id, Addr: m.AddrForBank(int(id%8), 0, 0), Kind: mem.Read, Domain: 1}, now)
+		for emitted := 0; emitted == 0; now++ {
+			out := s.Tick(now)
+			for _, r := range out {
+				if _, err := s.OnResponse(mem.Response{ID: r.ID, Fake: r.Fake, Domain: 1}, now); err != nil {
+					t.Fatal(err)
+				}
+			}
+			emitted = len(out)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		emit()
+	}
+	if allocs := testing.AllocsPerRun(200, emit); allocs != 0 {
+		t.Fatalf("a tick that emits allocates %v times", allocs)
+	}
+}

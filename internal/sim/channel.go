@@ -209,7 +209,8 @@ func (s *System) tickPort(ch *channel, p *port, now uint64) error {
 // deferResponses is the fault layer on the controller→tenant boundary:
 // it withholds the responses a delay/drop window covers and appends the
 // withheld ones that are due, after the fresh responses. Both decisions
-// are keyed on (domain, cycle) only.
+// are keyed on (domain, cycle) only. It filters resps in place: that is
+// the controller's Tick buffer, which the next Tick refills from empty.
 func (s *System) deferResponses(ch *channel, resps []mem.Response, now uint64) []mem.Response {
 	if s.faults != nil {
 		kept := resps[:0]
@@ -264,8 +265,12 @@ func (s *System) deliver(ch *channel, resp mem.Response, now uint64) error {
 		return s.cores[i].OnResponse(resp, now)
 	case i < len(s.tenants):
 		t := &s.tenants[i]
-		t.next = t.OnResponse(resp, now)
+		var stop bool
+		t.next, stop = t.OnResponse(resp, now)
 		s.tenantWake = min(s.tenantWake, t.next)
+		if stop {
+			s.stopAsked = true
+		}
 	default:
 		g := s.gens[i]
 		g.complete()

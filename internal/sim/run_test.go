@@ -74,21 +74,38 @@ func viewOf(t testing.TB, s *System, err error) runView {
 	return v
 }
 
-// diffRun advances one machine tick by tick and a twin through Run in the
-// given chunks, both stopping at the first error, and fails the test
-// unless they end identical. It returns the cycles Run replayed without a
-// Tick, read off a cycle profiler on the Run side (one harness lap per
-// Tick), so a caller can check the skip was taken, and the error that
-// stopped both.
-func diffRun(t testing.TB, build func(testing.TB) *System, chunks []uint64) (skipped uint64, err error) {
-	t.Helper()
-	var total uint64
+// stopped reports whether a pinger of s has reached its stop count, the
+// condition under which its OnResponse asks Run to return.
+func stopped(s *System) bool {
+	for _, t := range s.tenants {
+		if p, ok := t.Tenant.(*pinger); ok && p.stop > 0 && p.done >= p.stop {
+			return true
+		}
+	}
+	return false
+}
+
+// sum totals the chunk lengths of a run.
+func sum(chunks []uint64) (total uint64) {
 	for _, n := range chunks {
 		total += n
 	}
+	return total
+}
+
+// diffRun advances one machine tick by tick and a twin through Run in the
+// given chunks, both stopping at the first error or once a pinger has
+// reached its stop count (checked after every tick on the tick side), and
+// fails the test unless they end identical. It returns the cycles Run
+// replayed without a Tick, read off a cycle profiler on the Run side (one
+// harness lap per Tick), so a caller can check the skip was taken, the
+// cycles both ran and the error that stopped both.
+func diffRun(t testing.TB, build func(testing.TB) *System, chunks []uint64) (skipped, ran uint64, err error) {
+	t.Helper()
+	total := sum(chunks)
 	ticked := build(t)
 	var tickErr error
-	for i := uint64(0); i < total && tickErr == nil; i++ {
+	for i := uint64(0); i < total && tickErr == nil && !stopped(ticked); i++ {
 		tickErr = ticked.Tick()
 	}
 	run := build(t)
@@ -97,7 +114,7 @@ func diffRun(t testing.TB, build func(testing.TB) *System, chunks []uint64) (ski
 	start := run.now
 	var runErr error
 	for _, n := range chunks {
-		if runErr = run.Run(context.Background(), n); runErr != nil {
+		if runErr = run.Run(context.Background(), n); runErr != nil || stopped(run) {
 			break
 		}
 	}
@@ -110,7 +127,7 @@ func diffRun(t testing.TB, build func(testing.TB) *System, chunks []uint64) (ski
 			t.Fatalf("%s after %d cycles differs from the tick loop:\nRun:  %.600s\nTick: %.600s", wv.Type().Field(i).Name, total, gj, wj)
 		}
 	}
-	return run.now - start - prof.Laps(obs.PBHarness), runErr
+	return run.now - start - prof.Laps(obs.PBHarness), run.now - start, runErr
 }
 
 // docdistOnce records the DocDist victim trace once per test binary: the
@@ -170,7 +187,9 @@ var allSchemes = []config.Scheme{
 // campaigns and an armed watchdog, Run must leave exactly what as many
 // Ticks leave: checkpoint bytes, counters, stats, metrics, taps, egress
 // traces and the error that stops the run. Run lengths are no multiple
-// of the context-poll interval and some runs come in several chunks.
+// of the context-poll interval and some runs come in several chunks. On
+// the machines of Tenants where one stops the run, Run must end at the
+// tick after which a Tick loop first finds the tenant's count reached.
 func TestRunMatchesTickLoop(t *testing.T) {
 	eightCoreDefense := rdag.Template{Sequences: 4, Weight: 300, WriteRatio: 0.25, Banks: 8}
 	twoCore := func(scheme config.Scheme, app string) func(testing.TB) *System {
@@ -221,10 +240,12 @@ func TestRunMatchesTickLoop(t *testing.T) {
 			return sys
 		}
 	}
-	tenants := func(scheme config.Scheme) func(testing.TB) *System {
+	// tenants builds two pingers, the protected one stopping the run at
+	// its stop-th response when stop is set.
+	tenants := func(scheme config.Scheme, stop int) func(testing.TB) *System {
 		return func(t testing.TB) *System {
 			sys := mustNew(t, config.Default(2, scheme), []CoreSpec{
-				{Name: "a", Tenant: &pinger{dom: 1, gap: 700}, Protected: true, ShaperSeed: 3},
+				{Name: "a", Tenant: &pinger{dom: 1, gap: 700, stop: stop}, Protected: true, ShaperSeed: 3},
 				{Name: "b", Tenant: &pinger{dom: 2, gap: 1900}},
 			})
 			sys.Observe(obs.NewRegistry(sys.NumDomains()), nil)
@@ -247,44 +268,49 @@ func TestRunMatchesTickLoop(t *testing.T) {
 		build    func(testing.TB) *System
 		chunks   []uint64
 		deadlock bool // the run must stop with a deadlock
+		stops    bool // a tenant must end the run before its last cycle
 	}
 	var cases []runCase
 	for _, scheme := range allSchemes {
 		cases = append(cases,
-			runCase{"two-core/leela/" + scheme.String(), twoCore(scheme, "leela"), []uint64{30_011}, false},
-			runCase{"two-core/lbm/" + scheme.String(), watched(twoCore(scheme, "lbm"), DefaultWatchdog()), []uint64{7, 9_000, 14_003}, false},
-			runCase{"eight-core/" + scheme.String(), eightCore(scheme, 0), []uint64{25_013}, false},
-			runCase{"tenants/" + scheme.String(), tenants(scheme), []uint64{40_009}, false},
+			runCase{"two-core/leela/" + scheme.String(), twoCore(scheme, "leela"), []uint64{30_011}, false, false},
+			runCase{"two-core/lbm/" + scheme.String(), watched(twoCore(scheme, "lbm"), DefaultWatchdog()), []uint64{7, 9_000, 14_003}, false, false},
+			runCase{"eight-core/" + scheme.String(), eightCore(scheme, 0), []uint64{25_013}, false, false},
+			runCase{"tenants/" + scheme.String(), tenants(scheme, 0), []uint64{40_009}, false, false},
+			runCase{"tenants-stop/" + scheme.String(), tenants(scheme, 25), []uint64{7, 9_000, 31_002}, false, true},
 		)
 	}
 	for _, scheme := range []config.Scheme{config.DAGguise, config.Camouflage, config.FSBTA} {
-		cases = append(cases, runCase{"eight-core-faults/" + scheme.String(), eightCore(scheme, 1), []uint64{25_013}, false})
+		cases = append(cases, runCase{"eight-core-faults/" + scheme.String(), eightCore(scheme, 1), []uint64{25_013}, false, false})
 	}
 	for _, scheme := range allSchemes {
 		cases = append(cases,
-			runCase{"cluster/" + scheme.String(), cluster(scheme, 0, false), []uint64{12_007}, false},
-			runCase{"cluster-faults/" + scheme.String(), watched(cluster(scheme, 2, false), Watchdog{StallBudget: 3_000, EgressHighWater: 64}), []uint64{5_000, 7_007}, false},
+			runCase{"cluster/" + scheme.String(), cluster(scheme, 0, false), []uint64{12_007}, false, false},
+			runCase{"cluster-faults/" + scheme.String(), watched(cluster(scheme, 2, false), Watchdog{StallBudget: 3_000, EgressHighWater: 64}), []uint64{5_000, 7_007}, false, false},
 		)
 	}
 	// Under DAGguise a one-entry queue partition keeps shaped requests
 	// staged, and a port with staged egress is never quiet: only the
 	// insecure machine holds refused generator requests through quiet
 	// cycles.
-	cases = append(cases, runCase{"cluster-tight/insecure", cluster(config.Insecure, 0, true), []uint64{12_007}, false})
+	cases = append(cases, runCase{"cluster-tight/insecure", cluster(config.Insecure, 0, true), []uint64{12_007}, false, false})
 	// A permanent DRAM stall under a short budget: both sides must stop
 	// with the same deadlock at the same cycle.
 	cases = append(cases, runCase{"deadlock/fs-bta", func(t testing.TB) *System {
 		sys := watched(twoCore(config.FSBTA, "lbm"), Watchdog{StallBudget: 4_000})(t)
 		mustAttach(t, sys, fault.Schedule{Events: []fault.Event{{Kind: fault.DRAMStall, Start: 3_000, Duration: fault.Forever}}})
 		return sys
-	}, []uint64{20_000}, true})
+	}, []uint64{20_000}, true, false})
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			skipped, err := diffRun(t, tc.build, tc.chunks)
+			skipped, ran, err := diffRun(t, tc.build, tc.chunks)
 			if skipped == 0 {
 				t.Fatal("Run replayed no quiet cycle")
+			}
+			if total := sum(tc.chunks); (err == nil && ran < total) != tc.stops {
+				t.Fatalf("ran %d of %d cycles; a stopping tenant: %v", ran, total, tc.stops)
 			}
 			var se *SimError
 			if deadlocked := errors.As(err, &se) && se.Invariant == InvariantDeadlock; deadlocked != tc.deadlock || err != nil && !deadlocked {
@@ -295,10 +321,11 @@ func TestRunMatchesTickLoop(t *testing.T) {
 }
 
 // FuzzRunMatchesTickLoop runs the Run/Tick differential on random
-// machines: two to eight cores of random co-runners, some protected, or
-// a fleet channel with a random tenant count, under a random scheme,
-// with a registry, faults and a watchdog each present or not, for a
-// random length in random chunks.
+// machines: two to eight cores of random co-runners, some protected, a
+// fleet channel with a random tenant count, or two to eight pingers, one
+// of which stops the run at a random response count, under a random
+// scheme, with a registry, faults and a watchdog each present or not, for
+// a random length in random chunks.
 func FuzzRunMatchesTickLoop(f *testing.F) {
 	for seed := int64(1); seed <= 6; seed++ {
 		f.Add(seed)
@@ -329,12 +356,29 @@ func FuzzRunMatchesTickLoop(f *testing.F) {
 		cluster := rnd.Intn(3) == 0
 		clusterCfg := config.DefaultMultiChannel(2, 4+rnd.Intn(40), scheme)
 		clusterCfg.QueueDepth, clusterCfg.ShaperDepth = 1+rnd.Intn(8), 1+rnd.Intn(8)
+		pingers := !cluster && rnd.Intn(3) == 0
+		gaps := make([]uint64, domains)
+		for i := range gaps {
+			gaps[i] = uint64(rnd.Intn(3_000))
+		}
+		stopper, stopAt := rnd.Intn(domains), 1+rnd.Intn(40)
 		build := func(t testing.TB) *System {
 			var sys *System
 			var err error
-			if cluster {
+			switch {
+			case cluster:
 				sys, err = NewCluster(clusterCfg, 0, 1, seed, 5)
-			} else {
+			case pingers:
+				specs := make([]CoreSpec, domains)
+				for i := range specs {
+					p := &pinger{dom: domainOf(i), gap: gaps[i]}
+					if i == stopper {
+						p.stop = stopAt
+					}
+					specs[i] = CoreSpec{Name: apps[i], Tenant: p, Protected: protected[i], ShaperSeed: seeds[i]}
+				}
+				sys, err = New(config.Default(domains, scheme), specs)
+			default:
 				specs := make([]CoreSpec, domains)
 				for i := range specs {
 					specs[i] = appSpec(t, apps[i], seeds[i])

@@ -71,8 +71,10 @@ type Tenant interface {
 	// needs a tick (math.MaxUint64 while it only awaits a response).
 	Tick(now uint64, port cpu.Port, alloc cpu.IDAlloc) (next uint64)
 	// OnResponse delivers one of the tenant's responses at cycle now and
-	// returns the next cycle the tenant needs a tick.
-	OnResponse(resp mem.Response, now uint64) (next uint64)
+	// returns the next cycle the tenant needs a tick. stop asks the Run
+	// in progress to return after this cycle's tick, as the attack rig
+	// does on its last probe.
+	OnResponse(resp mem.Response, now uint64) (next uint64, stop bool)
 }
 
 // tenantSlot is one tenant with its port, the machine's ID allocator and
@@ -120,6 +122,10 @@ type System struct {
 
 	lastProgress uint64 // last cycle with retirement or delivery
 	lastRetired  uint64 // total retired instructions at lastProgress
+
+	// stopAsked is set when a Tenant's OnResponse asks to end the run;
+	// Run clears it on entry and returns after the tick that set it.
+	stopAsked bool
 
 	traceOn bool
 	traces  map[mem.Domain][]EgressEvent
@@ -480,22 +486,31 @@ const ctxCheckInterval = 4096
 // way the machine stops at a cycle boundary in a consistent state, so a
 // caller may checkpoint it with SaveState and resume later.
 //
+// A Tenant ends the run early: Run returns nil after the tick in which a
+// Tenant's OnResponse asked to stop, as a Tick loop that checks the
+// tenant's condition after every tick would.
+//
 // Run leaves the machine exactly as the same number of Ticks would, but
 // it does not step through quiet cycles: from each cycle it asks every
 // component for the earliest cycle it could act (quietUntil) and replays
-// the cycles before that in bulk (skip).
+// the cycles before that in bulk (skip). Only a tick delivers a response,
+// so no skipped cycle can hold a Tenant's stop.
 func (s *System) Run(ctx context.Context, cycles uint64) error {
+	s.stopAsked = false
 	for end := s.now + cycles; s.now < end; {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		for stop := min(end, s.now+ctxCheckInterval); s.now < stop; {
-			if next := s.quietUntil(stop); next > s.now {
+		for poll := min(end, s.now+ctxCheckInterval); s.now < poll; {
+			if next := s.quietUntil(poll); next > s.now {
 				s.skip(next - s.now)
 				continue
 			}
 			if err := s.Tick(); err != nil {
 				return err
+			}
+			if s.stopAsked {
+				return nil
 			}
 		}
 	}

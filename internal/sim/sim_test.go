@@ -193,6 +193,7 @@ type pinger struct {
 	dom  mem.Domain
 	gap  uint64
 	done int
+	stop int // the response count that ends the run (0: none does)
 }
 
 func (p *pinger) Tick(now uint64, port cpu.Port, alloc cpu.IDAlloc) uint64 {
@@ -202,9 +203,9 @@ func (p *pinger) Tick(now uint64, port cpu.Port, alloc cpu.IDAlloc) uint64 {
 	return math.MaxUint64
 }
 
-func (p *pinger) OnResponse(_ mem.Response, now uint64) uint64 {
+func (p *pinger) OnResponse(_ mem.Response, now uint64) (uint64, bool) {
 	p.done++
-	return now + p.gap
+	return now + p.gap, p.done == p.stop
 }
 
 // TestTenantSystem checks the bookkeeping of a system built from Tenants:
