@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"dagguise/internal/audit"
 	"dagguise/internal/camouflage"
@@ -19,6 +18,7 @@ import (
 	"dagguise/internal/mem"
 	"dagguise/internal/obs"
 	"dagguise/internal/rdag"
+	"dagguise/internal/rng"
 	"dagguise/internal/sim"
 	"dagguise/internal/stats"
 )
@@ -311,8 +311,7 @@ func classifierAccuracy(all0, all1 [][]uint64) float64 {
 		return d
 	}
 	correct := 0
-	ties := 0
-	rng := rand.New(rand.NewSource(1))
+	coin := rng.New(1)
 	for i, s := range samples {
 		bestD := ^uint64(0)
 		bestSecret := -1
@@ -332,8 +331,7 @@ func classifierAccuracy(all0, all1 [][]uint64) float64 {
 			}
 		}
 		if tie {
-			ties++
-			if rng.Intn(2) == s.secret {
+			if coin.Intn(2) == s.secret {
 				correct++
 			}
 			continue

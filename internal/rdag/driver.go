@@ -69,6 +69,11 @@ type PatternDriver struct {
 	due         []Slot // Poll's result, reused
 	outstanding int
 	emitted     uint64
+	// nextPoll is NextPoll's answer, the earliest nextAt among the
+	// sequences not waiting. Derived from seqs and never serialized:
+	// Poll recomputes it, Complete lowers it, and Reset and RestoreState
+	// rescan.
+	nextPoll uint64
 }
 
 // NewPatternDriver builds a driver for the template.
@@ -78,6 +83,7 @@ func NewPatternDriver(tpl Template) (*PatternDriver, error) {
 	}
 	d := &PatternDriver{tpl: tpl, writePeriod: tpl.writePeriod()}
 	d.seqs = make([]seqState, tpl.Sequences)
+	d.nextPoll = d.scanNextPoll()
 	return d, nil
 }
 
@@ -95,10 +101,18 @@ func (d *PatternDriver) Template() Template { return d.tpl }
 
 // Poll implements Driver. The token is the sequence index.
 func (d *PatternDriver) Poll(now uint64) []Slot {
+	if now < d.nextPoll {
+		return nil
+	}
 	out := d.due[:0]
+	next := uint64(math.MaxUint64)
 	for i := range d.seqs {
 		s := &d.seqs[i]
-		if s.waiting || now < s.nextAt {
+		if s.waiting {
+			continue
+		}
+		if now < s.nextAt {
+			next = min(next, s.nextAt)
 			continue
 		}
 		bank := d.tpl.BankAt(i, s.step)
@@ -119,6 +133,7 @@ func (d *PatternDriver) Poll(now uint64) []Slot {
 		d.emitted++
 		out = append(out, Slot{Token: i, Bank: bank, Kind: kind, Row: row})
 	}
+	d.nextPoll = next
 	if len(out) == 0 {
 		return nil
 	}
@@ -128,7 +143,10 @@ func (d *PatternDriver) Poll(now uint64) []Slot {
 
 // NextPoll implements Driver: the earliest due cycle among the sequences
 // not waiting on a response.
-func (d *PatternDriver) NextPoll() uint64 {
+func (d *PatternDriver) NextPoll() uint64 { return d.nextPoll }
+
+// scanNextPoll computes NextPoll from the sequences.
+func (d *PatternDriver) scanNextPoll() uint64 {
 	at := uint64(math.MaxUint64)
 	for i := range d.seqs {
 		if s := &d.seqs[i]; !s.waiting {
@@ -152,6 +170,7 @@ func (d *PatternDriver) Complete(token int, now uint64) {
 	s.step++
 	s.count++
 	s.nextAt = now + d.tpl.Weight
+	d.nextPoll = min(d.nextPoll, s.nextAt)
 	d.outstanding--
 }
 
@@ -168,6 +187,7 @@ func (d *PatternDriver) Reset() {
 	}
 	d.outstanding = 0
 	d.emitted = 0
+	d.nextPoll = d.scanNextPoll()
 }
 
 // GraphDriver executes an arbitrary finite rDAG cyclically: when every

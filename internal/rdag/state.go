@@ -59,6 +59,7 @@ func (d *PatternDriver) RestoreState(st DriverState) error {
 	}
 	d.outstanding = st.Outstanding
 	d.emitted = st.Emitted
+	d.nextPoll = d.scanNextPoll()
 	return nil
 }
 

@@ -2,8 +2,8 @@ package victim
 
 import (
 	"fmt"
-	"math/rand"
 
+	"dagguise/internal/rng"
 	"dagguise/internal/trace"
 )
 
@@ -135,10 +135,10 @@ const dnaAlphabet = "ACGT"
 
 // RandomDNA generates a random DNA sequence of length n.
 func RandomDNA(seed int64, n int) string {
-	rng := rand.New(rand.NewSource(seed))
+	rnd := rng.New(seed)
 	buf := make([]byte, n)
 	for i := range buf {
-		buf[i] = dnaAlphabet[rng.Intn(4)]
+		buf[i] = dnaAlphabet[rnd.Intn(4)]
 	}
 	return string(buf)
 }
@@ -147,11 +147,11 @@ func RandomDNA(seed int64, n int) string {
 // producing a private sequence that partially matches the public one (as
 // real reads do).
 func MutatedDNA(base string, seed int64, rate float64) string {
-	rng := rand.New(rand.NewSource(seed))
+	rnd := rng.New(seed)
 	buf := []byte(base)
 	for i := range buf {
-		if rng.Float64() < rate {
-			buf[i] = dnaAlphabet[rng.Intn(4)]
+		if rnd.Float64() < rate {
+			buf[i] = dnaAlphabet[rnd.Intn(4)]
 		}
 	}
 	return string(buf)

@@ -12,7 +12,6 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"dagguise/internal/mem"
@@ -174,18 +173,18 @@ func (g *generator) Next() (trace.Op, bool) {
 	gap := 0
 	if p.MeanGap > 0 {
 		// Geometric with the configured mean.
-		gap = geometric(g.rng.Rand, p.MeanGap)
+		gap = geometric(g.rng, p.MeanGap)
 	}
 	return trace.Op{Addr: addr, Kind: kind, Gap: gap, Dep: dep}, true
 }
 
 // geometric samples a geometric distribution with the given mean.
-func geometric(rng *rand.Rand, mean int) int {
+func geometric(rnd *rng.Rand, mean int) int {
 	// P(stop) per unit = 1/(mean+1); inverse-CDF sampling would need
 	// log; a simple loop is fine because mean values are modest.
 	p := 1.0 / float64(mean+1)
 	n := 0
-	for rng.Float64() > p && n < mean*10 {
+	for rnd.Float64() > p && n < mean*10 {
 		n++
 	}
 	return n
