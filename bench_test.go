@@ -724,6 +724,33 @@ func BenchmarkEightCoreRun(b *testing.B) {
 	}
 }
 
+// BenchmarkTwoCoreRun measures the two-core DAGguise machine of Figure 9
+// with its most compute-bound co-runner, advanced through Run: a protected
+// DocDist victim with the Figure 9 defense beside leela, warmed for 20k
+// cycles. leela's core spends most of its cycles retiring the instruction
+// gaps between its memory ops. One op is one simulated cycle, so ns/op is
+// the cost per cycle.
+func BenchmarkTwoCoreRun(b *testing.B) {
+	p, err := workload.ByName("leela")
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys, err := sim.New(config.Default(2, config.DAGguise), []sim.CoreSpec{
+		{Name: "docdist", Source: docdistLoop(b), Protected: true, Defense: eval.DefaultDefense()},
+		{Name: "leela", Source: workload.MustSource(p, 21)},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := sys.Run(context.Background(), 20_000); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	if err := sys.Run(context.Background(), uint64(b.N)); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkAttackRig measures the attack rig's cost per simulated cycle
 // under each scheme. One op builds a harness and runs the Figure 5 secret-0
 // victim against the probe for 1000 probes, with the defense template and

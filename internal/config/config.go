@@ -226,6 +226,14 @@ func (c SystemConfig) Validate() error {
 	if err := c.Timing.Validate(); err != nil {
 		return err
 	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"issue width", c.Core.IssueWidth}, {"ROB entries", c.Core.ROBEntries}, {"MSHRs", c.Core.MSHRs}} {
+		if f.v <= 0 {
+			return fmt.Errorf("config: core %s must be positive, got %d", f.name, f.v)
+		}
+	}
 	for _, lvl := range []struct {
 		name string
 		l    CacheLevel

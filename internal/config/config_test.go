@@ -28,6 +28,12 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"zero tCAS", func(c *SystemConfig) { c.Timing.TCAS = 0 }, "tCAS"},
 		{"zero tBURST", func(c *SystemConfig) { c.Timing.TBURST = 0 }, "tBURST"},
 		{"row cycle hazard", func(c *SystemConfig) { c.Timing.TRTP = 1000 }, "exceeds"},
+		{"zero issue width", func(c *SystemConfig) { c.Core.IssueWidth = 0 }, "issue width"},
+		{"negative issue width", func(c *SystemConfig) { c.Core.IssueWidth = -8 }, "issue width"},
+		{"zero ROB entries", func(c *SystemConfig) { c.Core.ROBEntries = 0 }, "ROB entries"},
+		{"negative ROB entries", func(c *SystemConfig) { c.Core.ROBEntries = -1 }, "ROB entries"},
+		{"zero MSHRs", func(c *SystemConfig) { c.Core.MSHRs = 0 }, "MSHRs"},
+		{"negative MSHRs", func(c *SystemConfig) { c.Core.MSHRs = -2 }, "MSHRs"},
 		{"zero L1 size", func(c *SystemConfig) { c.L1.SizeBytes = 0 }, "L1"},
 		{"zero L2 ways", func(c *SystemConfig) { c.L2.Ways = 0 }, "L2"},
 		{"zero L3 line", func(c *SystemConfig) { c.L3.LineBytes = 0 }, "L3"},

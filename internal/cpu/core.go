@@ -101,11 +101,15 @@ type Core struct {
 	// A full tick that changes nothing but Cycles and StallCycles parks
 	// the core: until a response arrives, the port has room for the
 	// refused offers or the window head's completion cycle comes, every
-	// tick would repeat it exactly, so Tick replays it in O(1).
-	busy    bool   // the full tick in progress changed core state
-	parked  bool   // the last full tick changed nothing
-	refused int    // offers that tick made, each refused after drawing an ID
-	wakeAt  uint64 // the head's completion cycle, or ^0 when none is due
+	// tick would repeat it exactly, so Tick replays it in O(1). A full
+	// tick whose only change is retiring a whole issue width of the
+	// head's gap parks it retiring: the replays retire the gap until
+	// less than an issue width of it is left.
+	busy     bool   // the full tick in progress changed core state
+	parked   bool   // the last full tick changed nothing but the head's gap
+	retiring bool   // that tick retired IssueWidth gap instructions
+	refused  int    // offers that tick made, each refused after drawing an ID
+	wakeAt   uint64 // the first cycle a replay would differ, or ^0 when none is due
 
 	// Observability (nil = off); measurement only.
 	mx *obs.Registry
@@ -169,6 +173,13 @@ func (c *Core) Tick(now uint64) {
 		for i := 0; i < c.refused; i++ {
 			c.alloc()
 		}
+		if c.retiring {
+			w := c.cfg.IssueWidth
+			c.window[0].gapLeft -= w
+			c.stats.Instructions += uint64(w)
+			c.mx.Add(obs.CtrRetired, int(c.domain), uint64(w))
+			return
+		}
 		c.stats.StallCycles++
 		c.mx.Inc(obs.CtrROBStallCycles, int(c.domain))
 		return
@@ -178,18 +189,28 @@ func (c *Core) Tick(now uint64) {
 	c.issue(now)
 	c.issuePrefetches(now)
 	c.flushWritebacks(now)
+	// Nothing but retirement changed, and the head's gap fills the whole
+	// issue width: the next ticks retire the gap alike. A zero issue
+	// width retires nothing, so such a core parks stalled instead.
+	w := c.cfg.IssueWidth
+	c.retiring = !c.busy && w > 0 && len(c.window) > 0 && c.window[0].gapLeft >= w
 	c.retire(now)
-	c.parked, c.wakeAt = !c.busy, ^uint64(0)
-	if c.parked && len(c.window) > 0 && c.window[0].status == stDone {
+	c.parked, c.wakeAt = !c.busy || c.retiring, ^uint64(0)
+	switch {
+	case c.retiring:
+		c.wakeAt = now + 1 + uint64(c.window[0].gapLeft/w)
+	case c.parked && len(c.window) > 0 && c.window[0].status == stDone:
 		c.wakeAt = c.window[0].completion
 	}
 }
 
 // WakeAt returns a lower bound on the first cycle at or after now at which
 // Tick does more than replay a parked tick: now unless the core is parked
-// and its port refuses the refused offers again, else the window head's
-// completion cycle (^0 when none is due). Only a response or port room,
-// which only the memory side's events change, can make it earlier.
+// and its port refuses the refused offers again, else the first cycle at
+// which less than an issue width of the head's gap is left (retiring) or
+// the window head's completion cycle (^0 when none is due). Only a
+// response or port room, which only the memory side's events change, can
+// make it earlier.
 func (c *Core) WakeAt(now uint64) uint64 {
 	if !c.parked || (c.refused > 0 && c.port.Room(now)) {
 		return now
@@ -201,13 +222,22 @@ func (c *Core) WakeAt(now uint64) uint64 {
 // what Tick's parked path does k times, except that it returns the
 // request IDs those ticks draw, one per refused offer per cycle, for the
 // caller to draw in bulk from the shared allocator. No other producer
-// draws during such cycles, so the order cannot matter.
-func (c *Core) SkipParked(k uint64) (ids uint64) {
+// draws during such cycles, so the order cannot matter. retired reports
+// whether the ticks retired instructions, which a retiring core does on
+// every one of them.
+func (c *Core) SkipParked(k uint64) (ids uint64, retired bool) {
 	c.stats.Cycles += k
-	c.stats.StallCycles += k
 	c.mx.ObserveN(obs.HistMLP, int(c.domain), uint64(c.outstanding), k)
-	c.mx.Add(obs.CtrROBStallCycles, int(c.domain), k)
-	return k * uint64(c.refused)
+	if c.retiring {
+		n := k * uint64(c.cfg.IssueWidth)
+		c.window[0].gapLeft -= int(n)
+		c.stats.Instructions += n
+		c.mx.Add(obs.CtrRetired, int(c.domain), n)
+	} else {
+		c.stats.StallCycles += k
+		c.mx.Add(obs.CtrROBStallCycles, int(c.domain), k)
+	}
+	return k * uint64(c.refused), c.retiring
 }
 
 // offer hands req to the port, recording whether the tick changed state

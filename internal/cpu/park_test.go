@@ -127,11 +127,12 @@ func randomParkCase(rnd *rand.Rand) parkCase {
 	return parkCase{cfg: cfg, ops: ops}
 }
 
-// parkStats counts why parked cores took a full tick again, and parked
-// ticks in which a ready load waits for an MSHR.
+// parkStats counts why parked cores took a full tick again, parked ticks
+// in which a ready load waits for an MSHR, and the replayed ticks that
+// retired gap instructions.
 type parkStats struct {
-	response, room, head, mshrParks int
-	parkedTicks, ticks              int
+	response, room, head, mshrParks   int
+	parkedTicks, retiringTicks, ticks int
 }
 
 // readyLoad reports whether a load in the window waits only for an MSHR
@@ -195,6 +196,9 @@ func diffParking(t testing.TB, seed int64, cycles uint64, st *parkStats) {
 				st.room++
 			default:
 				st.parkedTicks++
+				if c.retiring {
+					st.retiringTicks++
+				}
 			}
 		}
 		st.ticks++
@@ -243,17 +247,18 @@ func diffParking(t testing.TB, seed int64, cycles uint64, st *parkStats) {
 }
 
 // TestParkedCoreMatchesFullTick is the oracle test for core parking: the
-// O(1) replay of a parked core must be indistinguishable from the full
-// tick over random cores, traces and port schedules. It also requires
-// that every wake reason occurs and that cores park while a ready load
-// waits for an MSHR, so none of the paths goes untested.
+// O(1) replay of a parked core, stalled or retiring its head's gap, must
+// be indistinguishable from the full tick over random cores, traces and
+// port schedules. It also requires that every wake reason occurs, that
+// cores park while a ready load waits for an MSHR and that replays retire
+// gap instructions, so none of the paths goes untested.
 func TestParkedCoreMatchesFullTick(t *testing.T) {
 	var st parkStats
 	for seed := int64(1); seed <= 60; seed++ {
 		diffParking(t, seed, 20_000, &st)
 	}
-	t.Logf("%d of %d ticks replayed; wakes: %d response, %d room, %d head completion; %d MSHR-blocked parked ticks",
-		st.parkedTicks, st.ticks, st.response, st.room, st.head, st.mshrParks)
+	t.Logf("%d of %d ticks replayed, %d of them retiring; wakes: %d response, %d room, %d head; %d MSHR-blocked parked ticks",
+		st.parkedTicks, st.ticks, st.retiringTicks, st.response, st.room, st.head, st.mshrParks)
 	if st.response == 0 || st.room == 0 || st.head == 0 {
 		t.Fatalf("wake reasons not all exercised: %+v", st)
 	}
@@ -262,6 +267,29 @@ func TestParkedCoreMatchesFullTick(t *testing.T) {
 	}
 	if st.parkedTicks == 0 {
 		t.Fatal("no tick was replayed")
+	}
+	if st.retiringTicks == 0 {
+		t.Fatal("no replayed tick retired gap instructions")
+	}
+}
+
+// TestZeroIssueWidthCoreParksStalled checks the guard a core built
+// outside sim.New (whose config validation rejects a zero issue width)
+// relies on: such a core retires nothing, so it must park stalled, never
+// retiring, and its wake cycle must not divide by the width.
+func TestZeroIssueWidthCoreParksStalled(t *testing.T) {
+	cfg := config.CoreConfig{IssueWidth: 0, ROBEntries: 32, MSHRs: 4}
+	ops := []trace.Op{{Addr: 0x40, Gap: 30}, {Addr: 0x80, Gap: 5}}
+	var ids idCounter
+	c := New(1, &trace.Loop{Inner: &trace.Slice{Ops: ops}}, tinyCaches(t), cfg, newChaosPort(1), ids.next)
+	for now := uint64(0); now < 1000; now++ {
+		c.Tick(now)
+		if c.retiring {
+			t.Fatalf("cycle %d: a zero-width core parked retiring", now)
+		}
+	}
+	if st := c.Stats(); st.Instructions != 0 || st.StallCycles != 1000 || !c.parked {
+		t.Fatalf("zero-width core: %+v, parked %v; want no retirement, 1000 stall cycles, parked", st, c.parked)
 	}
 }
 

@@ -169,6 +169,6 @@ func (c *Core) RestoreState(st CoreState) error {
 	}
 	c.exhausted = st.Exhausted
 	c.stats = st.Stats
-	c.parked = false
+	c.parked, c.retiring = false, false
 	return nil
 }

@@ -53,12 +53,7 @@ func (FRFCFS) Name() string { return "fr-fcfs" }
 // Pick implements Scheduler. Demand traffic outranks prefetch traffic;
 // within each class, row hits outrank older requests.
 func (p FRFCFS) Pick(q []Entry, now uint64, dev *dram.Device) int {
-	// A deep queue usually finds every bank busy: check the banks first.
-	free := false
-	for b := 0; b < dev.Banks() && !free; b++ {
-		free = dev.BankBusyUntil(b) <= now
-	}
-	if !free {
+	if !anyBankFree(dev, now) {
 		return -1
 	}
 	writes := 0
@@ -67,43 +62,95 @@ func (p FRFCFS) Pick(q []Entry, now uint64, dev *dram.Device) int {
 			writes++
 		}
 	}
-	drainWrites := p.WritePressure > 0 && writes >= p.WritePressure
-	ageCap := p.AgeCap
-	if ageCap == 0 {
-		ageCap = defaultAgeCap
-	}
-	// Candidate ranks, best first: starved (over the age cap), demand
-	// row-hit, demand, prefetch row-hit, prefetch. Ties go to the oldest.
-	best := -1
-	bestRank := 5
+	ageCap, drainWrites := p.limits(writes)
+	best, bestRank := -1, noRank
 	for i := range q {
 		e := &q[i]
-		if dev.BankBusyUntil(e.FlatBank) > now {
+		if dev.BankBusyUntil(e.FlatBank) > now || drainWrites && e.Req.Kind != mem.Write {
 			continue
 		}
-		if drainWrites && e.Req.Kind != mem.Write {
-			continue
-		}
-		rank := 2
-		if e.Req.Prefetch {
-			rank = 4
-		}
-		if dev.RowOpen(e.FlatBank, e.Coord.Row) {
-			rank--
-		}
-		age := now - e.Req.Arrival
-		if age > ageCap && (!e.Req.Prefetch || age > 4*ageCap) {
-			rank = 0
-		}
-		if rank < bestRank {
-			bestRank = rank
-			best = i
-			if rank == 0 {
+		if r := rank(e, now, ageCap, dev); r < bestRank {
+			best, bestRank = i, r
+			if r == 0 {
 				break
 			}
 		}
 	}
 	return best
+}
+
+// PickAmong is Pick over a queue that holds only the entries q[i] for i in
+// idx, an ascending index list, without copying them: it returns the
+// index into q of the entry Pick would choose there, or -1. Write pressure
+// counts those entries' writes only, and ties go to the oldest as in Pick.
+// Pick keeps its own loop over q, which an index list would slow down.
+func (p FRFCFS) PickAmong(q []Entry, idx []int, now uint64, dev *dram.Device) int {
+	if len(idx) == 0 || !anyBankFree(dev, now) {
+		return -1
+	}
+	writes := 0
+	for k := 0; p.WritePressure > 0 && k < len(idx); k++ {
+		if q[idx[k]].Req.Kind == mem.Write {
+			writes++
+		}
+	}
+	ageCap, drainWrites := p.limits(writes)
+	best, bestRank := -1, noRank
+	for _, i := range idx {
+		e := &q[i]
+		if dev.BankBusyUntil(e.FlatBank) > now || drainWrites && e.Req.Kind != mem.Write {
+			continue
+		}
+		if r := rank(e, now, ageCap, dev); r < bestRank {
+			best, bestRank = i, r
+			if r == 0 {
+				break
+			}
+		}
+	}
+	return best
+}
+
+// anyBankFree reports whether some bank is free at now. A deep queue
+// usually finds every bank busy, so a pick checks the banks first.
+func anyBankFree(dev *dram.Device, now uint64) bool {
+	for b := 0; b < dev.Banks(); b++ {
+		if dev.BankBusyUntil(b) <= now {
+			return true
+		}
+	}
+	return false
+}
+
+// limits returns the age cap in force and whether writes drain, given the
+// number of queued writes.
+func (p FRFCFS) limits(writes int) (ageCap uint64, drainWrites bool) {
+	ageCap = p.AgeCap
+	if ageCap == 0 {
+		ageCap = defaultAgeCap
+	}
+	return ageCap, p.WritePressure > 0 && writes >= p.WritePressure
+}
+
+// noRank is worse than every rank an entry that may issue gets.
+const noRank = 5
+
+// rank returns the candidate rank of e, whose bank is free, at now, best
+// first: starved (over the age cap), demand row-hit, demand, prefetch
+// row-hit, prefetch. A pick takes the first entry of the best rank, so
+// ties go to the oldest.
+func rank(e *Entry, now, ageCap uint64, dev *dram.Device) int {
+	if age := now - e.Req.Arrival; age > ageCap && (!e.Req.Prefetch || age > 4*ageCap) {
+		return 0
+	}
+	r := 2
+	if e.Req.Prefetch {
+		r = 4
+	}
+	if dev.RowOpen(e.FlatBank, e.Coord.Row) {
+		r--
+	}
+	return r
 }
 
 // NextPick implements Scheduler: the earliest bank-free cycle among the

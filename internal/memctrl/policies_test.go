@@ -202,6 +202,47 @@ func TestFRFCFSPickMatchesParent(t *testing.T) {
 	}
 }
 
+// TestPickAmongMatchesPick checks FRFCFS.PickAmong against Pick over a
+// copy of the listed entries, its pick translated back, on random cases
+// and random ascending index lists (empty ones included). Write pressure
+// must count the listed entries' writes only, so cases with it on must
+// both drain and not drain writes.
+func TestPickAmongMatchesPick(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	var drained, picked int
+	for i := 0; i < 12_000; i++ {
+		pc := newPickCase(r.Int63(), uint16(r.Intn(120)), uint8(r.Intn(256)))
+		var idx []int
+		var sub []Entry
+		writes, keep := 0, r.Intn(5)
+		for j := range pc.q {
+			if r.Intn(5) < keep {
+				idx = append(idx, j)
+				sub = append(sub, pc.q[j])
+				if pc.q[j].Req.Kind == mem.Write {
+					writes++
+				}
+			}
+		}
+		want := pc.p.Pick(sub, pc.now, pc.dev)
+		if want >= 0 {
+			want = idx[want]
+			picked++
+		}
+		if got := pc.p.PickAmong(pc.q, idx, pc.now, pc.dev); got != want {
+			t.Fatalf("case %d: PickAmong = %d, Pick over the copy = %d (policy %+v, %d of %d entries)",
+				i, got, want, pc.p, len(idx), len(pc.q))
+		}
+		if pc.p.WritePressure > 0 && writes >= pc.p.WritePressure && len(sub) > writes {
+			drained++
+		}
+	}
+	t.Logf("%d picks, %d cases draining writes past queued reads", picked, drained)
+	if picked == 0 || drained == 0 {
+		t.Fatalf("a path went untested: %d picks, %d draining", picked, drained)
+	}
+}
+
 // FuzzFRFCFSPick is the fuzzing form of TestFRFCFSPickMatchesParent.
 func FuzzFRFCFSPick(f *testing.F) {
 	for k := 0; k < 256; k += 9 {

@@ -22,6 +22,7 @@ const (
 	rngLen   = 607
 	rngTap   = 273
 	int32max = 1<<31 - 1
+	int63max = 1<<63 - 1
 	// seedWarmup is how many Park–Miller steps seeding discards before
 	// the first word; each of the rngLen words then takes three.
 	seedWarmup = 20
@@ -175,26 +176,31 @@ func (r *Rand) Int63n(n int64) int64 {
 	if n&(n-1) == 0 {
 		return r.Int63() & (n - 1)
 	}
-	max := int64((1 << 63) - 1 - (1<<63)%uint64(n))
-	v := r.Int63()
-	for v > max {
-		v = r.Int63()
+	// As in int31n: v lies past the last whole multiple of n below 2^63
+	// exactly when its block of n values does not fit below 2^63.
+	for {
+		v := r.Int63()
+		if m := v % n; v-m <= int63max-n+1 {
+			return m
+		}
 	}
-	return v % n
 }
 
 // int31n is math/rand's Int31n: modulo reduction of an Int31 with
-// rejection of the values past the last whole multiple of n.
+// rejection of the values past the last whole multiple of n. math/rand
+// rejects v > 2^31−1 − 2^31 mod n; v's block of n values [v − v%n,
+// v − v%n + n) fits below 2^31 under exactly the same condition, so the
+// test reuses the remainder the result needs instead of a second division.
 func (r *Rand) int31n(n int32) int32 {
 	if n&(n-1) == 0 {
 		return r.int31() & (n - 1)
 	}
-	max := int32((1 << 31) - 1 - (1<<31)%uint32(n))
-	v := r.int31()
-	for v > max {
-		v = r.int31()
+	for {
+		v := r.int31()
+		if m := v % n; v-m <= int32max-n+1 {
+			return m
+		}
 	}
-	return v % n
 }
 
 // Intn returns a non-negative pseudo-random number in [0, n). It panics if

@@ -24,9 +24,8 @@ type TemporalPartitioning struct {
 	stats  Stats
 	mx     *obs.Registry // observability (nil = off); measurement only
 
-	// Per-pick scratch, reused so a pick allocates nothing: the turn
-	// owner's queue entries and their indices in the full queue.
-	sub []memctrl.Entry
+	// Per-pick scratch, reused so a pick allocates nothing: the indices
+	// of the turn owner's queue entries.
 	idx []int
 
 	refi, rfc uint64 // refresh guard, as in FixedService
@@ -96,23 +95,19 @@ func (tp *TemporalPartitioning) Pick(q []memctrl.Entry, now uint64, dev *dram.De
 	}
 	// Within the turn, FR-FCFS picks among the owner's entries only.
 	owner := tp.owners[(now/tp.turn)%uint64(len(tp.owners))]
-	tp.sub, tp.idx = tp.sub[:0], tp.idx[:0]
+	tp.idx = tp.idx[:0]
 	for i := range q {
 		if owner.has(q[i].Req.Domain) {
-			tp.sub = append(tp.sub, q[i])
 			tp.idx = append(tp.idx, i)
 		}
 	}
-	if len(tp.sub) == 0 {
-		return -1
-	}
-	pick := tp.inner.Pick(tp.sub, now, dev)
+	pick := tp.inner.PickAmong(q, tp.idx, now, dev)
 	if pick < 0 {
 		return -1
 	}
 	tp.stats.SlotsUsed++
 	tp.mx.Inc(obs.CtrSlotsUsed, 0)
-	return tp.idx[pick]
+	return pick
 }
 
 // NextPick implements memctrl.Scheduler with a lower bound that needs no

@@ -272,9 +272,13 @@ func (s *System) deliver(ch *channel, resp mem.Response, now uint64) error {
 			s.stopAsked = true
 		}
 	default:
+		// A completion that takes a generator below the outstanding
+		// limit makes it eligible again.
 		g := s.gens[i]
+		full := g.Outstanding >= clusterMaxOutstanding
 		g.complete()
-		if g.Pending == nil {
+		if full && g.Pending == nil && g.Outstanding < clusterMaxOutstanding {
+			s.genQ.push(g)
 			s.genWake = min(s.genWake, g.NextAt)
 		}
 	}

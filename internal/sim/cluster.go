@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"math"
 
 	"dagguise/internal/audit"
 	"dagguise/internal/camouflage"
@@ -73,6 +74,7 @@ func NewCluster(cfg config.MultiChannelConfig, chanLo, chanHi int, seed int64, s
 		}
 		s.gens = append(s.gens, g)
 	}
+	s.queueGens()
 	partition := 0
 	if cfg.Scheme != config.Insecure {
 		partition = cfg.QueueDepth
@@ -120,14 +122,72 @@ type generator struct {
 	lines          uint64 // line addresses in the configured capacity
 }
 
-// Tick retries a refused request, or draws and issues the next one when
-// its gap has elapsed and the outstanding limit allows. The common case —
-// nothing due — returns before any call, so the tick loop inlines it.
-func (g *generator) Tick(now uint64) {
-	if g.Pending == nil && (now < g.NextAt || g.Outstanding >= clusterMaxOutstanding) {
-		return
+// genQueue is a min-heap of generators by (NextAt, Index): the due-queue
+// of the generators that hold no refused request and are below the
+// outstanding limit, the only ones whose next step waits on NextAt alone.
+type genQueue []*generator
+
+func (q genQueue) less(i, j int) bool {
+	a, b := q[i], q[j]
+	return a.NextAt < b.NextAt || a.NextAt == b.NextAt && a.Index < b.Index
+}
+
+func (q *genQueue) push(g *generator) {
+	h := append(*q, g)
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
 	}
-	g.step(now)
+	*q = h
+}
+
+func (q *genQueue) pop() *generator {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && h.less(r, j) {
+			j = r
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	*q = h[:n]
+	return h[n]
+}
+
+// wake is the earliest NextAt in the queue, math.MaxUint64 when empty.
+func (q genQueue) wake() uint64 {
+	if len(q) == 0 {
+		return math.MaxUint64
+	}
+	return q[0].NextAt
+}
+
+// queueGens rebuilds the generator bookkeeping from the generators' state:
+// the refused list in index order, the due-queue and genWake.
+func (s *System) queueGens() {
+	s.refused, s.genQ = s.refused[:0], s.genQ[:0]
+	for _, g := range s.gens {
+		switch {
+		case g.Pending != nil:
+			s.refused = append(s.refused, g)
+		case g.Outstanding < clusterMaxOutstanding:
+			s.genQ.push(g)
+		}
+	}
+	s.genWake = s.genQ.wake()
 }
 
 // port returns the local port a request routes to. Only a local request
@@ -137,6 +197,7 @@ func (g *generator) port(req mem.Request) *port {
 	return g.s.chans[ch].ports[g.Index]
 }
 
+// step retries a refused request, or draws and issues the next one.
 func (g *generator) step(now uint64) {
 	if g.Pending != nil {
 		if g.issue(*g.Pending, now) {

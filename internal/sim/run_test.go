@@ -181,7 +181,8 @@ var allSchemes = []config.Scheme{
 }
 
 // TestRunMatchesTickLoop is the oracle test for Run's skip over quiet
-// cycles: under every scheme, on the two-core machine of Figure 9, the
+// cycles: under every scheme, on the two-core machine of Figure 9 (with
+// a compute-bound co-runner whose core parks retiring, watched or not), the
 // eight-core machine of Figure 10, a fleet channel and a machine of
 // Tenants, with a registry, a tracer, audit taps, egress tracing, fault
 // campaigns and an armed watchdog, Run must leave exactly what as many
@@ -274,6 +275,7 @@ func TestRunMatchesTickLoop(t *testing.T) {
 	for _, scheme := range allSchemes {
 		cases = append(cases,
 			runCase{"two-core/leela/" + scheme.String(), twoCore(scheme, "leela"), []uint64{30_011}, false, false},
+			runCase{"two-core/leela-watched/" + scheme.String(), watched(twoCore(scheme, "leela"), DefaultWatchdog()), []uint64{11, 8_000, 22_003}, false, false},
 			runCase{"two-core/lbm/" + scheme.String(), watched(twoCore(scheme, "lbm"), DefaultWatchdog()), []uint64{7, 9_000, 14_003}, false, false},
 			runCase{"eight-core/" + scheme.String(), eightCore(scheme, 0), []uint64{25_013}, false, false},
 			runCase{"tenants/" + scheme.String(), tenants(scheme, 0), []uint64{40_009}, false, false},
@@ -422,5 +424,29 @@ func TestQuietCyclesAreCommon(t *testing.T) {
 	mustRun(t, sys, 40_000)
 	if ticks := prof.Laps(obs.PBHarness); 2*ticks > sys.now {
 		t.Fatalf("Run ticked %d of %d cycles; expected most to be replayed", ticks, sys.now)
+	}
+}
+
+// TestComputeCyclesAreQuiet pins the premise of the retiring park on the
+// Figure 9 machine with its most compute-bound co-runner: leela's gaps of
+// ~190 instructions keep its core retiring between memory ops, and over
+// the figure's 20k + 200k cycles Run must tick on fewer than half of them
+// under the insecure baseline, FS-BTA and DAGguise alike.
+func TestComputeCyclesAreQuiet(t *testing.T) {
+	for _, scheme := range []config.Scheme{config.Insecure, config.FSBTA, config.DAGguise} {
+		sys := mustNew(t, config.Default(2, scheme), []CoreSpec{
+			cachedVictim(t, scheme != config.Insecure, rdag.Template{Sequences: 8, Weight: 150, WriteRatio: 0.25, Banks: 8}),
+			appSpec(t, "leela", 21),
+		})
+		prof := obs.NewCycleProfile()
+		sys.Profile(prof)
+		if _, err := sys.Measure(context.Background(), 20_000, 200_000); err != nil {
+			t.Fatal(err)
+		}
+		ticks := prof.Laps(obs.PBHarness)
+		t.Logf("%v: ticked %d of %d cycles", scheme, ticks, sys.now)
+		if 2*ticks >= sys.now {
+			t.Errorf("%v: Run ticked %d of %d cycles; expected fewer than half", scheme, ticks, sys.now)
+		}
 	}
 }

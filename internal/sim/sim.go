@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"dagguise/internal/audit"
 	"dagguise/internal/cache"
@@ -90,8 +91,8 @@ type tenantSlot struct {
 // more channel units through per-domain ports. A tenant is one security
 // domain's traffic source, tenant i being domain i+1: closed-loop cores
 // or Tenants for New, open-loop generators for NewCluster. The tick loop
-// walks the concrete slices so the per-tenant idle check stays a direct,
-// inlinable call even with hundreds of generators.
+// walks the concrete slice of cores; Tenants and generators it wakes by
+// cycle, so hundreds of idle generators cost it nothing.
 type System struct {
 	scheme  config.Scheme
 	cores   []*cpu.Core  // the cores of a New-built system
@@ -101,11 +102,14 @@ type System struct {
 	chans   []*channel
 
 	// tenantWake is the earliest cycle a Tenant asked to be ticked at,
-	// so the tick loop tests one cycle, not every Tenant. genWake and
-	// refused do the same for the generators (see tickGens).
+	// so the tick loop tests one cycle, not every Tenant. genWake, genQ
+	// and refused do the same for the generators (see tickGens); like the
+	// cores' park state they are derived and never serialized.
 	tenantWake uint64
 	genWake    uint64
+	genQ       genQueue
 	refused    []*generator
+	genBatch   []*generator // tickGens' scratch
 
 	// NewCluster's channel slice start, router width, seed and secret
 	// (zero for New, whose single channel is index 0).
@@ -396,24 +400,35 @@ func (s *System) tickTenants(now uint64) {
 	s.tenantWake = wake
 }
 
-// tickGens ticks the generators in index order. It lists those left
-// holding a refused request, which retry on every cycle, and notes in
-// genWake the earliest NextAt among the others below the outstanding
-// limit: the exact cycle the next of them is due, since only a
-// completion can change it, and deliver lowers genWake for one.
+// tickGens steps the due generators in index order: those holding a
+// refused request, which retry on every cycle, and those the due-queue
+// holds with NextAt reached. Request IDs come from one allocator, so the
+// order is the index order a scan of every generator would take. A
+// stepped generator that holds a refused request again joins the refused
+// list; one still below the outstanding limit rejoins the queue, and one
+// at the limit waits for deliver to queue it on a completion. genWake is
+// the queue's earliest NextAt: the exact cycle the next of them is due,
+// since only a completion can change it.
 func (s *System) tickGens(now uint64) {
-	wake := uint64(math.MaxUint64)
+	batch := append(s.genBatch[:0], s.refused...)
+	for len(s.genQ) > 0 && s.genQ[0].NextAt <= now {
+		batch = append(batch, s.genQ.pop())
+	}
+	if len(batch) > 1 {
+		slices.SortFunc(batch, func(a, b *generator) int { return a.Index - b.Index })
+	}
 	s.refused = s.refused[:0]
-	for _, g := range s.gens {
-		g.Tick(now)
+	for _, g := range batch {
+		g.step(now)
 		switch {
 		case g.Pending != nil:
 			s.refused = append(s.refused, g)
 		case g.Outstanding < clusterMaxOutstanding:
-			wake = min(wake, g.NextAt)
+			s.genQ.push(g)
 		}
 	}
-	s.genWake = wake
+	s.genBatch = batch
+	s.genWake = s.genQ.wake()
 }
 
 // checkProgress enforces the deadlock invariant of an armed watchdog: with
@@ -584,13 +599,18 @@ func (s *System) quietUntil(limit uint64) uint64 {
 }
 
 // skip replays the k quiet cycles from s.now that quietUntil found. In
-// each, Tick would only have advanced the parked cores' counters and
-// drawn their refused offers' request IDs, counted a stall for each
-// generator still holding a refused request, and sampled the per-cycle
-// histograms of every core, shaper, egress queue and controller.
+// each, Tick would only have advanced the parked cores' counters, retired
+// the retiring cores' gap instructions and drawn their refused offers'
+// request IDs, counted a stall for each generator still holding a refused
+// request, and sampled the per-cycle histograms of every core, shaper,
+// egress queue and controller. A retiring core retires on every skipped
+// cycle, so an armed watchdog's check after the last one records progress.
 func (s *System) skip(k uint64) {
+	retired := false
 	for _, c := range s.cores {
-		s.nextID += c.SkipParked(k)
+		ids, r := c.SkipParked(k)
+		s.nextID += ids
+		retired = retired || r
 	}
 	for _, g := range s.refused {
 		g.Stalls += k
@@ -607,6 +627,9 @@ func (s *System) skip(k uint64) {
 		ch.ctrl.SkipTicks(k)
 	}
 	s.now += k
+	if retired && s.wd.StallBudget > 0 {
+		s.lastProgress, s.lastRetired = s.now, s.retired()
+	}
 }
 
 // SetWatchdog arms the forward-progress invariants every later tick

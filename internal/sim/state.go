@@ -227,7 +227,7 @@ func (s *System) RestoreState(st *SystemState) error {
 	s.lastRetired = st.LastRetired
 	s.faultDeferred = st.FaultDeferred
 	s.portErr = nil
-	s.genWake, s.refused = 0, nil // recomputed by the next tick
+	s.queueGens()
 	return nil
 }
 
