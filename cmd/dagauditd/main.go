@@ -14,29 +14,22 @@
 // fed the same stream produces byte-identical verdicts to one that never
 // died; the CI soak job enforces exactly that with a mid-stream kill.
 //
-// With -alert-webhook or -alert-rules the daemon also runs the SLO
-// alerting pipeline: every audited window, shard queue sample and retry
-// indicator feeds the in-process time-series store, and the rule engine
-// (the stock catalog, or a -alert-rules JSON file) evaluates after each
-// batch. Alert history, the firing set and the active rules are
-// readable at /v1/alerts, and both ride the service checkpoint so a
-// restart neither loses nor re-fires past edges. -alert-webhook POSTs
-// each deduplicated alert edge as one JSON body to any HTTP receiver,
-// with bounded retries.
+// Whether a tenant leaks is its verdict's within_budget field (with
+// first_exceeded_window and first_exceeded_cycle saying where the
+// budget first broke); /metrics counts duplicates and shed load and
+// shows each shard queue's length.
 //
 // Usage:
 //
 //	dagauditd -addr 127.0.0.1:9470
 //	dagauditd -checkpoint state/auditd.ckpt -checkpoint-every 500
 //	dagauditd -window 50 -perms 100 -boot 100 -budget 0.05
-//	dagauditd -alert-webhook http://127.0.0.1:9801/ -alert-rules rules.json
 //
 // Endpoints:
 //
 //	POST /v1/ingest                  observation batch (NDJSON)
 //	GET  /v1/verdicts                all tenant verdicts
 //	GET  /v1/verdicts/{tenant}       one tenant
-//	GET  /v1/alerts                  alert history, firing set, rule catalog
 //	POST /v1/tenants/{tenant}/flush  audit the final partial window
 //	POST /v1/checkpoint              force a durable checkpoint
 //	GET  /metrics, /healthz, /readyz
@@ -55,7 +48,6 @@ import (
 
 	"dagguise/internal/audit"
 	"dagguise/internal/auditd"
-	"dagguise/internal/obs"
 )
 
 func main() {
@@ -83,9 +75,6 @@ func main() {
 
 	readTimeout := flag.Duration("read-timeout", 10*time.Second, "per-request body read timeout (bounds slow/stalled clients)")
 	maxBatch := flag.Int64("max-batch-bytes", 1<<20, "ingest request body limit")
-
-	alertWebhook := flag.String("alert-webhook", "", "POST deduplicated alert edges as JSON to this URL (any HTTP receiver)")
-	alertRules := flag.String("alert-rules", "", "JSON file with the SLO rule list (default: the stock catalog when alerting is on)")
 	flag.Parse()
 
 	cfg := auditd.Config{
@@ -100,28 +89,6 @@ func main() {
 		DegradeAfter:  *degradeAfter, SampleKeep: *sampleKeep,
 		RecentWindows:  *recent,
 		CheckpointPath: *ckptPath, CheckpointEvery: *ckptEvery,
-	}
-	var notifier *obs.Notifier
-	if *alertWebhook != "" || *alertRules != "" {
-		cfg.Rules = obs.DefaultRules()
-		if *alertRules != "" {
-			data, err := os.ReadFile(*alertRules)
-			if err != nil {
-				fatal(err)
-			}
-			if cfg.Rules, err = obs.ParseRules(data); err != nil {
-				fatal(err)
-			}
-		}
-		if *alertWebhook != "" {
-			notifier = obs.NewNotifier(*alertWebhook, obs.NotifierConfig{
-				Logf: func(format string, args ...any) {
-					fmt.Fprintf(os.Stderr, "dagauditd: alert webhook: "+format+"\n", args...)
-				},
-			})
-			cfg.Notifier = notifier
-		}
-		fmt.Fprintf(os.Stderr, "dagauditd: alerting with %d rule(s)\n", len(cfg.Rules))
 	}
 	svc, err := auditd.New(cfg)
 	if err != nil {
@@ -164,7 +131,6 @@ func main() {
 	if err := svc.Close(shutCtx); err != nil {
 		fatal(err)
 	}
-	notifier.Close() // drain queued alert deliveries (nil-safe)
 	if *ckptPath != "" {
 		fmt.Fprintf(os.Stderr, "dagauditd: final checkpoint at %s\n", *ckptPath)
 	}

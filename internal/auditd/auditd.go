@@ -111,22 +111,10 @@ type Config struct {
 	// on (tenant, observation) to preserve determinism.
 	Hook func(tenant string, o Observation)
 
-	// Rules, when non-empty, enables the in-process SLO pipeline: every
-	// processed batch feeds the service's time-series store
-	// (leak_burn/<tenant> per audited window, queue_sat/<shard> and
-	// retry_rate/<shard> per batch) and evaluates the rules against it,
-	// emitting deduplicated alert edges. obs.DefaultRules is the stock
-	// catalog; obs.ParseRules reads a -alert-rules file.
+	// Rules is ignored. It stays only so the frozen dagbench security
+	// workload, which still sets it to obs.DefaultRules(), builds until
+	// its next revision drops that argument (ROADMAP item 5).
 	Rules []obs.Rule
-	// Notifier delivers alert edges to a webhook (nil = keep them only in
-	// the engine's history, visible at /v1/alerts).
-	Notifier *obs.Notifier
-	// Tracer, when non-nil, receives flight-recorder events (alert edges;
-	// ingest spans when Spans is also set).
-	Tracer *obs.Tracer
-	// Spans, when non-nil, records one span per ingest request, parented
-	// on the client's X-Dag-Span context so cross-process traces nest.
-	Spans *obs.Spans
 }
 
 // withDefaults fills the zero-value knobs.
@@ -195,12 +183,9 @@ type tenant struct {
 	recent []audit.WindowReport
 }
 
-// fold drains finished window reports into the bounded aggregate and
-// returns the freshly drained windows so the caller can feed the
-// alerting time-series.
-func (t *tenant) fold(recentCap int) []audit.WindowReport {
-	ws := t.aud.TakeWindows()
-	for _, w := range ws {
+// fold drains finished window reports into the bounded aggregate.
+func (t *tenant) fold(recentCap int) {
+	for _, w := range t.aud.TakeWindows() {
 		t.agg.Windows++
 		if len(w.Detectors) > 0 {
 			t.agg.Tripped++
@@ -217,7 +202,6 @@ func (t *tenant) fold(recentCap int) []audit.WindowReport {
 	if len(t.recent) > recentCap {
 		t.recent = append([]audit.WindowReport(nil), t.recent[len(t.recent)-recentCap:]...)
 	}
-	return ws
 }
 
 // batchReq is one tenant's slice of an ingest request, queued to a shard.
@@ -236,17 +220,11 @@ type batchResp struct {
 	poisoned   string  // non-empty: tenant quarantined with this reason
 }
 
-type shard struct {
-	idx       int
-	ch        chan *batchReq
-	processed uint64 // batches this shard has applied (its TSDB time axis)
-}
-
 // counters are the service-level metrics exported at /metrics.
 type counters struct {
 	batches, observations, accepted, duplicates atomic.Uint64
 	shed, gaps, malformed, rejectedTenants      atomic.Uint64
-	quarantined, panics, checkpoints, alerts    atomic.Uint64
+	quarantined, panics, checkpoints            atomic.Uint64
 }
 
 // Service is the leakage-audit daemon core: wire it to HTTP with Handler.
@@ -254,13 +232,7 @@ type Service struct {
 	cfg Config
 	mx  *obs.Registry
 
-	// tsdb and engine are non-nil only when cfg.Rules is set; both are
-	// internally locked, and nil disables the whole alerting path at the
-	// usual obs nil-no-op cost.
-	tsdb   *obs.TSDB
-	engine *obs.Engine
-
-	shards []*shard
+	shards []chan *batchReq // one bounded queue per shard worker
 
 	mu      sync.RWMutex
 	tenants map[string]*tenant
@@ -293,22 +265,13 @@ func New(cfg Config) (*Service, error) {
 		mx:      obs.NewRegistry(cfg.MaxTenants + 1),
 		tenants: make(map[string]*tenant),
 	}
-	if len(cfg.Rules) > 0 {
-		for i := range cfg.Rules {
-			if err := cfg.Rules[i].Validate(); err != nil {
-				return nil, fmt.Errorf("auditd: %w", err)
-			}
-		}
-		s.tsdb = obs.NewTSDB(obs.DefaultTSDBCap)
-		s.engine = obs.NewEngine(s.tsdb, cfg.Rules)
-	}
 	if cfg.CheckpointPath != "" {
 		if err := s.restore(); err != nil {
 			return nil, err
 		}
 	}
 	for i := 0; i < cfg.Shards; i++ {
-		sh := &shard{idx: i, ch: make(chan *batchReq, cfg.QueueDepth)}
+		sh := make(chan *batchReq, cfg.QueueDepth)
 		s.shards = append(s.shards, sh)
 		s.shardWG.Add(1)
 		go s.runShard(sh)
@@ -318,9 +281,9 @@ func New(cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// shardFor maps a tenant name onto its shard, so one tenant's batches
-// always process in order on one goroutine.
-func (s *Service) shardFor(name string) *shard {
+// shardFor maps a tenant name onto its shard's queue, so one tenant's
+// batches always process in order on one goroutine.
+func (s *Service) shardFor(name string) chan<- *batchReq {
 	h := fnv.New32a()
 	h.Write([]byte(name))
 	return s.shards[int(h.Sum32())%len(s.shards)]
@@ -369,59 +332,16 @@ func (s *Service) newTenant(name string) (*tenant, error) {
 
 // runShard is one worker: it drains its queue until Close closes it,
 // checkpointing on cadence with no tenant locks held.
-func (s *Service) runShard(sh *shard) {
+func (s *Service) runShard(sh <-chan *batchReq) {
 	defer s.shardWG.Done()
-	for req := range sh.ch {
-		sat := float64(len(sh.ch)) / float64(cap(sh.ch))
+	for req := range sh {
 		resp := s.processBatch(req.t, req.obs)
 		req.done <- resp
-		if s.tsdb != nil {
-			// Per-shard series keep every T axis monotonic without
-			// cross-shard coordination: each shard is one goroutine.
-			sh.processed++
-			s.tsdb.Append(fmt.Sprintf("queue_sat/shard%d", sh.idx), sh.processed, sat)
-			dup := 0.0
-			if resp.duplicates > 0 {
-				dup = 1
-			}
-			s.tsdb.Append(fmt.Sprintf("retry_rate/shard%d", sh.idx), sh.processed, dup)
-			s.evalAlerts(s.ctr.accepted.Load())
-		}
 		if s.cfg.CheckpointPath != "" && s.cfg.CheckpointEvery > 0 &&
 			s.sinceCkpt.Add(uint64(resp.accepted)) >= uint64(s.cfg.CheckpointEvery) {
 			s.sinceCkpt.Store(0)
 			_ = s.Checkpoint() // best-effort; surfaced via /readyz staleness, not by dropping data
 		}
-	}
-}
-
-// feedWindows appends one 0/1 leak-budget indicator point per freshly
-// audited window to the tenant's burn series. T is the window index, so
-// the series — and every burn-rate alert derived from it — is a
-// deterministic function of the tenant's accepted stream.
-func (s *Service) feedWindows(t *tenant, ws []audit.WindowReport) {
-	if s.tsdb == nil {
-		return
-	}
-	for _, w := range ws {
-		v := 0.0
-		if w.Exceeded {
-			v = 1
-		}
-		s.tsdb.Append("leak_burn/"+t.name, uint64(w.Index), v)
-	}
-}
-
-// evalAlerts runs the SLO engine at logical time t and fans new edges
-// out to the webhook notifier and the flight tracer.
-func (s *Service) evalAlerts(t uint64) {
-	for _, a := range s.engine.Eval(t) {
-		s.ctr.alerts.Add(1)
-		s.cfg.Notifier.Notify(a)
-		s.cfg.Tracer.Emit(obs.Event{
-			Cycle: a.T, Name: a.Rule + "/" + a.Series + " " + a.State,
-			Comp: obs.CompService, Kind: obs.EvAlert,
-		})
 	}
 }
 
@@ -478,7 +398,7 @@ func (s *Service) processBatch(t *tenant, batch []Observation) (resp batchResp) 
 			panic(err) // secret validated at parse; reaching here is a pipeline bug
 		}
 	}
-	s.feedWindows(t, t.fold(s.cfg.RecentWindows))
+	t.fold(s.cfg.RecentWindows)
 	t.aud.Compact()
 	resp.nextSeq = t.nextSeq
 	s.ctr.accepted.Add(uint64(resp.accepted))
@@ -597,11 +517,8 @@ func (s *Service) Flush(name string) (*audit.WindowReport, error) {
 		return nil, err
 	}
 	t.flushError = ""
-	s.feedWindows(t, t.fold(s.cfg.RecentWindows))
+	t.fold(s.cfg.RecentWindows)
 	t.aud.Compact()
-	// The final partial window may be the edge that trips a burn-rate
-	// rule; evaluate before the caller reads /v1/alerts.
-	s.evalAlerts(t.nextSeq)
 	return rep, nil
 }
 
@@ -609,7 +526,7 @@ func (s *Service) Flush(name string) (*audit.WindowReport, error) {
 // /readyz signal that new ingest is likely to shed.
 func (s *Service) Overloaded() bool {
 	for _, sh := range s.shards {
-		if len(sh.ch) < cap(sh.ch) {
+		if len(sh) < cap(sh) {
 			return false
 		}
 	}
@@ -627,7 +544,7 @@ func (s *Service) Close(ctx context.Context) error {
 		s.accepting.Store(false)
 		s.handlerWG.Wait() // no new enqueues past this point
 		for _, sh := range s.shards {
-			close(sh.ch)
+			close(sh)
 		}
 		s.shardWG.Wait()
 		s.closeErr = s.Checkpoint()
@@ -659,15 +576,14 @@ type tenantState struct {
 	Auditor      *audit.AuditorState  `json:"auditor"`
 }
 
-// serviceState is the full checkpoint payload. TSDB and Engine are
-// optional (alerting may be off); checkpoints written before the flight
-// recorder existed simply lack them and restore as cold alerting state.
+// serviceState is the full checkpoint payload. Restore decodes it
+// strictly, so a checkpoint holding keys this build lacks (the "tsdb"
+// and "engine" of one written with SLO alerting on) is refused as
+// corrupt.
 type serviceState struct {
-	Kind    string           `json:"kind"`
-	Version int              `json:"version"`
-	Tenants []tenantState    `json:"tenants"`
-	TSDB    *obs.TSDBState   `json:"tsdb,omitempty"`
-	Engine  *obs.EngineState `json:"engine,omitempty"`
+	Kind    string        `json:"kind"`
+	Version int           `json:"version"`
+	Tenants []tenantState `json:"tenants"`
 }
 
 // snapshot captures all tenant state. Tenants are locked one at a time:
@@ -675,10 +591,7 @@ type serviceState struct {
 // auditor position), cross-tenant simultaneity is not required because
 // tenants never interact.
 func (s *Service) snapshot() *serviceState {
-	st := &serviceState{
-		Kind: serviceStateKind, Version: serviceStateVersion,
-		TSDB: s.tsdb.SaveState(), Engine: s.engine.SaveState(),
-	}
+	st := &serviceState{Kind: serviceStateKind, Version: serviceStateVersion}
 	for _, t := range s.sortedTenants() {
 		t.mu.Lock()
 		st.Tenants = append(st.Tenants, tenantState{
@@ -744,16 +657,6 @@ func (s *Service) restore() error {
 	}
 	if st.Version != serviceStateVersion {
 		return fmt.Errorf("auditd: checkpoint version %d, this build reads %d", st.Version, serviceStateVersion)
-	}
-	if st.TSDB != nil && s.tsdb != nil {
-		if err := s.tsdb.RestoreState(st.TSDB); err != nil {
-			return fmt.Errorf("auditd: restore tsdb: %w", err)
-		}
-	}
-	if st.Engine != nil && s.engine != nil {
-		if err := s.engine.RestoreState(st.Engine); err != nil {
-			return fmt.Errorf("auditd: restore alert engine: %w", err)
-		}
 	}
 	for i, ts := range st.Tenants {
 		aud, err := audit.RestoreAuditor(ts.Auditor)

@@ -186,7 +186,7 @@ func TestBackpressureSheds(t *testing.T) {
 			<-release
 		}
 	}
-	svc, ts, _ := startServer(t, cfg)
+	svc, ts, c := startServer(t, cfg)
 	defer func() {
 		select {
 		case <-release:
@@ -208,10 +208,10 @@ func TestBackpressureSheds(t *testing.T) {
 		code, _ := postBody(t, ts, line("queued", 0))
 		done <- code
 	}()
-	for i := 0; len(svc.shards[0].ch) == 0 && i < 1000; i++ {
+	for i := 0; len(svc.shards[0]) == 0 && i < 1000; i++ {
 		time.Sleep(time.Millisecond)
 	}
-	if len(svc.shards[0].ch) != 1 {
+	if len(svc.shards[0]) != 1 {
 		t.Fatal("queue never filled")
 	}
 
@@ -235,6 +235,17 @@ func TestBackpressureSheds(t *testing.T) {
 			t.Errorf("overloaded /readyz = %d, want 503", rz.StatusCode)
 		}
 	}
+	queueLen := func(want int) {
+		t.Helper()
+		m, err := c.get(context.Background(), "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if line := fmt.Sprintf("dagauditd_shard_queue_len{shard=\"0\"} %d\n", want); !bytes.Contains(m, []byte(line)) {
+			t.Errorf("/metrics lacks %q:\n%s", line, m)
+		}
+	}
+	queueLen(1) // the depth-1 queue is full
 
 	close(release)
 	for i := 0; i < 2; i++ {
@@ -242,6 +253,7 @@ func TestBackpressureSheds(t *testing.T) {
 			t.Errorf("wedged/queued request finished %d, want 200", code)
 		}
 	}
+	queueLen(0)
 	if svc.ctr.shed.Load() == 0 {
 		t.Error("shed counter not incremented")
 	}
@@ -344,7 +356,7 @@ func (s *Service) killForTest() {
 		s.accepting.Store(false)
 		s.handlerWG.Wait()
 		for _, sh := range s.shards {
-			close(sh.ch)
+			close(sh)
 		}
 		s.shardWG.Wait()
 	})
@@ -486,16 +498,23 @@ func TestCheckpointCorruptionRejected(t *testing.T) {
 
 	// An intact frame whose payload carries a field this build does not
 	// know is refused as corrupt instead of restoring part of the state.
+	// That includes the time-series store a checkpoint written with the
+	// retired alerting pipeline on still holds.
 	payload, err := ckpt.Unframe(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	unknown := append([]byte(`{"unknown_field":1,`), payload[1:]...)
-	if err := ckpt.SaveFrame(cfg.CheckpointPath, unknown); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(cfg); !errors.Is(err, ckpt.ErrCorrupt) {
-		t.Errorf("unknown payload field: New returned %v, want ckpt.ErrCorrupt", err)
+	for _, field := range []string{
+		`"unknown_field":1`,
+		`"tsdb":{"cap":4096,"series":[{"name":"leak_burn/t","points":[{"t":0,"v":1}]}]}`,
+	} {
+		unknown := append([]byte("{"+field+","), payload[1:]...)
+		if err := ckpt.SaveFrame(cfg.CheckpointPath, unknown); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := New(cfg); !errors.Is(err, ckpt.ErrCorrupt) {
+			t.Errorf("payload field %s: New returned %v, want ckpt.ErrCorrupt", field, err)
+		}
 	}
 }
 

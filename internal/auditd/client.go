@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"dagguise/internal/fault"
-	"dagguise/internal/obs"
 	"dagguise/internal/rng"
 )
 
@@ -42,11 +41,6 @@ type Client struct {
 	Faults fault.ClientSchedule
 	// Logf, when non-nil, narrates retries and injected faults.
 	Logf func(format string, args ...any)
-	// Spans, when set, records one CompClient span per Stream call (on
-	// the sequence-number clock) and stamps every ingest request with
-	// the X-Dag-Span header, so the server's ingest spans nest under the
-	// client's stream span across the process boundary.
-	Spans *obs.Spans
 }
 
 func (c *Client) httpc() *http.Client {
@@ -88,15 +82,12 @@ func encodeBatch(batch []Observation) []byte {
 
 // post sends one ingest request and decodes the response body (best
 // effort: a non-JSON body yields a zero IngestResult with the status).
-func (c *Client) post(ctx context.Context, body io.Reader, span uint64) (IngestResult, int, http.Header, error) {
+func (c *Client) post(ctx context.Context, body io.Reader) (IngestResult, int, http.Header, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+"/v1/ingest", body)
 	if err != nil {
 		return IngestResult{}, 0, nil, err
 	}
 	req.Header.Set("Content-Type", "application/x-ndjson")
-	if span != 0 {
-		req.Header.Set(obs.SpanHeader, obs.SpanContext{Span: span, Name: "stream"}.Encode())
-	}
 	resp, err := c.httpc().Do(req)
 	if err != nil {
 		return IngestResult{}, 0, nil, err
@@ -111,20 +102,20 @@ func (c *Client) post(ctx context.Context, body io.Reader, span uint64) (IngestR
 // requests whose rejection (or slow drip) exercises the server's
 // validation and read paths. Responses are ignored — the real send
 // follows.
-func (c *Client) injectPreSend(ctx context.Context, batchIdx int, payload []byte, span uint64) {
+func (c *Client) injectPreSend(ctx context.Context, batchIdx int, payload []byte) {
 	for _, ev := range c.Faults.ForBatch(batchIdx) {
 		switch ev.Kind {
 		case fault.MalformedPayload:
 			c.logf("chaos: malformed pre-send at batch %d", batchIdx)
 			garbage := []byte("{\"tenant\":\"x\",\"seq\":not-json\n\x00\xff")
-			_, _, _, _ = c.post(ctx, bytes.NewReader(garbage), span)
+			_, _, _, _ = c.post(ctx, bytes.NewReader(garbage))
 		case fault.TruncatedPayload:
 			cut := len(payload) / 2
 			if cut == 0 {
 				cut = 1
 			}
 			c.logf("chaos: truncated pre-send at batch %d (%d/%d bytes)", batchIdx, cut, len(payload))
-			_, _, _, _ = c.post(ctx, bytes.NewReader(payload[:cut]), span)
+			_, _, _, _ = c.post(ctx, bytes.NewReader(payload[:cut]))
 		case fault.BurstStorm:
 			// Duplicate storm: fire the real payload several extra times
 			// up front. Whatever subset the server accepts, the sequence
@@ -138,7 +129,7 @@ func (c *Client) injectPreSend(ctx context.Context, batchIdx int, payload []byte
 			}
 			c.logf("chaos: burst storm at batch %d (%d extra sends)", batchIdx, m)
 			for j := 0; j < m; j++ {
-				_, _, _, _ = c.post(ctx, bytes.NewReader(payload), span)
+				_, _, _, _ = c.post(ctx, bytes.NewReader(payload))
 			}
 		case fault.StalledReader:
 			// Open a request whose body never arrives, then abandon it:
@@ -153,7 +144,7 @@ func (c *Client) injectPreSend(ctx context.Context, batchIdx int, payload []byte
 			tm := time.AfterFunc(150*time.Millisecond, func() {
 				pw.CloseWithError(context.Canceled)
 			})
-			_, _, _, _ = c.post(stallCtx, pr, span)
+			_, _, _, _ = c.post(stallCtx, pr)
 			tm.Stop()
 			pw.CloseWithError(context.Canceled)
 			cancel()
@@ -163,7 +154,7 @@ func (c *Client) injectPreSend(ctx context.Context, batchIdx int, payload []byte
 
 // sendBody wraps the payload in this batch's in-flight faults (slow
 // trickled writes) and posts it.
-func (c *Client) sendBody(ctx context.Context, batchIdx int, payload []byte, span uint64) (IngestResult, int, http.Header, error) {
+func (c *Client) sendBody(ctx context.Context, batchIdx int, payload []byte) (IngestResult, int, http.Header, error) {
 	for _, ev := range c.Faults.ForBatch(batchIdx) {
 		if ev.Kind == fault.SlowClient {
 			chunk := ev.Magnitude
@@ -171,10 +162,10 @@ func (c *Client) sendBody(ctx context.Context, batchIdx int, payload []byte, spa
 				chunk = 1
 			}
 			c.logf("chaos: slow client at batch %d (%d-byte chunks)", batchIdx, chunk)
-			return c.post(ctx, &trickleReader{data: payload, chunk: chunk, pause: time.Millisecond}, span)
+			return c.post(ctx, &trickleReader{data: payload, chunk: chunk, pause: time.Millisecond})
 		}
 	}
-	return c.post(ctx, bytes.NewReader(payload), span)
+	return c.post(ctx, bytes.NewReader(payload))
 }
 
 // trickleReader serves data in tiny chunks with pauses — a slowloris-
@@ -239,11 +230,6 @@ func (c *Client) Stream(ctx context.Context, observations []Observation) (Stream
 	if len(observations) > 0 {
 		first = observations[0].Seq
 	}
-	// The stream span lives on the sequence-number clock (the only
-	// deterministic time axis a retrying client has) and is the parent
-	// every ingest request propagates to the server.
-	span := c.Spans.Begin("stream", obs.CompClient, 0, 0, 0, first)
-	defer func() { c.Spans.End(span, first+uint64(len(observations))) }()
 	i, batchIdx, attempts := 0, 0, 0
 	for i < len(observations) {
 		end := i + c.batchSize()
@@ -251,8 +237,8 @@ func (c *Client) Stream(ctx context.Context, observations []Observation) (Stream
 			end = len(observations)
 		}
 		payload := encodeBatch(observations[i:end])
-		c.injectPreSend(ctx, batchIdx, payload, span)
-		res, status, hdr, err := c.sendBody(ctx, batchIdx, payload, span)
+		c.injectPreSend(ctx, batchIdx, payload)
+		res, status, hdr, err := c.sendBody(ctx, batchIdx, payload)
 		batchIdx++
 
 		backoffRetry := func(why string) error {

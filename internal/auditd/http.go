@@ -33,7 +33,6 @@ type IngestResult struct {
 //	GET  /v1/verdicts/{tenant}       one tenant's verdict
 //	POST /v1/tenants/{tenant}/flush  force the final partial window
 //	POST /v1/checkpoint              force a durable checkpoint
-//	GET  /v1/alerts                  SLO alert edges + currently firing set
 //	GET  /metrics                    Prometheus text exposition
 //	GET  /healthz                    liveness (process is up)
 //	GET  /readyz                     readiness (accepting and not overloaded)
@@ -44,7 +43,6 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/verdicts/{tenant}", s.handleVerdict)
 	mux.HandleFunc("POST /v1/tenants/{tenant}/flush", s.handleFlush)
 	mux.HandleFunc("POST /v1/checkpoint", s.handleCheckpoint)
-	mux.HandleFunc("GET /v1/alerts", s.handleAlerts)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -120,13 +118,7 @@ func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, IngestResult{Error: "draining"})
 		return
 	}
-	n := s.ctr.batches.Add(1)
-	// One span per ingest request, parented on the client's propagated
-	// span context; the logical clock is the batch counter, so the trace
-	// lane is dense regardless of wall-time gaps between requests.
-	sc := obs.ParseSpanContext(r.Header.Get(obs.SpanHeader))
-	span := s.cfg.Spans.Begin("ingest", obs.CompService, 0, 0, sc.Span, n-1)
-	defer func() { s.cfg.Spans.End(span, s.ctr.batches.Load()) }()
+	s.ctr.batches.Add(1)
 
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBatchBytes))
 	if err != nil {
@@ -170,7 +162,7 @@ func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		req := &batchReq{t: t, obs: group, done: make(chan batchResp, 1)}
 		select {
-		case s.shardFor(name).ch <- req:
+		case s.shardFor(name) <- req:
 		default:
 			// Queue full: shed this request rather than block or buffer.
 			s.ctr.shed.Add(uint64(len(group)))
@@ -256,23 +248,6 @@ func (s *Service) handleFlush(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// AlertsResponse is the GET /v1/alerts body: the engine's retained
-// alert edges (oldest first), the (rule, series) pairs currently in
-// violation, and the active rule set.
-type AlertsResponse struct {
-	History []obs.Alert `json:"history"`
-	Firing  []string    `json:"firing"`
-	Rules   []obs.Rule  `json:"rules,omitempty"`
-}
-
-func (s *Service) handleAlerts(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, AlertsResponse{
-		History: s.engine.History(),
-		Firing:  s.engine.Firing(),
-		Rules:   s.engine.Rules(),
-	})
-}
-
 func (s *Service) handleCheckpoint(w http.ResponseWriter, _ *http.Request) {
 	if s.cfg.CheckpointPath == "" {
 		writeJSON(w, http.StatusUnprocessableEntity, map[string]string{"error": "checkpointing disabled"})
@@ -302,13 +277,15 @@ func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		{"tenants_quarantined", s.ctr.quarantined.Load()},
 		{"panics_recovered", s.ctr.panics.Load()},
 		{"checkpoints", s.ctr.checkpoints.Load()},
-		{"alert_edges", s.ctr.alerts.Load()},
-		{"webhook_delivered", s.cfg.Notifier.Delivered()},
-		{"webhook_failed", s.cfg.Notifier.Failed()},
-		{"webhook_dropped", s.cfg.Notifier.Dropped()},
 	} {
 		fmt.Fprintf(w, "# TYPE dagauditd_%s_total counter\n", c.name)
 		fmt.Fprintf(w, "dagauditd_%s_total %d\n", c.name, c.v)
+	}
+	// Each shard queue's current length; its capacity is QueueDepth, and
+	// a full queue is what sheds load.
+	fmt.Fprintln(w, "# TYPE dagauditd_shard_queue_len gauge")
+	for i, sh := range s.shards {
+		fmt.Fprintf(w, "dagauditd_shard_queue_len{shard=\"%d\"} %d\n", i, len(sh))
 	}
 	// Tenant → metrics-domain mapping, then the per-domain registry
 	// (request-value histograms keyed by tenant slot).

@@ -128,10 +128,6 @@ func laneName(c Component, tid int32) string {
 		return fmt.Sprintf("core dom %d", tid)
 	case CompRunner:
 		return fmt.Sprintf("job %d", tid)
-	case CompClient:
-		return fmt.Sprintf("stream %d", tid)
-	case CompService:
-		return fmt.Sprintf("shard %d", tid)
 	default:
 		return fmt.Sprintf("lane %d", tid)
 	}

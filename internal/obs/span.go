@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"strconv"
-	"strings"
-	"sync"
-)
+import "sync"
 
 // Spans is the flight recorder's structured-span layer: request-scoped
 // begin/end pairs with deterministic IDs and parent/child nesting,
@@ -24,8 +20,8 @@ type Spans struct {
 }
 
 // NewSpans builds a span recorder emitting into tr (which may be nil:
-// spans still allocate IDs and track openness, useful for propagation
-// without local retention).
+// spans still allocate IDs and track openness, so parent IDs thread
+// through a caller that retains no events).
 func NewSpans(tr *Tracer) *Spans {
 	return &Spans{tr: tr, next: 1, open: make(map[uint64]Event)}
 }
@@ -63,44 +59,4 @@ func (s *Spans) End(id, now uint64) {
 	}
 	ev.Cycle, ev.Kind = now, EvSpanEnd
 	s.tr.Emit(ev)
-}
-
-// SpanHeader is the HTTP header carrying a span context across process
-// boundaries (auditd client -> auditd ingest).
-const SpanHeader = "X-Dag-Span"
-
-// SpanContext is a propagated parent reference: the remote span ID and
-// the name of the trace it belongs to.
-type SpanContext struct {
-	Span uint64
-	Name string
-}
-
-// Encode renders the context for the SpanHeader value.
-func (c SpanContext) Encode() string {
-	if c.Span == 0 {
-		return ""
-	}
-	if c.Name == "" {
-		return strconv.FormatUint(c.Span, 10)
-	}
-	return strconv.FormatUint(c.Span, 10) + ";" + c.Name
-}
-
-// ParseSpanContext decodes a SpanHeader value. Empty or malformed
-// values return the zero context (span 0 = no parent), never an error:
-// a bad header must not fail an ingest.
-func ParseSpanContext(v string) SpanContext {
-	if v == "" {
-		return SpanContext{}
-	}
-	name := ""
-	if i := strings.IndexByte(v, ';'); i >= 0 {
-		v, name = v[:i], v[i+1:]
-	}
-	id, err := strconv.ParseUint(strings.TrimSpace(v), 10, 64)
-	if err != nil {
-		return SpanContext{}
-	}
-	return SpanContext{Span: id, Name: name}
 }

@@ -55,35 +55,11 @@ func TestSpanEndUnknownAndNilAreNoOps(t *testing.T) {
 	}
 }
 
-func TestSpanContextEncodeParse(t *testing.T) {
-	cases := []struct {
-		in   SpanContext
-		want string
-	}{
-		{SpanContext{}, ""},
-		{SpanContext{Span: 42}, "42"},
-		{SpanContext{Span: 42, Name: "stream/insecure"}, "42;stream/insecure"},
-	}
-	for _, c := range cases {
-		if got := c.in.Encode(); got != c.want {
-			t.Errorf("Encode(%+v) = %q, want %q", c.in, got, c.want)
-		}
-		if back := ParseSpanContext(c.want); back != c.in {
-			t.Errorf("ParseSpanContext(%q) = %+v, want %+v", c.want, back, c.in)
-		}
-	}
-	for _, bad := range []string{"abc", "-1", "1e3", ";name"} {
-		if got := ParseSpanContext(bad); got != (SpanContext{}) {
-			t.Errorf("ParseSpanContext(%q) = %+v, want zero", bad, got)
-		}
-	}
-}
-
 func TestSpanExportNests(t *testing.T) {
 	tr := NewTracer(16)
 	sp := NewSpans(tr)
-	root := sp.Begin("batch", CompService, 3, 1, 0, 10)
-	sp.Begin("fold", CompService, 3, 1, root, 12) // left open
+	root := sp.Begin("batch", CompRunner, 3, 1, 0, 10)
+	sp.Begin("fold", CompRunner, 3, 1, root, 12) // left open
 	sp.End(root, 20)
 
 	var buf bytes.Buffer
@@ -96,7 +72,7 @@ func TestSpanExportNests(t *testing.T) {
 		`"ph":"B","name":"fold"`,
 		`"args":{"span":2,"parent":1,"domain":1}`,
 		`"ph":"E","name":"batch"`,
-		`"name":"shard 3"`,
+		`"name":"job 3"`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("span export missing %q:\n%s", want, out)

@@ -22,10 +22,6 @@ const (
 	CompSystem
 	// CompRunner events live on the campaign supervisor's per-shard lanes.
 	CompRunner
-	// CompClient events live on auditd-client stream lanes.
-	CompClient
-	// CompService events live on auditd ingest/shard lanes.
-	CompService
 
 	numComponents
 )
@@ -38,8 +34,6 @@ var componentNames = [numComponents]string{
 	CompCore:    "cores",
 	CompSystem:  "system",
 	CompRunner:  "runner",
-	CompClient:  "audit client",
-	CompService: "audit service",
 }
 
 // String returns the component's lane-group name.
@@ -74,8 +68,6 @@ const (
 	// recorder); Span carries the span ID, Parent the enclosing span.
 	EvSpanBegin
 	EvSpanEnd
-	// EvAlert marks an SLO rule firing or resolving (system lane).
-	EvAlert
 
 	numEventKinds
 )
@@ -92,7 +84,6 @@ var eventNames = [numEventKinds]string{
 	EvViolation:   "violation",
 	EvSpanBegin:   "span-begin",
 	EvSpanEnd:     "span-end",
-	EvAlert:       "alert",
 }
 
 // String returns the event kind's display name.
