@@ -24,34 +24,19 @@ func main() {
 	trials := flag.Int("trials", 3, "trials per secret")
 	metrics := flag.Bool("metrics", false, "print the per-domain observability metrics table after the experiment")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON (Perfetto-loadable) to this path")
-	traceCap := flag.Int("trace-cap", obs.DefaultTraceCap, "event trace ring capacity")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	interval := flag.Duration("metrics-interval", 0, "print periodic metric delta snapshots to stderr (e.g. 10s)")
 	flag.Parse()
-
-	if *pprofAddr != "" {
-		addr, err := obs.ServePprof(*pprofAddr)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "dagattack: pprof at http://%s/debug/pprof/\n", addr)
-	}
 
 	var mx *obs.Registry
 	var tr *obs.Tracer
 	var attach func(*attack.Harness)
-	if *metrics || *interval > 0 {
+	if *metrics {
 		mx = obs.NewRegistry(3) // system slot + victim + attacker domains
 	}
 	if *traceOut != "" {
-		tr = obs.NewTracer(*traceCap)
+		tr = obs.NewTracer(0)
 	}
 	if mx != nil || tr != nil {
 		attach = func(h *attack.Harness) { h.Observe(mx, tr) }
-	}
-	if *interval > 0 {
-		stop := obs.StartIntervalDump(os.Stderr, mx, *interval)
-		defer stop()
 	}
 	defer func() {
 		if *metrics {

@@ -48,9 +48,6 @@ func main() {
 	expect := flag.String("expect", "clean", "expected verdict gating the exit code: clean or leak")
 	metrics := flag.Bool("metrics", false, "print the per-domain observability metrics table after the audit")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON (Perfetto-loadable) to this path")
-	traceCap := flag.Int("trace-cap", obs.DefaultTraceCap, "event trace ring capacity")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	interval := flag.Duration("metrics-interval", 0, "print periodic metric delta snapshots to stderr (e.g. 10s)")
 	timeout := flag.Duration("timeout", 0, "abort the audit after this long (0 = no deadline)")
 	flag.Parse()
 
@@ -72,14 +69,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *pprofAddr != "" {
-		addr, err := obs.ServePprof(*pprofAddr)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "dagaudit: pprof at http://%s/debug/pprof/\n", addr)
-	}
-
 	cfg := audit.Config{
 		Window:       *window,
 		Stride:       *stride,
@@ -95,18 +84,14 @@ func main() {
 	var mx *obs.Registry
 	var tr *obs.Tracer
 	var attach func(*attack.Harness)
-	if *metrics || *interval > 0 {
+	if *metrics {
 		mx = obs.NewRegistry(3) // system slot + victim + attacker domains
 	}
 	if *traceOut != "" {
-		tr = obs.NewTracer(*traceCap)
+		tr = obs.NewTracer(0)
 	}
 	if mx != nil || tr != nil {
 		attach = func(h *attack.Harness) { h.Observe(mx, tr) }
-	}
-	if *interval > 0 {
-		stop := obs.StartIntervalDump(os.Stderr, mx, *interval)
-		defer stop()
 	}
 
 	rep, err := eval.AuditCtx(ctx, scheme, *probes, cfg, attach)

@@ -1,15 +1,10 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
 
-	"dagguise/internal/ckpt"
 	"dagguise/internal/fleet"
-	"dagguise/internal/obs"
 )
 
 // fleetFlags shape the fleet pool every sweep runs on, and with -shards
@@ -20,7 +15,6 @@ type fleetFlags struct {
 	workers     int
 	channels    int
 	domains     int
-	promOut     string
 	faultEvents int
 }
 
@@ -30,7 +24,6 @@ func registerFleetFlags() *fleetFlags {
 	flag.IntVar(&f.workers, "workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	flag.IntVar(&f.channels, "channels", 4, "with -shards: memory channels in the multi-channel machine")
 	flag.IntVar(&f.domains, "domains", 100, "with -shards: tenant security domains")
-	flag.StringVar(&f.promOut, "prom-out", "", "write fleet_* and per-shard counters in Prometheus text format to this path after the run")
 	flag.IntVar(&f.faultEvents, "fault-events", 0, "with -shards: derive a seeded per-shard fault campaign of this many events (DRAM stalls, shaper rejects, egress stalls, deferred responses) from the sweep fingerprint (0 = clean sweep)")
 	return f
 }
@@ -64,29 +57,4 @@ func printVerdicts(sweep fleet.Sweep, rep *fleet.Report) {
 	}
 	fmt.Printf("fleet: %d shards, %d tenants x %d channels, %d cycles each, %d requests completed\n",
 		rep.Totals.Shards, sweep.Config.Domains, sweep.Config.Channels, sweep.Cycles, rep.Totals.Completed)
-}
-
-// writeFleetProm renders the fleet_* registry counters plus the
-// per-shard manifest counters in Prometheus text format.
-func writeFleetProm(out, manifestDir string, mx *obs.Registry) int {
-	var buf bytes.Buffer
-	if err := obs.WritePrometheus(&buf, mx.Snapshot(), ""); err != nil {
-		fmt.Fprintln(os.Stderr, "dagchaos:", err)
-		return 1
-	}
-	m, err := fleet.LoadManifest(filepath.Join(manifestDir, fleet.ManifestName))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dagchaos:", err)
-		return 1
-	}
-	if err := fleet.WriteShardPrometheus(&buf, m.Records); err != nil {
-		fmt.Fprintln(os.Stderr, "dagchaos:", err)
-		return 1
-	}
-	if err := ckpt.WriteFileAtomic(out, buf.Bytes()); err != nil {
-		fmt.Fprintln(os.Stderr, "dagchaos:", err)
-		return 1
-	}
-	fmt.Fprintf(os.Stderr, "dagchaos: wrote fleet metrics to %s\n", out)
-	return 0
 }

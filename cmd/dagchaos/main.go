@@ -25,7 +25,7 @@
 //	dagchaos -scheme dagguise         # one scheme only
 //	dagchaos -cycles 200000           # longer runs
 //	dagchaos -fail-trace fail.json    # Perfetto postmortem of the first failure
-//	dagchaos -spans -trace-out t.json # one span per shard attempt in the export
+//	dagchaos -trace-out t.json        # Perfetto trace of the sweep's machines
 //	dagchaos -cycle-profile           # per-component cycle-attribution table
 //	dagchaos -checkpoint-dir state -checkpoint-every 50000 -out report.json
 //
@@ -82,8 +82,6 @@ type runOpts struct {
 	out        string
 	traceOut   string
 	failTrace  string
-	pprofAddr  string
-	spans      bool
 	metrics    bool
 	cycleProf  bool
 	fleetFlags *fleetFlags
@@ -100,14 +98,12 @@ func main() {
 	flag.BoolVar(&o.metrics, "metrics", false, "print the observability metrics table after the sweep")
 	flag.StringVar(&o.traceOut, "trace-out", "", "write a Chrome trace-event JSON of the sweep to this path")
 	flag.StringVar(&o.failTrace, "fail-trace", "", "dump a Perfetto-viewable event trace of the first failing two-core campaign to this path")
-	flag.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	flag.StringVar(&o.dir, "checkpoint-dir", "", "directory for the fleet manifest and mid-shard checkpoints; rerunning with the same flags resumes it (empty = throwaway directory, no checkpoints)")
 	flag.Uint64Var(&o.every, "checkpoint-every", 50_000, "mid-shard checkpoint cadence in cycles (with -checkpoint-dir)")
 	flag.DurationVar(&o.timeout, "timeout", 0, "wall-clock budget for the sweep (0 = none); on expiry running shards park at a chunk boundary and the sweep exits resumably")
 	flag.IntVar(&o.retries, "retries", 0, "retries per shard after a failed attempt")
 	flag.StringVar(&o.out, "out", "", "write the merged sweep report (deterministic JSON) to this path")
-	flag.BoolVar(&o.spans, "spans", false, "record one span per shard attempt (exported with -trace-out)")
-	flag.BoolVar(&o.cycleProf, "cycle-profile", false, "print the per-component cycle-attribution table after a two-core sweep (forces -workers 1)")
+	flag.BoolVar(&o.cycleProf, "cycle-profile", false, "print the per-component cycle-attribution table after the sweep (forces -workers 1)")
 	topts := registerTrafficFlags()
 	o.fleetFlags = registerFleetFlags()
 	flag.Parse()
@@ -157,13 +153,6 @@ func main() {
 // -checkpoint-dir).
 func runFleet(sweep fleet.Sweep, o runOpts) int {
 	f := o.fleetFlags
-	if o.pprofAddr != "" {
-		addr, err := obs.ServePprof(o.pprofAddr)
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "dagchaos: pprof at http://%s/debug/pprof/\n", addr)
-	}
 	dir, every := o.dir, o.every
 	if dir == "" {
 		tmp, err := os.MkdirTemp("", "dagchaos-fleet-*")
@@ -175,40 +164,35 @@ func runFleet(sweep fleet.Sweep, o runOpts) int {
 		// the mid-shard checkpoints altogether.
 		dir, every = tmp, 0
 	}
-	// Fleet counters go to mx; the machines of a two-core sweep are
-	// observed through Attach into simMx, tr and prof.
-	var mx, simMx *obs.Registry
+	// Every machine the sweep builds is observed through Attach into mx,
+	// tr and prof; registry and tracer are safe for concurrent workers.
+	var mx *obs.Registry
 	var tr *obs.Tracer
-	var sp *obs.Spans
 	var prof *obs.CycleProfile
-	if o.metrics || f.promOut != "" {
-		mx = obs.NewRegistry(1)
+	if o.metrics {
+		domains := 3 // two cores + the system-wide slot
+		if sweep.TwoCore == nil {
+			domains = sweep.Config.Domains + 1
+		}
+		mx = obs.NewRegistry(domains)
 	}
 	if o.traceOut != "" {
 		tr = obs.NewTracer(0)
 	}
-	if o.spans {
-		sp = obs.NewSpans(tr) // tr may be nil: IDs still thread through the pool
+	if o.cycleProf {
+		prof = obs.NewCycleProfile()
+		if f.workers != 1 {
+			fmt.Fprintln(os.Stderr, "dagchaos: cycle profiling is lap-clocked and single-threaded; forcing -workers 1")
+			f.workers = 1
+		}
 	}
 	var attach func(*sim.System)
 	var simCycles atomic.Uint64
-	if sweep.TwoCore != nil {
-		if o.metrics {
-			simMx = obs.NewRegistry(3) // two cores + the system-wide slot
-		}
-		if o.cycleProf {
-			prof = obs.NewCycleProfile()
-			if f.workers != 1 {
-				fmt.Fprintln(os.Stderr, "dagchaos: cycle profiling is lap-clocked and single-threaded; forcing -workers 1")
-				f.workers = 1
-			}
-		}
-		if simMx != nil || tr != nil || prof != nil {
-			attach = func(sys *sim.System) {
-				simCycles.Add(sweep.Cycles)
-				sys.Observe(simMx, tr)
-				sys.Profile(prof)
-			}
+	if mx != nil || tr != nil || prof != nil {
+		attach = func(sys *sim.System) {
+			simCycles.Add(sweep.Cycles)
+			sys.Observe(mx, tr)
+			sys.Profile(prof)
 		}
 	}
 
@@ -228,8 +212,6 @@ func runFleet(sweep fleet.Sweep, o runOpts) int {
 		Backoff:         100 * time.Millisecond,
 		MaxBackoff:      5 * time.Second,
 		Log:             os.Stderr,
-		Spans:           sp,
-		Mx:              mx,
 		Attach:          attach,
 	})
 	switch {
@@ -267,11 +249,7 @@ func runFleet(sweep fleet.Sweep, o runOpts) int {
 	}
 	if o.metrics {
 		fmt.Println()
-		if simMx != nil {
-			fmt.Print(obs.FormatSummary(simMx.Snapshot(), 0))
-		} else {
-			fmt.Print(obs.FormatSummary(mx.Snapshot(), 0))
-		}
+		fmt.Print(obs.FormatSummary(mx.Snapshot(), 0))
 	}
 	if prof != nil {
 		fmt.Println()
@@ -282,11 +260,6 @@ func runFleet(sweep fleet.Sweep, o runOpts) int {
 			return fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "dagchaos: wrote %d trace events to %s\n", tr.Len(), o.traceOut)
-	}
-	if f.promOut != "" {
-		if code := writeFleetProm(f.promOut, dir, mx); code != 0 {
-			return code
-		}
 	}
 	if failures > 0 {
 		fmt.Fprintf(os.Stderr, "dagchaos: %d campaign(s) failed\n", failures)

@@ -21,24 +21,13 @@ func main() {
 	window := flag.Uint64("window", 1_600_000, "measurement cycles per candidate")
 	metrics := flag.Bool("metrics", false, "print the per-domain observability metrics table after the sweep")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON (Perfetto-loadable) to this path")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	interval := flag.Duration("metrics-interval", 0, "print periodic metric delta snapshots to stderr (e.g. 10s)")
 	flag.Parse()
-
-	if *pprofAddr != "" {
-		addr, err := obs.ServePprof(*pprofAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dagprof:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "dagprof: pprof at http://%s/debug/pprof/\n", addr)
-	}
 
 	opts := eval.Options{Warmup: *warmup, Window: *window}
 	var mx *obs.Registry
 	var tr *obs.Tracer
 	var simCycles uint64
-	if *metrics || *interval > 0 {
+	if *metrics {
 		mx = obs.NewRegistry(2) // profiling runs the victim alone: domains 0 and 1
 	}
 	if *traceOut != "" {
@@ -49,10 +38,6 @@ func main() {
 			simCycles += *warmup + *window
 			sys.Observe(mx, tr)
 		}
-	}
-	if *interval > 0 {
-		stop := obs.StartIntervalDump(os.Stderr, mx, *interval)
-		defer stop()
 	}
 
 	res, err := eval.Figure7(opts)

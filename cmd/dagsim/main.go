@@ -11,7 +11,8 @@
 //	dagsim -metrics                 # append the per-domain metrics table
 //	dagsim -trace-out run.json      # export a Perfetto-loadable event trace
 //	dagsim -cycle-profile           # append the per-component cycle-attribution table
-//	dagsim -pprof localhost:6060    # live pprof endpoints while it runs
+//
+// SIGINT or SIGTERM stops the sweep between cycles and exits with status 3.
 package main
 
 import (
@@ -21,7 +22,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -40,14 +40,8 @@ func main() {
 	window := flag.Uint64("window", eval.DefaultOptions().Window, "measurement cycles per run")
 	metrics := flag.Bool("metrics", false, "print the per-domain observability metrics table after the experiment")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON (Perfetto-loadable) to this path")
-	traceCap := flag.Int("trace-cap", obs.DefaultTraceCap, "event trace ring capacity")
 	cycleProf := flag.Bool("cycle-profile", false, "print the per-component cycle-attribution table after the experiment")
 	cycleProfOut := flag.String("cycle-profile-out", "", "write the cycle-attribution report as JSON to this path (implies profiling)")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	interval := flag.Duration("metrics-interval", 0, "print periodic metric delta snapshots to stderr (e.g. 10s)")
-	ckptDir := flag.String("checkpoint-dir", "", "persist completed measurements here so an interrupted sweep can resume")
-	resume := flag.Bool("resume", false, "resume a sweep from -checkpoint-dir, skipping measurements already done")
-	timeout := flag.Duration("timeout", 0, "stop the sweep after this long (0 = no deadline); combine with -checkpoint-dir to resume later")
 	workers := flag.Int("workers", 1, "parallel per-app figure rows (0 = GOMAXPROCS); output is identical at any worker count")
 	flag.Parse()
 
@@ -61,74 +55,34 @@ func main() {
 
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
-	if *timeout > 0 {
-		var tcancel context.CancelFunc
-		ctx, tcancel = context.WithTimeout(ctx, *timeout)
-		defer tcancel()
-	}
 
 	opts := eval.Options{Warmup: *warmup, Window: *window, Ctx: ctx, Workers: *workers}
 	if *apps != "" {
 		opts.Apps = strings.Split(*apps, ",")
-	}
-	if *resume && *ckptDir == "" {
-		fmt.Fprintln(os.Stderr, "dagsim: -resume requires -checkpoint-dir")
-		os.Exit(2)
-	}
-	cachePath := ""
-	if *ckptDir != "" {
-		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
-			fatal(err)
-		}
-		cachePath = filepath.Join(*ckptDir, "results-cache.json")
-		if _, err := os.Stat(cachePath); err == nil && !*resume {
-			fmt.Fprintf(os.Stderr, "dagsim: %s already holds completed measurements; pass -resume to continue them or remove the directory to start over\n", cachePath)
-			os.Exit(2)
-		}
-		cache, err := eval.OpenRunCache(cachePath)
-		if err != nil {
-			fatal(err)
-		}
-		if n := cache.Cached(map[int]int{2: 9, 8: 10}[*cores], opts); n > 0 {
-			fmt.Fprintf(os.Stderr, "dagsim: resuming, %d measurements already cached\n", n)
-		}
-		opts.Cache = cache
-	}
-
-	if *pprofAddr != "" {
-		addr, err := obs.ServePprof(*pprofAddr)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "dagsim: pprof at http://%s/debug/pprof/\n", addr)
 	}
 
 	var mx *obs.Registry
 	var tr *obs.Tracer
 	var prof *obs.CycleProfile
 	var simCycles uint64
-	if *metrics || *interval > 0 {
+	if *metrics {
 		mx = obs.NewRegistry(*cores + 1)
 	}
 	if *traceOut != "" {
-		tr = obs.NewTracer(*traceCap)
+		tr = obs.NewTracer(0)
 	}
 	if *cycleProf || *cycleProfOut != "" {
 		prof = obs.NewCycleProfile()
 	}
 	// Attach arms every run's watchdog, so a machine that stops making
-	// progress fails with a *sim.SimError instead of spinning until the
-	// deadline. It can run from parallel row workers; registry and tracer
+	// progress fails with a *sim.SimError instead of spinning until
+	// interrupted. It can run from parallel row workers; registry and tracer
 	// are thread-safe and the cycle counter is atomic.
 	opts.Attach = func(sys *sim.System) {
 		sys.SetWatchdog(sim.DefaultWatchdog())
 		atomic.AddUint64(&simCycles, *warmup+*window)
 		sys.Observe(mx, tr)
 		sys.Profile(prof)
-	}
-	if *interval > 0 {
-		stop := obs.StartIntervalDump(os.Stderr, mx, *interval)
-		defer stop()
 	}
 	start := time.Now()
 	defer func() {
@@ -163,7 +117,7 @@ func main() {
 	case 2:
 		res, err := eval.Figure9(opts)
 		if err != nil {
-			interrupted(err, cachePath)
+			interrupted(err)
 			fatal(err)
 		}
 		fmt.Println("Figure 9: average normalized IPC, DocDist + one SPEC app on two cores")
@@ -173,7 +127,7 @@ func main() {
 	case 8:
 		res, err := eval.Figure10(opts)
 		if err != nil {
-			interrupted(err, cachePath)
+			interrupted(err)
 			fatal(err)
 		}
 		fmt.Println("Figure 10: average normalized IPC, 2xDocDist + 2xDNA + 4xSPEC on eight cores")
@@ -185,16 +139,12 @@ func main() {
 	}
 }
 
-// interrupted exits with status 3 when the sweep stopped on a signal or
-// deadline, pointing at the resume command if measurements were persisted.
-func interrupted(err error, cachePath string) {
-	if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+// interrupted exits with status 3 when the sweep stopped on a signal.
+func interrupted(err error) {
+	if !errors.Is(err, context.Canceled) {
 		return
 	}
 	fmt.Fprintln(os.Stderr, "dagsim: interrupted:", err)
-	if cachePath != "" {
-		fmt.Fprintln(os.Stderr, "dagsim: completed measurements saved; rerun with -resume to continue")
-	}
 	os.Exit(3)
 }
 

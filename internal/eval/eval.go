@@ -40,10 +40,6 @@ type Options struct {
 	// simulation's tick loop: a SIGINT/SIGTERM or deadline stops the sweep
 	// between cycles and surfaces as a context error.
 	Ctx context.Context
-	// Cache, when non-nil, resumes figure sweeps: completed (figure, app,
-	// scheme, warmup, window) measurements are persisted immediately and
-	// skipped on rerun.
-	Cache *RunCache
 	// Workers parallelizes the per-app rows of the figure sweeps over a
 	// bounded goroutine pool (<= 1 = sequential). Rows are independent
 	// simulations with per-app seeds and results are assembled in app
@@ -51,6 +47,22 @@ type Options struct {
 	// attaching a non-thread-safe observer (obs.CycleProfile) must keep
 	// this at 1.
 	Workers int
+}
+
+// apps returns the figure rows' apps: opts.Apps, or every workload.
+func (o Options) apps() []string {
+	if len(o.Apps) == 0 {
+		return workload.Names()
+	}
+	return o.Apps
+}
+
+// ctxOf returns the Options context, defaulting to Background.
+func (o Options) ctxOf() context.Context {
+	if o.Ctx != nil {
+		return o.Ctx
+	}
+	return context.Background()
 }
 
 // DefaultOptions returns windows long enough for stable IPCs: the window
@@ -178,16 +190,8 @@ type SchemeIPCs struct {
 	TotalGBps float64
 }
 
-// runSystem builds and measures one configuration of a figure's row for
-// app, unless the resume cache already holds it (see cacheKey), in which
-// case the cached measurement short-circuits the simulation entirely.
-func runSystem(figure int, app string, scheme config.Scheme, specs []sim.CoreSpec, opts Options) (SchemeIPCs, error) {
-	key := cacheKey(figure, app, scheme, opts)
-	if opts.Cache != nil {
-		if out, ok := opts.Cache.get(key); ok {
-			return out, nil
-		}
-	}
+// runSystem builds and measures one configuration of a figure's row.
+func runSystem(scheme config.Scheme, specs []sim.CoreSpec, opts Options) (SchemeIPCs, error) {
 	cfg := config.Default(len(specs), scheme)
 	sys, err := sim.New(cfg, specs)
 	if err != nil {
@@ -203,11 +207,6 @@ func runSystem(figure int, app string, scheme config.Scheme, specs []sim.CoreSpe
 	out := SchemeIPCs{TotalGBps: res.TotalGBps}
 	for _, c := range res.Cores {
 		out.IPCs = append(out.IPCs, c.IPC)
-	}
-	if opts.Cache != nil {
-		if err := opts.Cache.put(key, out); err != nil {
-			return SchemeIPCs{}, err
-		}
 	}
 	return out, nil
 }
@@ -256,7 +255,7 @@ func Figure9(opts Options) (*Figure9Result, error) {
 		if err != nil {
 			return err
 		}
-		base, err := runSystem(9, app, config.Insecure, insSpecs, opts)
+		base, err := runSystem(config.Insecure, insSpecs, opts)
 		if err != nil {
 			return err
 		}
@@ -264,7 +263,7 @@ func Figure9(opts Options) (*Figure9Result, error) {
 		if err != nil {
 			return err
 		}
-		fs, err := runSystem(9, app, config.FSBTA, fsSpecs, opts)
+		fs, err := runSystem(config.FSBTA, fsSpecs, opts)
 		if err != nil {
 			return err
 		}
@@ -272,7 +271,7 @@ func Figure9(opts Options) (*Figure9Result, error) {
 		if err != nil {
 			return err
 		}
-		dag, err := runSystem(9, app, config.DAGguise, dagSpecs, opts)
+		dag, err := runSystem(config.DAGguise, dagSpecs, opts)
 		if err != nil {
 			return err
 		}
@@ -364,7 +363,7 @@ func Figure10(opts Options) (*Figure10Result, error) {
 		if err != nil {
 			return err
 		}
-		base, err := runSystem(10, app, config.Insecure, insSpecs, opts)
+		base, err := runSystem(config.Insecure, insSpecs, opts)
 		if err != nil {
 			return err
 		}
@@ -372,7 +371,7 @@ func Figure10(opts Options) (*Figure10Result, error) {
 		if err != nil {
 			return err
 		}
-		fs, err := runSystem(10, app, config.FSBTA, fsSpecs, opts)
+		fs, err := runSystem(config.FSBTA, fsSpecs, opts)
 		if err != nil {
 			return err
 		}
@@ -380,7 +379,7 @@ func Figure10(opts Options) (*Figure10Result, error) {
 		if err != nil {
 			return err
 		}
-		dag, err := runSystem(10, app, config.DAGguise, dagSpecs, opts)
+		dag, err := runSystem(config.DAGguise, dagSpecs, opts)
 		if err != nil {
 			return err
 		}

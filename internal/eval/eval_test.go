@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -187,49 +186,5 @@ func TestFigure9WorkerCountInvariant(t *testing.T) {
 	}
 	if !reflect.DeepEqual(solo, many) {
 		t.Fatalf("Figure9 depends on worker count:\n1 worker:  %+v\n3 workers: %+v", solo, many)
-	}
-}
-
-// TestRunCacheKeysWindow pins that the resume cache holds a measurement
-// under its warmup and window: a Figure 9 sweep resumed from a cache
-// filled at another window measures afresh instead of reporting the other
-// window's IPCs.
-func TestRunCacheKeysWindow(t *testing.T) {
-	opts := quickOpts()
-	opts.Apps = []string{"lbm"}
-	opts.Window = 60_000
-	fresh, err := Figure9(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache, err := OpenRunCache(filepath.Join(t.TempDir(), "results-cache.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	short := opts
-	short.Window = 20_000
-	short.Cache = cache
-	if _, err := Figure9(short); err != nil {
-		t.Fatal(err)
-	}
-	if n := cache.Cached(9, opts); n != 0 {
-		t.Fatalf("a %d-cycle window's cache offers %d measurements to a %d-cycle sweep, want 0", short.Window, n, opts.Window)
-	}
-	opts.Cache = cache
-	resumed, err := Figure9(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fresh, resumed) {
-		t.Fatalf("Figure 9 resumed from a %d-cycle window's cache differs from a fresh run:\nfresh:   %+v\nresumed: %+v",
-			short.Window, fresh, resumed)
-	}
-	for _, o := range []Options{short, opts} {
-		if n := cache.Cached(9, o); n != 3 {
-			t.Fatalf("cache holds %d measurements at window %d, want 3", n, o.Window)
-		}
-	}
-	if n := cache.Cached(10, opts); n != 0 {
-		t.Fatalf("cache offers %d Figure 9 measurements to Figure 10, want 0", n)
 	}
 }

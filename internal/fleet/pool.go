@@ -41,9 +41,6 @@ type Options struct {
 	// Log receives progress lines (nil = quiet). Log output is wall-clock
 	// ordered and is not part of any byte-stable artifact.
 	Log io.Writer
-	// Spans, when set, records one "shard:<name>" span per shard attempt
-	// on the runner lane of the flight recorder.
-	Spans *obs.Spans
 	// Attach, when set, is called on every machine a shard attempt builds
 	// (each twin), before faults are attached and any checkpoint is
 	// restored, inside the attempt's panic isolation. It is the hook for
@@ -239,14 +236,7 @@ func (p *pool) runClaimed(ctx context.Context, worker int, idx int) {
 	var res *ShardResult
 	var cause error
 	for attempt := 0; ; attempt++ {
-		span := uint64(0)
-		if p.opts.Spans != nil {
-			span = p.opts.Spans.Begin("shard:"+sh.Name, obs.CompRunner, int32(idx), 0, 0, 0)
-		}
 		res, cause = p.runShard(ctx, idx, sh)
-		if p.opts.Spans != nil {
-			p.opts.Spans.End(span, sh.Cycles)
-		}
 		if cause == nil || ctx.Err() != nil || attempt >= p.opts.Retries {
 			break
 		}

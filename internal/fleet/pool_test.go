@@ -12,6 +12,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"dagguise/internal/obs"
+	"dagguise/internal/sim"
 )
 
 // runSweep executes a sweep in its own directory and returns the encoded
@@ -31,13 +34,37 @@ func runSweep(t *testing.T, s Sweep, opts Options) []byte {
 
 // TestFleetWorkerCountInvariant pins the first half of the headline
 // invariant: the merged report is byte-identical whether the sweep ran on
-// one worker or on many.
+// one worker or on many, and whether or not measurement-only observers
+// watched its machines: one registry and tracer shared by four workers,
+// or those plus a cycle profile on the one worker profiling allows.
 func TestFleetWorkerCountInvariant(t *testing.T) {
 	s := testSweep(2, 8, 6000)
 	solo := runSweep(t, s, Options{Workers: 1, Dir: t.TempDir(), CheckpointEvery: 2500})
 	many := runSweep(t, s, Options{Workers: 4, Dir: t.TempDir(), CheckpointEvery: 2500})
 	if !bytes.Equal(solo, many) {
 		t.Fatalf("report depends on worker count:\n--- 1 worker ---\n%s\n--- 4 workers ---\n%s", solo, many)
+	}
+	for _, profiled := range []bool{false, true} {
+		mx, tr := obs.NewRegistry(s.Config.Domains+1), obs.NewTracer(1<<12)
+		var prof *obs.CycleProfile
+		workers := 4
+		if profiled {
+			prof, workers = obs.NewCycleProfile(), 1
+		}
+		observed := runSweep(t, s, Options{
+			Workers: workers, Dir: t.TempDir(), CheckpointEvery: 2500,
+			Attach: func(sys *sim.System) {
+				sys.Observe(mx, tr)
+				sys.Profile(prof)
+			},
+		})
+		if !bytes.Equal(solo, observed) {
+			t.Fatalf("report depends on observers (%d workers, profiled %v):\n--- bare ---\n%s\n--- observed ---\n%s",
+				workers, profiled, solo, observed)
+		}
+		if tr.Len() == 0 || mx.CounterTotal(obs.CtrIssuedReads) == 0 {
+			t.Fatalf("observers saw nothing: %d trace events, %d reads", tr.Len(), mx.CounterTotal(obs.CtrIssuedReads))
+		}
 	}
 }
 

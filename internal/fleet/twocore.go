@@ -30,10 +30,17 @@ type TwoCore struct {
 	traces map[int64]*trace.Slice
 }
 
-// twoCoreMaxStorm keeps every injected DRAM storm well under the default
-// watchdog's stall budget: a healthy machine must never be flagged, so
-// every deadlock report is a finding.
-const twoCoreMaxStorm = 4_000
+// twoCoreMaxStorm and twoCoreMaxWindow keep every injected fault well
+// under the default watchdog's 50,001-cycle stall budget: a healthy
+// machine must never be flagged, so every deadlock report is a finding.
+// fault.Campaign draws DRAM storms up to MaxStorm, but its other windows
+// grow with the horizon (up to Horizon/8); twoCoreMaxWindow, the longest
+// window a 120k-cycle campaign draws, caps them, which leaves every
+// schedule at horizons up to 120k cycles as drawn.
+const (
+	twoCoreMaxStorm  = 4_000
+	twoCoreMaxWindow = 15_001
+)
 
 // TwoCoreSweep returns a two-core fault campaign over the given schemes
 // and seeds: events fault events per shard (0 = clean runs), each run
@@ -92,15 +99,20 @@ func (m *TwoCore) validate() error {
 
 // faultSchedule draws the shard's campaign from its seed, so
 // `dagchaos -seed n -campaigns 1` replays seed n of any sweep with the
-// same cycle and event counts. Only the victim's domain is eligible for
+// same cycle and event counts, then clamps every window to
+// twoCoreMaxWindow. Only the victim's domain is eligible for
 // domain-scoped faults.
 func (m *TwoCore) faultSchedule(sh Shard, events int) fault.Schedule {
-	return fault.Campaign(sh.Seed, fault.CampaignConfig{
+	sched := fault.Campaign(sh.Seed, fault.CampaignConfig{
 		Horizon:  sh.Cycles,
 		Domains:  []mem.Domain{1},
 		MaxStorm: twoCoreMaxStorm,
 		Events:   events,
 	})
+	for i := range sched.Events {
+		sched.Events[i].Duration = min(sched.Events[i].Duration, twoCoreMaxWindow)
+	}
+	return sched
 }
 
 // machine returns the shard's twin constructor; only DAGguise runs twins.

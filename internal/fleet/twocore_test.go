@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"dagguise/internal/fault"
+	"dagguise/internal/mem"
 	"dagguise/internal/sim"
 	"dagguise/internal/trace"
 	"dagguise/internal/victim"
@@ -38,6 +40,36 @@ func TestTwoCoreSweepShards(t *testing.T) {
 	s.TwoCore.App = "no-such-app"
 	if err := s.Validate(); err == nil {
 		t.Fatal("validation accepted an unknown co-runner")
+	}
+}
+
+// TestTwoCoreFaultWindowsBounded checks the two-core schedule without
+// simulating it: at horizons from 60k to 8M cycles no window outlasts
+// twoCoreMaxWindow, far inside the watchdog's stall budget, and up to the
+// default 120k-cycle horizon the schedule is fault.Campaign's draw as is.
+func TestTwoCoreFaultWindowsBounded(t *testing.T) {
+	for _, horizon := range []uint64{60_000, 120_000, 400_000, 800_000, 4_000_000, 8_000_000} {
+		s := TwoCoreSweep([]string{"dagguise"}, nil, horizon, 12, "lbm")
+		for seed := int64(1); seed <= 8; seed++ {
+			got := s.ShardFaultSchedule("", Shard{Scheme: "dagguise", Seed: seed, Cycles: horizon})
+			if len(got.Events) != 12 {
+				t.Fatalf("horizon %d seed %d: %d events, want 12", horizon, seed, len(got.Events))
+			}
+			for _, e := range got.Events {
+				if e.Duration > twoCoreMaxWindow {
+					t.Errorf("horizon %d seed %d: %v window of %d cycles exceeds %d", horizon, seed, e.Kind, e.Duration, twoCoreMaxWindow)
+				}
+			}
+			if horizon > 120_000 {
+				continue
+			}
+			want := fault.Campaign(seed, fault.CampaignConfig{
+				Horizon: horizon, Domains: []mem.Domain{1}, MaxStorm: twoCoreMaxStorm, Events: 12,
+			})
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("horizon %d seed %d: schedule %+v, want fault.Campaign's %+v", horizon, seed, got, want)
+			}
+		}
 	}
 }
 

@@ -9,14 +9,12 @@ func BenchmarkDisabledCollection(b *testing.B) {
 	var r *Registry
 	var tr *Tracer
 	var p *CycleProfile
-	var sp *Spans
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		r.Inc(CtrRowHits, 1)
 		r.Observe(HistReqLatency, 1, uint64(i))
 		tr.Emit(Event{Cycle: uint64(i)})
 		p.Lap(PBCPU)
-		sp.End(uint64(i), uint64(i))
 	}
 }
 

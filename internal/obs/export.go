@@ -75,26 +75,6 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 	for _, ev := range events {
 		pid := int32(ev.Comp) + 1
 		var line string
-		if ev.Kind == EvSpanBegin || ev.Kind == EvSpanEnd {
-			// Spans export as B/E phase pairs: Perfetto nests same-lane
-			// B/E events into a parent/child flame automatically, and
-			// unmatched begins (spans still open at export) render as
-			// running to the end of the trace instead of vanishing.
-			ph := "B"
-			if ev.Kind == EvSpanEnd {
-				ph = "E"
-			}
-			name := ev.Name
-			if name == "" {
-				name = ev.Kind.String()
-			}
-			line = fmt.Sprintf(`{"ph":%q,"name":%q,"cat":"span","ts":%d,"pid":%d,"tid":%d,"args":{"span":%d,"parent":%d,"domain":%d}}`,
-				ph, name, ev.Cycle, pid, ev.Index, ev.Span, ev.Parent, ev.Domain)
-			if err := emit(line); err != nil {
-				return err
-			}
-			continue
-		}
 		if ev.Dur > 0 {
 			line = fmt.Sprintf(`{"ph":"X","name":%q,"cat":%q,"ts":%d,"dur":%d,"pid":%d,"tid":%d,"args":{"domain":%d}}`,
 				ev.Kind.String(), ev.Comp.String(), ev.Cycle, ev.Dur, pid, ev.Index, ev.Domain)
@@ -126,8 +106,6 @@ func laneName(c Component, tid int32) string {
 		return fmt.Sprintf("shaper dom %d", tid)
 	case CompCore:
 		return fmt.Sprintf("core dom %d", tid)
-	case CompRunner:
-		return fmt.Sprintf("job %d", tid)
 	default:
 		return fmt.Sprintf("lane %d", tid)
 	}

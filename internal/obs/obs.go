@@ -1,7 +1,7 @@
 // Package obs is the observability layer of the simulator: typed
 // per-domain counters, log-bucketed histograms, a bounded cycle-accurate
-// event tracer, and exporters (Chrome trace-event JSON for Perfetto, text
-// summary tables, net/http/pprof hooks).
+// event tracer, a cycle-attribution profiler, and exporters (Chrome
+// trace-event JSON for Perfetto, text summary tables, Prometheus text).
 //
 // Two invariants govern the package:
 //
@@ -17,9 +17,9 @@
 //     holds the shaped egress stream bit-identical with tracing on and off.
 //
 // Collection is safe for concurrent use: counters and histogram buckets
-// are updated with atomic adds, so a background goroutine (the interval
-// snapshot dumper, a pprof handler) may snapshot while the simulation
-// thread is writing.
+// are updated with atomic adds, so the parallel workers of a figure sweep
+// or a fleet may share one Registry, and a reader (dagauditd's /metrics
+// handler) may snapshot while writers run.
 package obs
 
 import (
@@ -367,8 +367,8 @@ func (r *Registry) Snapshot() *Snapshot {
 	return s
 }
 
-// Snapshot is an immutable copy of a Registry, used for Result.Metrics,
-// interval deltas and the text summary.
+// Snapshot is an immutable copy of a Registry, used for Result.Metrics
+// (a measurement window's delta) and the text summary.
 type Snapshot struct {
 	Domains  int
 	Counters []uint64

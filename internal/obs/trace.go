@@ -20,8 +20,6 @@ const (
 	CompCore
 	// CompSystem events are system-level markers (watchdog violations).
 	CompSystem
-	// CompRunner events live on the campaign supervisor's per-shard lanes.
-	CompRunner
 
 	numComponents
 )
@@ -33,7 +31,6 @@ var componentNames = [numComponents]string{
 	CompShaper:  "shapers",
 	CompCore:    "cores",
 	CompSystem:  "system",
-	CompRunner:  "runner",
 }
 
 // String returns the component's lane-group name.
@@ -64,10 +61,6 @@ const (
 	EvEgressStall
 	// EvViolation marks a watchdog invariant failure (system lane).
 	EvViolation
-	// EvSpanBegin / EvSpanEnd bracket a structured span (flight
-	// recorder); Span carries the span ID, Parent the enclosing span.
-	EvSpanBegin
-	EvSpanEnd
 
 	numEventKinds
 )
@@ -82,8 +75,6 @@ var eventNames = [numEventKinds]string{
 	EvFake:        "fake",
 	EvEgressStall: "egress-stall",
 	EvViolation:   "violation",
-	EvSpanBegin:   "span-begin",
-	EvSpanEnd:     "span-end",
 }
 
 // String returns the event kind's display name.
@@ -96,15 +87,9 @@ func (k EventKind) String() string {
 
 // Event is one traced occurrence: at Cycle, lasting Dur cycles (0 =
 // instant), on lane Index of component Comp, attributed to Domain.
-// Span events (EvSpanBegin/EvSpanEnd) additionally carry the span ID,
-// its parent span (0 = root) and a display name; every other kind
-// leaves those fields zero.
 type Event struct {
 	Cycle  uint64
 	Dur    uint64
-	Span   uint64
-	Parent uint64
-	Name   string
 	Comp   Component
 	Kind   EventKind
 	Index  int32

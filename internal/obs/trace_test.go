@@ -105,32 +105,3 @@ func TestTracerOverflowDeterministic(t *testing.T) {
 		t.Fatal("overflowed-trace export not byte-deterministic")
 	}
 }
-
-// TestTracerOverflowDropsSpanBegins documents the interaction between
-// the bounded ring and spans: an overwritten EvSpanBegin leaves its
-// EvSpanEnd unpaired in the retained window, and the exporter must
-// still produce output (the E event simply closes an implicit lane
-// scope in Perfetto).
-func TestTracerOverflowDropsSpanBegins(t *testing.T) {
-	tr := NewTracer(4)
-	sp := NewSpans(tr)
-	id := sp.Begin("long", CompRunner, 0, 0, 0, 1)
-	for i := 0; i < 10; i++ {
-		tr.Emit(Event{Cycle: uint64(2 + i), Comp: CompBank, Kind: EvRowHit})
-	}
-	sp.End(id, 100)
-
-	evs := tr.Events()
-	if evs[len(evs)-1].Kind != EvSpanEnd {
-		t.Fatalf("span end not retained: %+v", evs)
-	}
-	for _, ev := range evs {
-		if ev.Kind == EvSpanBegin {
-			t.Fatalf("span begin should have been overwritten: %+v", evs)
-		}
-	}
-	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, evs); err != nil {
-		t.Fatalf("export with unpaired span end failed: %v", err)
-	}
-}
