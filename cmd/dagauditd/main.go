@@ -2,7 +2,7 @@
 // timing observations over HTTP (newline-delimited JSON batches, one
 // observation per line), audits each tenant's stream through the
 // calibrated windowed detectors of internal/audit, and serves per-tenant
-// leakage verdicts, Prometheus metrics and health endpoints.
+// leakage verdicts, service counters (Prometheus text) and health endpoints.
 //
 // The service is built to stay correct while everything around it
 // misbehaves: bounded ingest queues shed load with 429 + Retry-After,
@@ -29,9 +29,7 @@
 //
 //	POST /v1/ingest                  observation batch (NDJSON)
 //	GET  /v1/verdicts                all tenant verdicts
-//	GET  /v1/verdicts/{tenant}       one tenant
 //	POST /v1/tenants/{tenant}/flush  audit the final partial window
-//	POST /v1/checkpoint              force a durable checkpoint
 //	GET  /metrics, /healthz, /readyz
 package main
 
@@ -71,7 +69,7 @@ func main() {
 	recent := flag.Int("recent", 8, "recent window reports retained per tenant verdict")
 
 	ckptPath := flag.String("checkpoint", "", "checkpoint file path (empty = no durability)")
-	ckptEvery := flag.Int("checkpoint-every", 0, "auto-checkpoint cadence in accepted observations (0 = manual/shutdown only)")
+	ckptEvery := flag.Int("checkpoint-every", 0, "auto-checkpoint cadence in accepted observations (0 = at shutdown only)")
 
 	readTimeout := flag.Duration("read-timeout", 10*time.Second, "per-request body read timeout (bounds slow/stalled clients)")
 	maxBatch := flag.Int64("max-batch-bytes", 1<<20, "ingest request body limit")

@@ -13,8 +13,8 @@
 //
 // Campaigns run as a sweep on the fleet pool (internal/fleet), one shard
 // per (scheme, seed), fanned over -workers. SIGINT, SIGTERM or -timeout
-// park the running shards at a chunk boundary; rerunning with the same
-// flags and -checkpoint-dir resumes from the fleet manifest and the
+// park the running shards at a chunk boundary; with -checkpoint-dir,
+// rerunning with the same flags resumes from the fleet manifest and the
 // mid-shard checkpoints and writes a report byte-identical to an
 // uninterrupted sweep. A manifest written for different flags is refused.
 //
@@ -43,11 +43,10 @@
 // With -target it instead becomes a traffic generator against a running
 // dagauditd leakage-audit service: deterministic tenant streams (real
 // simulated tap streams and/or synthetic leaky/clean tenants) are pushed
-// through the auditd client, optionally under client-side transport chaos,
-// and the fetched verdicts can gate CI:
+// through the auditd client, and the fetched verdicts can gate CI:
 //
 //	dagchaos -target http://127.0.0.1:9470 -serve-schemes insecure,dagguise \
-//	    -chaos -verdicts-out verdicts.json -gate insecure=leak,dagguise=clean
+//	    -verdicts-out verdicts.json -gate insecure=leak,dagguise=clean
 package main
 
 import (
@@ -100,7 +99,7 @@ func main() {
 	flag.StringVar(&o.failTrace, "fail-trace", "", "dump a Perfetto-viewable event trace of the first failing two-core campaign to this path")
 	flag.StringVar(&o.dir, "checkpoint-dir", "", "directory for the fleet manifest and mid-shard checkpoints; rerunning with the same flags resumes it (empty = throwaway directory, no checkpoints)")
 	flag.Uint64Var(&o.every, "checkpoint-every", 50_000, "mid-shard checkpoint cadence in cycles (with -checkpoint-dir)")
-	flag.DurationVar(&o.timeout, "timeout", 0, "wall-clock budget for the sweep (0 = none); on expiry running shards park at a chunk boundary and the sweep exits resumably")
+	flag.DurationVar(&o.timeout, "timeout", 0, "wall-clock budget for the sweep (0 = none); on expiry running shards park at a chunk boundary and the sweep exits, resumably with -checkpoint-dir")
 	flag.IntVar(&o.retries, "retries", 0, "retries per shard after a failed attempt")
 	flag.StringVar(&o.out, "out", "", "write the merged sweep report (deterministic JSON) to this path")
 	flag.BoolVar(&o.cycleProf, "cycle-profile", false, "print the per-component cycle-attribution table after the sweep (forces -workers 1)")
@@ -149,8 +148,9 @@ func main() {
 
 // runFleet runs a sweep on the fleet pool under signal supervision, prints
 // its verdicts and enforces the gate. Exit codes: 0 clean, 1 failure,
-// 2 usage, 3 interrupted (resumable by rerunning with the same flags and
-// -checkpoint-dir).
+// 2 usage, 3 interrupted (resumable by rerunning with the same flags when
+// -checkpoint-dir was given). An interrupted sweep still prints and
+// writes its -metrics, -cycle-profile and -trace-out observations.
 func runFleet(sweep fleet.Sweep, o runOpts) int {
 	f := o.fleetFlags
 	dir, every := o.dir, o.every
@@ -214,24 +214,26 @@ func runFleet(sweep fleet.Sweep, o runOpts) int {
 		Log:             os.Stderr,
 		Attach:          attach,
 	})
+	interrupted := errors.Is(runErr, context.Canceled) || errors.Is(runErr, context.DeadlineExceeded)
+	failures := 0
 	switch {
-	case errors.Is(runErr, context.Canceled) || errors.Is(runErr, context.DeadlineExceeded):
+	case interrupted && o.dir == "":
+		// The throwaway directory is deleted on return: nothing to resume.
+		fmt.Fprintf(os.Stderr, "dagchaos: interrupted (%v); this sweep was not checkpointed, run it with -checkpoint-dir to make it resumable\n", runErr)
+	case interrupted:
 		fmt.Fprintf(os.Stderr, "dagchaos: interrupted (%v); manifest saved, rerun with the same flags and -checkpoint-dir %s to resume\n", runErr, dir)
-		return 3
 	case runErr != nil && !errors.Is(runErr, fleet.ErrShardsIncomplete):
 		return fail(runErr)
-	}
-	failures := 0
-	if sweep.TwoCore != nil {
+	case sweep.TwoCore != nil:
 		m, lerr := fleet.LoadManifest(filepath.Join(dir, fleet.ManifestName))
 		if lerr != nil {
 			return fail(lerr)
 		}
 		failures = printCampaigns(sweep, m.Records, o.failTrace)
-	} else if rep != nil {
+	case rep != nil:
 		printVerdicts(sweep, rep)
 	}
-	if runErr != nil {
+	if runErr != nil && !interrupted {
 		// Failed shards: no report merges, but the run's observations
 		// are still written below.
 		fmt.Fprintln(os.Stderr, "dagchaos:", runErr)
@@ -260,6 +262,9 @@ func runFleet(sweep fleet.Sweep, o runOpts) int {
 			return fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "dagchaos: wrote %d trace events to %s\n", tr.Len(), o.traceOut)
+	}
+	if interrupted {
+		return 3
 	}
 	if failures > 0 {
 		fmt.Fprintf(os.Stderr, "dagchaos: %d campaign(s) failed\n", failures)

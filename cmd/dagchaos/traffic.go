@@ -1,18 +1,16 @@
 package main
 
 // Traffic-generator mode: with -target set, dagchaos stops torturing the
-// simulator and instead tortures a running dagauditd instance. It derives
+// simulator and instead drives a running dagauditd instance. It derives
 // deterministic observation streams — real attacker tap streams from the
 // simulated schemes (-serve-schemes) plus synthetic leaky/clean tenants
-// (-synth-tenants) — and streams them over HTTP through the auditd client,
-// optionally wrapped in client-side transport chaos (-chaos): malformed
-// and truncated payloads, burst duplicate storms, slow trickled uploads,
-// stalled readers. Because every observation carries its sequence number,
-// the generator is crash-agnostic: rerunning it against a restarted
-// server replays the stream, the server dup-acks what it already has, and
-// the final verdicts converge to the same bytes. -gate turns the fetched
-// verdicts into an exit code, giving CI a one-line end-to-end leakage
-// check through the service path.
+// (-synth-tenants) — and streams them over HTTP through the auditd client.
+// Because every observation carries its sequence number, the generator is
+// crash-agnostic: rerunning it against a restarted server replays the
+// stream, the server dup-acks what it already has, and the final verdicts
+// converge to the same bytes. -gate turns the fetched verdicts into an
+// exit code, giving CI a one-line end-to-end leakage check through the
+// service path.
 
 import (
 	"context"
@@ -27,7 +25,6 @@ import (
 	"dagguise/internal/ckpt"
 	"dagguise/internal/config"
 	"dagguise/internal/eval"
-	"dagguise/internal/fault"
 	"dagguise/internal/rng"
 )
 
@@ -39,8 +36,6 @@ type trafficOpts struct {
 	synthPairs   int
 	probes       int
 	batch        int
-	chaos        bool
-	chaosEvents  int
 	verdictsOut  string
 	gate         string
 	noFlush      bool
@@ -57,8 +52,6 @@ func registerTrafficFlags() *trafficOpts {
 	flag.IntVar(&o.synthPairs, "synth-pairs", 150, "sample pairs per synthetic tenant")
 	flag.IntVar(&o.probes, "probes", 300, "probes per scheme tap stream")
 	flag.IntVar(&o.batch, "batch", 25, "observations per ingest request")
-	flag.BoolVar(&o.chaos, "chaos", false, "wrap the client in transport fault injection")
-	flag.IntVar(&o.chaosEvents, "chaos-events", 10, "client fault events per tenant stream (with -chaos)")
 	flag.StringVar(&o.verdictsOut, "verdicts-out", "", "write the raw verdict JSON to this path")
 	flag.StringVar(&o.gate, "gate", "", "expectations like insecure=leak,dagguise=clean; unmet expectations fail the run")
 	flag.BoolVar(&o.noFlush, "no-flush", false, "skip flushing tenants' final partial windows")
@@ -159,13 +152,6 @@ func runTraffic(o *trafficOpts, baseSeed int64) int {
 		c := &auditd.Client{
 			Base: o.target, BatchSize: o.batch,
 			Seed: rng.Derive(baseSeed, st.name), Retries: 60,
-		}
-		if o.chaos {
-			batches := (len(st.obs)+o.batch-1)/o.batch + 1
-			c.Faults = fault.ClientCampaign(rng.Derive(baseSeed, "chaos-"+st.name), batches, o.chaosEvents)
-			c.Logf = func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "dagchaos: ["+st.name+"] "+format+"\n", args...)
-			}
 		}
 		res, err := c.Stream(ctx, st.obs)
 		if err != nil {

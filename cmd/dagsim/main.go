@@ -12,7 +12,8 @@
 //	dagsim -trace-out run.json      # export a Perfetto-loadable event trace
 //	dagsim -cycle-profile           # append the per-component cycle-attribution table
 //
-// SIGINT or SIGTERM stops the sweep between cycles and exits with status 3.
+// SIGINT or SIGTERM stops the sweep between cycles; dagsim then prints and
+// writes the diagnostics it collected and exits with status 3.
 package main
 
 import (
@@ -45,6 +46,9 @@ func main() {
 	workers := flag.Int("workers", 1, "parallel per-app figure rows (0 = GOMAXPROCS); output is identical at any worker count")
 	flag.Parse()
 
+	if *cores != 2 && *cores != 8 {
+		fatal(fmt.Errorf("unsupported core count %d (use 2 or 8)", *cores))
+	}
 	if *workers <= 0 {
 		*workers = runtime.GOMAXPROCS(0)
 	}
@@ -85,67 +89,67 @@ func main() {
 		sys.Profile(prof)
 	}
 	start := time.Now()
-	defer func() {
-		if *metrics {
+	err := runFigure(*cores, opts)
+	interrupted := errors.Is(err, context.Canceled)
+	if err != nil && !interrupted {
+		fatal(err)
+	}
+	// An interrupted sweep still prints and writes what it observed.
+	if interrupted {
+		fmt.Fprintln(os.Stderr, "dagsim: interrupted:", err)
+	}
+	if *metrics {
+		fmt.Println()
+		fmt.Print(obs.FormatSummary(mx.Snapshot(), atomic.LoadUint64(&simCycles)))
+	}
+	if prof != nil {
+		// Coverage is against the whole sweep wall clock, so per-run
+		// build and evaluation glue lands in the harness bucket.
+		rep := prof.Report(time.Since(start), atomic.LoadUint64(&simCycles))
+		if *cycleProf {
 			fmt.Println()
-			fmt.Print(obs.FormatSummary(mx.Snapshot(), atomic.LoadUint64(&simCycles)))
+			fmt.Print(rep.String())
 		}
-		if prof != nil {
-			// Coverage is against the whole sweep wall clock, so per-run
-			// build and evaluation glue lands in the harness bucket.
-			rep := prof.Report(time.Since(start), atomic.LoadUint64(&simCycles))
-			if *cycleProf {
-				fmt.Println()
-				fmt.Print(rep.String())
-			}
-			if *cycleProfOut != "" {
-				if err := writeReport(*cycleProfOut, rep); err != nil {
-					fatal(err)
-				}
-				fmt.Fprintf(os.Stderr, "dagsim: wrote cycle-attribution report to %s\n", *cycleProfOut)
-			}
-		}
-		if tr != nil {
-			if err := obs.WriteChromeTraceFile(*traceOut, tr); err != nil {
+		if *cycleProfOut != "" {
+			if err := writeReport(*cycleProfOut, rep); err != nil {
 				fatal(err)
 			}
-			fmt.Fprintf(os.Stderr, "dagsim: wrote %d trace events to %s (open in https://ui.perfetto.dev)\n", tr.Len(), *traceOut)
+			fmt.Fprintf(os.Stderr, "dagsim: wrote cycle-attribution report to %s\n", *cycleProfOut)
 		}
-	}()
+	}
+	if tr != nil {
+		if err := obs.WriteChromeTraceFile(*traceOut, tr); err != nil {
+			fatal(err)
+		}
+		fmt.Fprintf(os.Stderr, "dagsim: wrote %d trace events to %s (open in https://ui.perfetto.dev)\n", tr.Len(), *traceOut)
+	}
+	if interrupted {
+		os.Exit(3)
+	}
+}
 
-	switch *cores {
-	case 2:
+// runFigure runs and prints Figure 9 (two cores) or Figure 10 (eight).
+func runFigure(cores int, opts eval.Options) error {
+	if cores == 2 {
 		res, err := eval.Figure9(opts)
 		if err != nil {
-			interrupted(err)
-			fatal(err)
+			return err
 		}
 		fmt.Println("Figure 9: average normalized IPC, DocDist + one SPEC app on two cores")
 		fmt.Print(eval.FormatFigure9(res))
 		fmt.Printf("\nDAGguise vs FS-BTA system speedup: %.1f%%\n",
 			(res.DAGguiseGeomean/res.FSBTAGeomean-1)*100)
-	case 8:
-		res, err := eval.Figure10(opts)
-		if err != nil {
-			interrupted(err)
-			fatal(err)
-		}
-		fmt.Println("Figure 10: average normalized IPC, 2xDocDist + 2xDNA + 4xSPEC on eight cores")
-		fmt.Print(eval.FormatFigure10(res))
-		fmt.Printf("\nDAGguise vs FS-BTA system speedup: %.1f%%\n",
-			(res.DAGguiseGeomean/res.FSBTAGeomean-1)*100)
-	default:
-		fatal(fmt.Errorf("unsupported core count %d (use 2 or 8)", *cores))
+		return nil
 	}
-}
-
-// interrupted exits with status 3 when the sweep stopped on a signal.
-func interrupted(err error) {
-	if !errors.Is(err, context.Canceled) {
-		return
+	res, err := eval.Figure10(opts)
+	if err != nil {
+		return err
 	}
-	fmt.Fprintln(os.Stderr, "dagsim: interrupted:", err)
-	os.Exit(3)
+	fmt.Println("Figure 10: average normalized IPC, 2xDocDist + 2xDNA + 4xSPEC on eight cores")
+	fmt.Print(eval.FormatFigure10(res))
+	fmt.Printf("\nDAGguise vs FS-BTA system speedup: %.1f%%\n",
+		(res.DAGguiseGeomean/res.FSBTAGeomean-1)*100)
+	return nil
 }
 
 // writeReport dumps the attribution report as JSON.

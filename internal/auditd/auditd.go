@@ -106,7 +106,7 @@ type Config struct {
 	// (default 1).
 	RetryAfterSeconds int
 	// Hook, when non-nil, runs for every accepted observation before it is
-	// processed — the chaos/test seam for injecting processing faults
+	// processed — the test seam for injecting processing faults
 	// (e.g. panics on a poisoned stream). Keyed decisions must depend only
 	// on (tenant, observation) to preserve determinism.
 	Hook func(tenant string, o Observation)
@@ -165,7 +165,6 @@ type aggregate struct {
 type tenant struct {
 	mu   sync.Mutex
 	name string
-	slot int // obs registry domain
 
 	nextSeq  uint64
 	kept     [2]uint64
@@ -230,7 +229,6 @@ type counters struct {
 // Service is the leakage-audit daemon core: wire it to HTTP with Handler.
 type Service struct {
 	cfg Config
-	mx  *obs.Registry
 
 	shards []chan *batchReq // one bounded queue per shard worker
 
@@ -262,7 +260,6 @@ func New(cfg Config) (*Service, error) {
 	}
 	s := &Service{
 		cfg:     cfg,
-		mx:      obs.NewRegistry(cfg.MaxTenants + 1),
 		tenants: make(map[string]*tenant),
 	}
 	if cfg.CheckpointPath != "" {
@@ -325,7 +322,7 @@ func (s *Service) newTenant(name string) (*tenant, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &tenant{name: name, slot: len(s.tenants) + 1, aud: aud}
+	t := &tenant{name: name, aud: aud}
 	t.agg.FirstExceeded = -1
 	return t, nil
 }
@@ -390,7 +387,6 @@ func (s *Service) processBatch(t *tenant, batch []Observation) (resp batchResp) 
 			continue
 		}
 		t.kept[o.Secret]++
-		s.mx.Observe(obs.HistReqLatency, t.slot, o.Value)
 		// An admitted batch is audited to completion: no context cancels
 		// a window mid-calibration, so the only possible error is an
 		// out-of-range secret.
@@ -633,9 +629,6 @@ func (s *Service) Checkpoint() error {
 	return nil
 }
 
-// Checkpoints returns how many checkpoints have been persisted.
-func (s *Service) Checkpoints() uint64 { return s.ctr.checkpoints.Load() }
-
 // restore loads the checkpoint at cfg.CheckpointPath if one exists. Every
 // corruption the frame detects (truncation, bit rot, a wrong file) and a
 // payload with fields this build does not know fail with ckpt's typed
@@ -658,14 +651,14 @@ func (s *Service) restore() error {
 	if st.Version != serviceStateVersion {
 		return fmt.Errorf("auditd: checkpoint version %d, this build reads %d", st.Version, serviceStateVersion)
 	}
-	for i, ts := range st.Tenants {
+	for _, ts := range st.Tenants {
 		aud, err := audit.RestoreAuditor(ts.Auditor)
 		if err != nil {
 			return fmt.Errorf("auditd: restore tenant %q: %w", ts.Name, err)
 		}
 		t := &tenant{
-			name: ts.Name, slot: i + 1,
-			nextSeq: ts.NextSeq, kept: ts.Kept, sampled: ts.Sampled, degraded: ts.Degraded,
+			name: ts.Name, nextSeq: ts.NextSeq,
+			kept: ts.Kept, sampled: ts.Sampled, degraded: ts.Degraded,
 			poisoned: ts.Poisoned, poisonReason: ts.PoisonReason,
 			flushed: ts.Flushed, flushError: ts.FlushError,
 			aud: aud, agg: ts.Agg,

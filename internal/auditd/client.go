@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"time"
 
-	"dagguise/internal/fault"
 	"dagguise/internal/rng"
 )
 
@@ -35,12 +34,6 @@ type Client struct {
 	Backoff, MaxBackoff time.Duration
 	// Seed keys the deterministic backoff jitter.
 	Seed int64
-	// Faults, when non-empty, injects client-side transport chaos
-	// (malformed pre-sends, truncations, bursts, slow writes, stalled
-	// readers) keyed on the batch index.
-	Faults fault.ClientSchedule
-	// Logf, when non-nil, narrates retries and injected faults.
-	Logf func(format string, args ...any)
 }
 
 func (c *Client) httpc() *http.Client {
@@ -64,12 +57,6 @@ func (c *Client) retries() int {
 	return 8
 }
 
-func (c *Client) logf(format string, args ...any) {
-	if c.Logf != nil {
-		c.Logf(format, args...)
-	}
-}
-
 // encodeBatch renders observations as the NDJSON wire format.
 func encodeBatch(batch []Observation) []byte {
 	var buf bytes.Buffer
@@ -82,8 +69,8 @@ func encodeBatch(batch []Observation) []byte {
 
 // post sends one ingest request and decodes the response body (best
 // effort: a non-JSON body yields a zero IngestResult with the status).
-func (c *Client) post(ctx context.Context, body io.Reader) (IngestResult, int, http.Header, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+"/v1/ingest", body)
+func (c *Client) post(ctx context.Context, payload []byte) (IngestResult, int, http.Header, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+"/v1/ingest", bytes.NewReader(payload))
 	if err != nil {
 		return IngestResult{}, 0, nil, err
 	}
@@ -96,105 +83,6 @@ func (c *Client) post(ctx context.Context, body io.Reader) (IngestResult, int, h
 	var res IngestResult
 	_ = json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&res)
 	return res, resp.StatusCode, resp.Header, nil
-}
-
-// injectPreSend fires this batch's pre-send faults: deliberately broken
-// requests whose rejection (or slow drip) exercises the server's
-// validation and read paths. Responses are ignored — the real send
-// follows.
-func (c *Client) injectPreSend(ctx context.Context, batchIdx int, payload []byte) {
-	for _, ev := range c.Faults.ForBatch(batchIdx) {
-		switch ev.Kind {
-		case fault.MalformedPayload:
-			c.logf("chaos: malformed pre-send at batch %d", batchIdx)
-			garbage := []byte("{\"tenant\":\"x\",\"seq\":not-json\n\x00\xff")
-			_, _, _, _ = c.post(ctx, bytes.NewReader(garbage))
-		case fault.TruncatedPayload:
-			cut := len(payload) / 2
-			if cut == 0 {
-				cut = 1
-			}
-			c.logf("chaos: truncated pre-send at batch %d (%d/%d bytes)", batchIdx, cut, len(payload))
-			_, _, _, _ = c.post(ctx, bytes.NewReader(payload[:cut]))
-		case fault.BurstStorm:
-			// Duplicate storm: fire the real payload several extra times
-			// up front. Whatever subset the server accepts, the sequence
-			// protocol dedups the rest — the storm must not change the
-			// accepted stream.
-			m := ev.Magnitude
-			if m < 1 {
-				m = 1
-			} else if m > 3 {
-				m = 3
-			}
-			c.logf("chaos: burst storm at batch %d (%d extra sends)", batchIdx, m)
-			for j := 0; j < m; j++ {
-				_, _, _, _ = c.post(ctx, bytes.NewReader(payload))
-			}
-		case fault.StalledReader:
-			// Open a request whose body never arrives, then abandon it:
-			// the server must time the read out without wedging a worker.
-			// The pipe must be closed by a timer, not after post returns:
-			// a canceled round trip still waits for its body writer to
-			// finish, so closing only afterwards would deadlock the
-			// client against its own stall.
-			c.logf("chaos: stalled reader at batch %d", batchIdx)
-			stallCtx, cancel := context.WithTimeout(ctx, 100*time.Millisecond)
-			pr, pw := io.Pipe()
-			tm := time.AfterFunc(150*time.Millisecond, func() {
-				pw.CloseWithError(context.Canceled)
-			})
-			_, _, _, _ = c.post(stallCtx, pr)
-			tm.Stop()
-			pw.CloseWithError(context.Canceled)
-			cancel()
-		}
-	}
-}
-
-// sendBody wraps the payload in this batch's in-flight faults (slow
-// trickled writes) and posts it.
-func (c *Client) sendBody(ctx context.Context, batchIdx int, payload []byte) (IngestResult, int, http.Header, error) {
-	for _, ev := range c.Faults.ForBatch(batchIdx) {
-		if ev.Kind == fault.SlowClient {
-			chunk := ev.Magnitude
-			if chunk < 1 {
-				chunk = 1
-			}
-			c.logf("chaos: slow client at batch %d (%d-byte chunks)", batchIdx, chunk)
-			return c.post(ctx, &trickleReader{data: payload, chunk: chunk, pause: time.Millisecond})
-		}
-	}
-	return c.post(ctx, bytes.NewReader(payload))
-}
-
-// trickleReader serves data in tiny chunks with pauses — a slowloris-
-// shaped client. Pauses are capped so tests stay fast.
-type trickleReader struct {
-	data   []byte
-	chunk  int
-	pause  time.Duration
-	pauses int
-}
-
-func (t *trickleReader) Read(p []byte) (int, error) {
-	if len(t.data) == 0 {
-		return 0, io.EOF
-	}
-	if t.pauses < 32 { // bound total added latency
-		t.pauses++
-		time.Sleep(t.pause)
-	}
-	n := t.chunk
-	if n > len(p) {
-		n = len(p)
-	}
-	if n > len(t.data) {
-		n = len(t.data)
-	}
-	copy(p, t.data[:n])
-	t.data = t.data[n:]
-	return n, nil
 }
 
 // sleepCtx waits d or until ctx is done.
@@ -230,16 +118,13 @@ func (c *Client) Stream(ctx context.Context, observations []Observation) (Stream
 	if len(observations) > 0 {
 		first = observations[0].Seq
 	}
-	i, batchIdx, attempts := 0, 0, 0
+	i, attempts := 0, 0
 	for i < len(observations) {
 		end := i + c.batchSize()
 		if end > len(observations) {
 			end = len(observations)
 		}
-		payload := encodeBatch(observations[i:end])
-		c.injectPreSend(ctx, batchIdx, payload)
-		res, status, hdr, err := c.sendBody(ctx, batchIdx, payload)
-		batchIdx++
+		res, status, hdr, err := c.post(ctx, encodeBatch(observations[i:end]))
 
 		backoffRetry := func(why string) error {
 			attempts++
@@ -247,9 +132,7 @@ func (c *Client) Stream(ctx context.Context, observations []Observation) (Stream
 			if attempts > c.retries() {
 				return fmt.Errorf("auditd client: batch at seq %d failed %d times: %s", observations[i].Seq, attempts, why)
 			}
-			d := rng.BackoffDelay(c.Backoff, c.MaxBackoff, c.Seed, attempts)
-			c.logf("retry %d after %v: %s", attempts, d, why)
-			return sleepCtx(ctx, d)
+			return sleepCtx(ctx, rng.BackoffDelay(c.Backoff, c.MaxBackoff, c.Seed, attempts))
 		}
 
 		switch {
@@ -273,7 +156,6 @@ func (c *Client) Stream(ctx context.Context, observations []Observation) (Stream
 				out.Retries++
 				d = rng.BackoffDelay(c.Backoff, c.MaxBackoff, c.Seed, attempts)
 			}
-			c.logf("shed (429), waiting %v", d)
 			if err := sleepCtx(ctx, d); err != nil {
 				return out, err
 			}
@@ -285,7 +167,6 @@ func (c *Client) Stream(ctx context.Context, observations []Observation) (Stream
 			if want < first || want > first+uint64(len(observations)) {
 				return out, fmt.Errorf("auditd client: server expects seq %d outside stream [%d,%d)", want, first, first+uint64(len(observations)))
 			}
-			c.logf("gap: rewinding cursor from %d to %d", i, int(want-first))
 			i = int(want - first)
 			if err := backoffRetry("sequence gap"); err != nil {
 				return out, err
@@ -351,24 +232,6 @@ func (c *Client) Flush(ctx context.Context, tenant string) (starved bool, err er
 	default:
 		return false, fmt.Errorf("auditd client: flush %s (%d): %s", tenant, resp.StatusCode, fr.Error)
 	}
-}
-
-// Checkpoint forces a durable server checkpoint.
-func (c *Client) Checkpoint(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+"/v1/checkpoint", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.httpc().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("auditd client: checkpoint (%d): %s", resp.StatusCode, bytes.TrimSpace(body))
-	}
-	return nil
 }
 
 // get fetches a URL path, returning the body on 200.

@@ -11,7 +11,6 @@ import (
 	"strconv"
 
 	"dagguise/internal/audit"
-	"dagguise/internal/obs"
 )
 
 // IngestResult is the JSON body of every ingest response, success or not.
@@ -30,19 +29,15 @@ type IngestResult struct {
 //
 //	POST /v1/ingest                  NDJSON observation batch
 //	GET  /v1/verdicts                all tenant verdicts (sorted, deterministic)
-//	GET  /v1/verdicts/{tenant}       one tenant's verdict
 //	POST /v1/tenants/{tenant}/flush  force the final partial window
-//	POST /v1/checkpoint              force a durable checkpoint
-//	GET  /metrics                    Prometheus text exposition
+//	GET  /metrics                    service counters and shard queue lengths (Prometheus text)
 //	GET  /healthz                    liveness (process is up)
 //	GET  /readyz                     readiness (accepting and not overloaded)
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/ingest", s.handleIngest)
 	mux.HandleFunc("GET /v1/verdicts", s.handleVerdicts)
-	mux.HandleFunc("GET /v1/verdicts/{tenant}", s.handleVerdict)
 	mux.HandleFunc("POST /v1/tenants/{tenant}/flush", s.handleFlush)
-	mux.HandleFunc("POST /v1/checkpoint", s.handleCheckpoint)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -205,16 +200,6 @@ func (s *Service) handleVerdicts(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, VerdictsResponse{Tenants: s.Verdicts()})
 }
 
-func (s *Service) handleVerdict(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("tenant")
-	v, ok := s.Verdict(name)
-	if !ok {
-		writeJSON(w, http.StatusNotFound, IngestResult{Error: "unknown tenant", Tenant: name})
-		return
-	}
-	writeJSON(w, http.StatusOK, v)
-}
-
 // FlushResponse is the POST /v1/tenants/{t}/flush body.
 type FlushResponse struct {
 	Tenant  string              `json:"tenant"`
@@ -248,18 +233,6 @@ func (s *Service) handleFlush(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Service) handleCheckpoint(w http.ResponseWriter, _ *http.Request) {
-	if s.cfg.CheckpointPath == "" {
-		writeJSON(w, http.StatusUnprocessableEntity, map[string]string{"error": "checkpointing disabled"})
-		return
-	}
-	if err := s.Checkpoint(); err != nil {
-		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]uint64{"checkpoints": s.Checkpoints()})
-}
-
 func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	for _, c := range []struct {
@@ -287,10 +260,4 @@ func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	for i, sh := range s.shards {
 		fmt.Fprintf(w, "dagauditd_shard_queue_len{shard=\"%d\"} %d\n", i, len(sh))
 	}
-	// Tenant → metrics-domain mapping, then the per-domain registry
-	// (request-value histograms keyed by tenant slot).
-	for _, t := range s.sortedTenants() {
-		fmt.Fprintf(w, "dagauditd_tenant_slot{tenant=%q} %d\n", t.name, t.slot)
-	}
-	_ = obs.WritePrometheus(w, s.mx.Snapshot(), "dagauditd")
 }

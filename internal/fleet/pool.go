@@ -138,7 +138,7 @@ func Run(ctx context.Context, sweep Sweep, opts Options) (*Report, error) {
 		p.mu.Lock()
 		defer p.mu.Unlock()
 		_, _, done, _ := p.manifest.Counts()
-		logf(opts.Log, "fleet: interrupted with %d/%d shard(s) done; rerun to resume\n", done, len(p.manifest.Records))
+		logf(opts.Log, "fleet: interrupted with %d/%d shard(s) done, the rest parked as pending\n", done, len(p.manifest.Records))
 		return nil, err
 	}
 	p.mu.Lock()

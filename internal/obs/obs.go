@@ -1,7 +1,7 @@
 // Package obs is the observability layer of the simulator: typed
 // per-domain counters, log-bucketed histograms, a bounded cycle-accurate
 // event tracer, a cycle-attribution profiler, and exporters (Chrome
-// trace-event JSON for Perfetto, text summary tables, Prometheus text).
+// trace-event JSON for Perfetto and text summary tables).
 //
 // Two invariants govern the package:
 //
@@ -18,8 +18,8 @@
 //
 // Collection is safe for concurrent use: counters and histogram buckets
 // are updated with atomic adds, so the parallel workers of a figure sweep
-// or a fleet may share one Registry, and a reader (dagauditd's /metrics
-// handler) may snapshot while writers run.
+// or a fleet may share one Registry, and a reader may snapshot while
+// writers run.
 package obs
 
 import (
@@ -84,8 +84,8 @@ const (
 	numCounters
 )
 
-// counterNames indexes Counter -> stable snake-case name (used by the
-// text summary and any machine-readable dump).
+// counterNames indexes Counter -> stable snake-case name (its String
+// form, as DESIGN.md's counter table lists it).
 var counterNames = [numCounters]string{
 	CtrRowHits:            "row_hits",
 	CtrRowMisses:          "row_misses",
@@ -121,45 +121,6 @@ func (c Counter) String() string {
 		return counterNames[c]
 	}
 	return "unknown_counter"
-}
-
-// counterHelp indexes Counter -> one-line # HELP text for the
-// Prometheus exposition.
-var counterHelp = [numCounters]string{
-	CtrRowHits:            "DRAM row-buffer hits per requesting domain.",
-	CtrRowMisses:          "DRAM row-buffer misses (closed row) per requesting domain.",
-	CtrRowConflicts:       "DRAM row-buffer conflicts (wrong row open) per requesting domain.",
-	CtrPrecharges:         "PRE commands issued (conflict plus auto-precharge).",
-	CtrRefreshes:          "Refresh windows performed (domain 0).",
-	CtrRefreshStallCycles: "Cycles transactions were displaced by refresh windows (domain 0).",
-	CtrBusBusyCycles:      "Data-bus burst occupancy cycles per domain.",
-	CtrBankBusyCycles:     "Bank occupancy cycles (start to data done) per domain.",
-	CtrIssuedReads:        "Read transactions issued by the controller per domain.",
-	CtrIssuedWrites:       "Write transactions issued by the controller per domain.",
-	CtrIssuedFakes:        "Fake (camouflage) transactions issued per domain.",
-	CtrSchedPicks:         "Scheduling decisions that issued a transaction (domain 0).",
-	CtrSchedReorders:      "Scheduling decisions that bypassed an older queued request (domain 0).",
-	CtrSlotsSeen:          "Secure-arbiter slots examined (domain 0).",
-	CtrSlotsUsed:          "Secure-arbiter slots that issued (domain 0).",
-	CtrSlotsWasted:        "Owned secure-arbiter slots wasted for lack of an eligible request (domain 0).",
-	CtrShaperForwarded:    "Real requests forwarded by the shaper per protected domain.",
-	CtrShaperFakes:        "Fake requests emitted by the shaper per protected domain.",
-	CtrShaperRejected:     "Requests rejected by the shaper's admission queue per protected domain.",
-	CtrRetired:            "Instructions retired per core domain.",
-	CtrROBStallCycles:     "Cycles the ROB head was stalled on memory per core domain.",
-	CtrFleetShardsDone:    "Fleet shards completed across the worker pool (domain 0).",
-	CtrFleetShardsFailed:  "Fleet shards that exhausted their retries (domain 0).",
-	CtrFleetRetries:       "Fleet shard attempts retried after a failure (domain 0).",
-	CtrFleetCheckpoints:   "Durable per-shard checkpoints cut by fleet workers (domain 0).",
-	CtrFleetResumes:       "Fleet shard executions resumed from a checkpoint frame (domain 0).",
-}
-
-// Help returns the counter's # HELP text.
-func (c Counter) Help() string {
-	if int(c) < len(counterHelp) {
-		return counterHelp[c]
-	}
-	return "Unknown counter."
 }
 
 // NumCounters is the size of the counter catalog.
@@ -208,26 +169,6 @@ func (h Hist) String() string {
 		return histNames[h]
 	}
 	return "unknown_hist"
-}
-
-// histHelp indexes Hist -> one-line # HELP text for the Prometheus
-// exposition.
-var histHelp = [numHists]string{
-	HistReqLatency:  "Transaction latency in cycles, arrival to data done (log2 buckets).",
-	HistQueueWait:   "Transaction queueing delay in cycles, arrival to issue (log2 buckets).",
-	HistQueueDepth:  "Controller transaction-queue occupancy sampled every tick (domain 0).",
-	HistShaperQueue: "Shaper private-queue occupancy sampled every tick per protected domain.",
-	HistEgressQueue: "Shaped egress staging-queue peak occupancy sampled every tick per protected domain.",
-	HistNodeWait:    "rDAG node service time in cycles, slot emission to completion per protected domain.",
-	HistMLP:         "Outstanding demand reads sampled every cycle per core domain.",
-}
-
-// Help returns the histogram's # HELP text.
-func (h Hist) Help() string {
-	if int(h) < len(histHelp) {
-		return histHelp[h]
-	}
-	return "Unknown histogram."
 }
 
 // NumHists is the size of the histogram catalog.
